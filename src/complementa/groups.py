@@ -98,6 +98,9 @@ class FiniteGroup:
             raise GroupError("empty multiplication table")
         if len(self.labels) != n:
             raise GroupError("labels length does not match order")
+        bad = [s for s in self.generators if type(s) is not int or not 0 <= s < n]
+        if bad:
+            raise GroupError(f"generator indices out of range 0..{n - 1}: {bad}")
         table = np.array(self.mult, dtype=np.int32)
         if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
             raise GroupError("table entries out of range")
@@ -462,12 +465,24 @@ def group_to_dict(g: FiniteGroup) -> dict:
 
 
 def group_from_dict(data: dict) -> FiniteGroup:
+    """Parse a cayley-v1 document; any malformed field raises GroupError."""
+    if not isinstance(data, dict):
+        raise GroupError(f"cayley-v1 document must be a JSON object, not {type(data).__name__}")
     if data.get("version") != CAYLEY_FORMAT:
         raise GroupError(f"unsupported format version: {data.get('version')!r}")
-    n = int(data["order"])
-    flat = data["mult"]
-    if len(flat) != n * n:
-        raise GroupError("mult length does not match order^2")
-    mult = [flat[i * n:(i + 1) * n] for i in range(n)]
+    n = data.get("order")
+    if type(n) is not int or n < 1:
+        raise GroupError(f"order must be a positive integer, got {n!r}")
+    flat = data.get("mult")
+    if not isinstance(flat, list) or len(flat) != n * n:
+        raise GroupError("mult must be a list of order^2 entries")
+    if set(map(type, flat)) - {int} or min(flat) < 0 or max(flat) >= n:
+        raise GroupError(f"mult entries must be integers in 0..{n - 1}")
+    gens = data.get("generators", [])
+    if not isinstance(gens, list):
+        raise GroupError("generators must be a list of element indices")
     labels = data.get("labels") or [str(i) for i in range(n)]
-    return FiniteGroup(mult, data.get("generators", []), labels)
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise GroupError("labels must be a list of strings")
+    mult = [flat[i * n:(i + 1) * n] for i in range(n)]
+    return FiniteGroup(mult, gens, labels)

@@ -167,11 +167,16 @@ def cyclic_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
 
 
 def _subgroups_order_dividing(g: FiniteGroup, c: int) -> tuple[Subgroup, ...]:
-    """All subgroups whose order divides c, by layered joins with cyclic subgroups.
+    """All subgroups whose order divides c, canonically sorted.
 
-    Every subgroup H with |H| | c is reachable through a chain of single
-    element extensions staying inside H, so intermediate results whose order
-    does not divide c can be discarded without losing completeness.
+    When every such subgroup is solvable, each nontrivial one, L, has a normal
+    subgroup M of prime index p, and L = M·<x> for any element x of L outside
+    M of p-power order.  The search therefore builds layer k+1 from layer k
+    by cyclic extension with such elements (see ``_cyclic_extension``).
+    When ``_all_solvable`` cannot show that (c ≥ 60 with three or more
+    prime factors, and G not solvable) it falls back to joins with cyclic
+    subgroups of order dividing c, keeping the joins whose order divides c
+    (``_join_search``).  Derived from the full lattice when that is cached.
     """
     c = math.gcd(g.order, c)
 
@@ -179,34 +184,129 @@ def _subgroups_order_dividing(g: FiniteGroup, c: int) -> tuple[Subgroup, ...]:
         full = g._cache.get(("sub_div", g.order))
         if full is not None:
             return tuple(s for s in full if c % s.order == 0)
+        if _all_solvable(g, c):
+            return _cyclic_extension(g, c)
         cyclics = [s for s in cyclic_subgroups(g) if c % s.order == 0]
-        triv = trivial_subgroup(g)
-        found: dict[int, Subgroup] = {triv.members: triv}
-        frontier = [triv]
-        for s in cyclics:
-            found[s.members] = s
-            frontier.append(s)
-        while frontier:
-            nxt = []
-            for sub in frontier:
-                for cyc in cyclics:
-                    if cyc.members & sub.members == cyc.members:
-                        continue
-                    g_elem = cyc.gens[0]
-                    bits = closure_bits(g, sub.gens + (g_elem,), cap=c)
-                    if bits is None or bits in found:
-                        continue
-                    order = bits.bit_count()
-                    if c % order:
-                        continue
-                    new = Subgroup(g, bits, sub.gens + (g_elem,))
-                    found[bits] = new
-                    nxt.append(new)
-            frontier = nxt
-        subs = sorted(found.values(), key=Subgroup.sort_key)
-        return tuple(subs)
+        return _join_search(g, [trivial_subgroup(g), *cyclics], cyclics, cap=c)
 
     return g.cached(("sub_div", c), build)
+
+
+def _all_solvable(g: FiniteGroup, c: int) -> bool:
+    """A sufficient condition for every subgroup of G of order dividing c to
+    be solvable.
+
+    It holds when c < 60 (every group of order below 60 is solvable), when c
+    has at most two prime factors (Burnside's p^a·q^b theorem), or when G
+    itself is solvable.  A False answer is conservative: in S5 every subgroup
+    of order dividing 120 except S5 itself is solvable.
+    """
+    if c < 60 or len(prime_factors(c)) < 3:
+        return True
+    from .series import derived_length  # series imports this module
+    return derived_length(g) is not None
+
+
+def _cyclic_extension(g: FiniteGroup, c: int) -> tuple[Subgroup, ...]:
+    """Neubüser's cyclic-extension method, for c with solvable subgroups only.
+
+    For each found H and each cyclic subgroup <x> of prime-power order with
+    p·|H| dividing c, where p is the prime of |x|: if x is not in H, x^p is
+    in H and x normalizes H, then H·<x> = H ∪ Hx ∪ ... ∪ Hx^(p-1) is a
+    subgroup of order p·|H|.  Any valid y in that subgroup outside H gives
+    the same extension, so the bitset ``covered`` of the extensions already
+    built from H lets later candidates in it be skipped.
+    """
+    mult, inv = g.mult, g.inv
+    zuppos = []
+    for cyc in cyclic_subgroups(g):
+        primes = prime_factors(cyc.order)
+        if len(primes) == 1 and c % cyc.order == 0:
+            x = cyc.gens[0]
+            zuppos.append((x, inv[x], primes[0], g.power(x, primes[0])))
+    layer = [trivial_subgroup(g)]
+    found = {1: layer[0]}
+    while layer:
+        nxt = []
+        for h in layer:
+            hm, room = h.members, c // h.order
+            covered = hm
+            for x, x_inv, p, xp in zuppos:
+                if covered >> x & 1 or room % p or not hm >> xp & 1:
+                    continue
+                if not all(hm >> mult[mult[x_inv][s]][x] & 1 for s in h.gens):
+                    continue
+                bits, y = hm, x
+                for _ in range(p - 1):
+                    bits |= _coset_bits(mult, h.elements(), y)
+                    y = mult[y][x]
+                covered |= bits
+                if bits not in found:
+                    new = Subgroup(g, bits, h.gens + (x,))
+                    found[bits] = new
+                    nxt.append(new)
+        layer = nxt
+    return tuple(sorted(found.values(), key=Subgroup.sort_key))
+
+
+def _coset_bits(mult, elems, y: int) -> int:
+    """Bitset of the right coset H·y, given the elements of H."""
+    bits = 0
+    for m in elems:
+        bits |= 1 << mult[m][y]
+    return bits
+
+
+def _join_bits(g: FiniteGroup, h: Subgroup, x: int, cap: int | None = None) -> int | None:
+    """Bitset of <H, x>, grown from H one right coset H·t at a time.
+
+    The union K of the cosets H·t over the transversal found so far is closed
+    once every t·s, s a generator of H or x, lies in K.  With ``cap`` set,
+    returns None as soon as K exceeds cap elements.
+    """
+    mult = g.mult
+    elems = h.elements()
+    gens = (h.gens or elems) + (x,)
+    bits, count = h.members, h.order
+    reps = [0]
+    for t in reps:
+        row = mult[t]
+        for s in gens:
+            y = row[s]
+            if not bits >> y & 1:
+                bits |= _coset_bits(mult, elems, y)
+                count += h.order
+                if cap is not None and count > cap:
+                    return None
+                reps.append(y)
+    return bits
+
+
+def _join_search(g: FiniteGroup, seeds, cyclics, cap: int | None = None) -> tuple[Subgroup, ...]:
+    """Close ``seeds`` under joins with ``cyclics``, canonically sorted.
+
+    With ``cap`` set, only joins whose order divides cap are kept; any
+    subgroup of such order is reachable through joins that stay inside it.
+    """
+    found = {s.members: s for s in seeds}
+    frontier = list(found.values())
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for cyc in cyclics:
+                x = cyc.gens[0]
+                if sub.members >> x & 1:
+                    continue
+                bits = _join_bits(g, sub, x, cap)
+                if bits is None or bits in found:
+                    continue
+                if cap is not None and cap % bits.bit_count():
+                    continue
+                new = Subgroup(g, bits, sub.gens + (x,))
+                found[bits] = new
+                nxt.append(new)
+        frontier = nxt
+    return tuple(sorted(found.values(), key=Subgroup.sort_key))
 
 
 class SubgroupLattice:
@@ -238,15 +338,26 @@ class SubgroupLattice:
     @property
     def inclusion(self) -> tuple[tuple[int, int], ...]:
         if self._inclusion is None:
+            # The covers of a subgroup are its maximal subgroups: walking the
+            # smaller subgroups in decreasing canonical order, a subgroup is
+            # maximal unless a cover already accepted contains it.
+            members = [s.members for s in self.subgroups]
+            orders = [s.order for s in self.subgroups]
             pairs = []
-            subs = self.subgroups
-            for j, big in enumerate(subs):
-                cands = [i for i, s in enumerate(subs)
-                         if s.order < big.order and big.contains(s)]
-                for i in cands:
-                    si = subs[i]
-                    if not any(subs[k].order > si.order and subs[k].contains(si)
-                               for k in cands):
+            lo = 0
+            for j, big in enumerate(members):
+                while orders[lo] < orders[j]:
+                    lo += 1
+                covers: list[int] = []
+                below = [i for i in range(lo - 1, -1, -1)
+                         if members[i] & big == members[i]]
+                for i in below:
+                    sm = members[i]
+                    for m in covers:
+                        if sm & m == sm:
+                            break
+                    else:
+                        covers.append(sm)
                         pairs.append((i, j))
             self._inclusion = tuple(sorted(pairs))
         return self._inclusion
@@ -300,22 +411,7 @@ def overgroups(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
 
 def overgroups_by_joins(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
     """The join-based overgroup enumeration, independent of the lattice."""
-    found = {h.members: h}
-    frontier = [h]
-    cyclics = cyclic_subgroups(g)
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for cyc in cyclics:
-                if cyc.members & sub.members == cyc.members:
-                    continue
-                bits = closure_bits(g, sub.gens + (cyc.gens[0],))
-                if bits not in found:
-                    new = Subgroup(g, bits, sub.gens + (cyc.gens[0],))
-                    found[bits] = new
-                    nxt.append(new)
-        frontier = nxt
-    return tuple(sorted(found.values(), key=Subgroup.sort_key))
+    return _join_search(g, [h], cyclic_subgroups(g))
 
 
 # -- conjugation and normality ----------------------------------------------

@@ -141,3 +141,39 @@ def test_unknown_subgroup_handle(capsys):
                            "--subgroup", "nope")
     assert code == 2
     assert "handle" in err
+
+
+C3_MULT = [0, 1, 2, 1, 2, 0, 2, 0, 1]
+
+
+def run_on_document(tmp_path, capsys, doc):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    return run_cli(capsys, "lattice", "--recipe", str(path))
+
+
+def test_generator_index_out_of_range_is_usage_error(tmp_path, capsys):
+    doc = {"version": "cayley-v1", "order": 3, "mult": C3_MULT, "generators": [7]}
+    code, out, err = run_on_document(tmp_path, capsys, doc)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "[7]" in err
+
+
+def test_negative_generator_index_is_usage_error(tmp_path, capsys):
+    doc = {"version": "cayley-v1", "order": 3, "mult": C3_MULT, "generators": [-1]}
+    code, out, err = run_on_document(tmp_path, capsys, doc)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "[-1]" in err
+
+
+def test_top_level_array_is_usage_error(tmp_path, capsys):
+    code, out, err = run_on_document(tmp_path, capsys, [C3_MULT])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "JSON object" in err
+
+
+def test_huge_table_entry_is_usage_error(tmp_path, capsys):
+    doc = {"version": "cayley-v1", "order": 2, "mult": [0, 1, 2**70, 0]}
+    code, out, err = run_on_document(tmp_path, capsys, doc)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "mult entries" in err

@@ -180,6 +180,25 @@ def test_serialization_rejects_bad_version():
         ca.group_from_dict({"version": "cayley-v2", "order": 1, "mult": [0]})
 
 
+@pytest.mark.parametrize("doc", [
+    {"version": "cayley-v1", "mult": [0]},
+    {"version": "cayley-v1", "order": "1", "mult": [0]},
+    {"version": "cayley-v1", "order": 2, "mult": [0, 1, 1, "0"]},
+    {"version": "cayley-v1", "order": 2, "mult": [0, 1, 1, 0.0]},
+    {"version": "cayley-v1", "order": 2, "mult": [0, 1, 2**70, 0]},
+    {"version": "cayley-v1", "order": 2, "mult": [0, 1, 1, -1]},
+    {"version": "cayley-v1", "order": 2, "mult": [0, 1, 1, 0], "generators": 1},
+    {"version": "cayley-v1", "order": 2, "mult": [0, 1, 1, 0], "generators": [True]},
+    {"version": "cayley-v1", "order": 2, "mult": [0, 1, 1, 0], "generators": [1],
+     "labels": ["e", 1]},
+], ids=["no-order", "string-order", "string-entry", "float-entry",
+        "huge-entry", "negative-entry",
+        "generators-not-list", "bool-generator", "non-string-label"])
+def test_serialization_rejects_malformed_fields(doc):
+    with pytest.raises(GroupError):
+        ca.group_from_dict(doc)
+
+
 def test_validation_rejects_broken_tables():
     with pytest.raises(GroupError):
         ca.FiniteGroup([[0, 1], [1, 1]], [1], ["e", "x"])  # not a Latin square

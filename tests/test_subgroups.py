@@ -3,8 +3,12 @@
 import pytest
 
 import complementa as ca
+from complementa._primes import divisors
 from complementa.groups import CapExceededError, PreconditionError
-from complementa.subgroups import bits_of
+from complementa.subgroups import (_all_solvable, _cyclic_extension,
+                                   _join_search, _subgroups_order_dividing,
+                                   bits_of, closure_bits, cyclic_subgroups,
+                                   overgroups_by_joins)
 from complementa.verify import subset_closure_subgroups
 
 
@@ -212,3 +216,108 @@ def test_lattice_exports(hol8):
     assert data["normal"] == [True, True, True]
     dot = ca.lattice_to_dot(lat)
     assert dot.startswith("digraph") and "H0 -> H1" in dot
+
+
+# -- the lattice engine against closed forms and against itself ---------------
+
+
+def _fresh(g):
+    """A copy of g with an empty cache, so that no lattice is reused."""
+    return ca.FiniteGroup(g.mult, g.generators, g.labels, name=g.name)
+
+
+def _s5():
+    return ca.from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], name="S5")
+
+
+def _a5():
+    return ca.from_generators([(1, 2, 3, 4, 0), (0, 2, 3, 1, 4)], name="A5")
+
+
+def _tau(n):
+    return len(divisors(n))
+
+
+def _sigma(n):
+    return sum(divisors(n))
+
+
+def _subspaces(p, r):
+    """Number of subspaces of F_p^r: the sum of Gaussian binomials [r, k]_p."""
+    total = 0
+    for k in range(r + 1):
+        num = den = 1
+        for i in range(k):
+            num *= p ** (r - i) - 1
+            den *= p ** (i + 1) - 1
+        total += num // den
+    return total
+
+
+@pytest.mark.parametrize("build, count", [
+    (lambda: ca.dihedral(128).group, _tau(128) + _sigma(128)),  # 263
+    (lambda: ca.elementary_abelian(2, 6).group, _subspaces(2, 6)),  # 2825
+    (lambda: ca.elementary_abelian(3, 5).group, _subspaces(3, 5)),  # 2664
+    (lambda: ca.cyclic(512), _tau(512)),  # 10
+    (_s5, 156),
+    (_a5, 59),
+], ids=["dih256", "ea2r6", "ea3r5", "c512", "s5", "a5"])
+def test_subgroup_counts_match_closed_forms(build, count):
+    assert len(ca.all_subgroups(build())) == count
+
+
+@pytest.mark.parametrize("build", [
+    _s5,
+    lambda: ca.holomorph_cyclic(16).group,
+    lambda: ca.catalog_entry("c2xa4").build().group,
+    lambda: ca.split_p5_group(3).group,
+], ids=["s5", "hol16", "c2xa4", "split-p5-3"])
+def test_partial_lattices_match_filtered_full_lattice(build):
+    g = _fresh(build())
+    # ascending divisors: every partial lattice is built before the full one
+    partial = {c: _subgroups_order_dividing(g, c) for c in divisors(g.order)}
+    full = partial[g.order]
+    for c, subs in partial.items():
+        assert [s.members for s in subs] == [s.members for s in full
+                                             if c % s.order == 0], c
+
+
+def test_burnside_shortcut_and_fallback_on_s5():
+    g = _s5()
+    fallback = [c for c in divisors(g.order) if not _all_solvable(g, c)]
+    assert fallback == [60, 120]
+    assert all(_all_solvable(ca.split_p5_group(3).group, c) for c in (3, 9, 243))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ca.holomorph8().group,
+    lambda: ca.split_p5_group(2).group,
+], ids=["holomorph8", "split-p5-2"])
+def test_cyclic_extension_matches_join_search(build):
+    g = _fresh(build())
+    for c in divisors(g.order):
+        cyclics = [s for s in cyclic_subgroups(g) if c % s.order == 0]
+        joins = _join_search(g, [ca.trivial_subgroup(g), *cyclics], cyclics, cap=c)
+        extended = _cyclic_extension(g, c)
+        assert [s.members for s in extended] == [s.members for s in joins], c
+        for s in extended:
+            assert closure_bits(g, s.gens) == s.members
+
+
+def test_overgroups_by_joins_match_filtered_lattice():
+    g = _fresh(ca.holomorph_cyclic(16).group)
+    lat = ca.all_subgroups(g)
+    for s in lat.subgroups:
+        assert overgroups_by_joins(g, s) == tuple(k for k in lat.subgroups
+                                                  if k.contains(s))
+
+
+@pytest.mark.parametrize("name", ["holomorph8", "s3xs3", "c2xa4", "split-p5-2"])
+def test_inclusion_is_the_covering_relation(name):
+    subs = ca.all_subgroups(ca.catalog_entry(name).build().group).subgroups
+    below = {(i, j) for i, a in enumerate(subs) for j, b in enumerate(subs)
+             if i != j and b.contains(a)}
+    covers = sorted((i, j) for i, j in below
+                    if not any((i, k) in below and (k, j) in below
+                               for k in range(len(subs))))
+    assert list(ca.all_subgroups(subs[0].parent).inclusion) == covers
