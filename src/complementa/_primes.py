@@ -49,6 +49,13 @@ def p_part(n: int, p: int) -> int:
     return part
 
 
+def is_p_power(n: int, p: int) -> bool:
+    """Whether n is a power of p (1 counts as p**0)."""
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     small, large = [], []

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._primes import is_prime, lcm, p_part, prime_factors
+from ._primes import is_p_power, is_prime, lcm, p_part, prime_factors
 from .groups import FiniteGroup, PreconditionError, cached_quotient
 from .subgroups import (Subgroup, all_subgroups, closure_bits,
                         full_subgroup, is_abelian, is_elementary_abelian,
@@ -153,12 +153,6 @@ def frattini(g: FiniteGroup) -> Subgroup:
     return Subgroup(g, bits, _small_gens(g, bits))
 
 
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def sylow_subgroup(g: FiniteGroup, p: int, containing: Subgroup | None = None) -> Subgroup:
     """A Sylow p-subgroup, canonical-first; optionally one containing a given p-subgroup."""
     if not is_prime(p):
@@ -167,7 +161,7 @@ def sylow_subgroup(g: FiniteGroup, p: int, containing: Subgroup | None = None) -
     lat = all_subgroups(g)
     candidates = lat.by_order(target)
     if containing is not None:
-        if not _is_p_power(containing.order, p):
+        if not is_p_power(containing.order, p):
             raise PreconditionError("given subgroup is not a p-subgroup")
         for s in candidates:
             if s.contains(containing):
@@ -181,7 +175,7 @@ def p_subgroups(g: FiniteGroup, p: int) -> tuple[Subgroup, ...]:
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     lat = all_subgroups(g)
-    return tuple(s for s in lat.subgroups if _is_p_power(s.order, p))
+    return tuple(s for s in lat.subgroups if is_p_power(s.order, p))
 
 
 def minimal_normal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:

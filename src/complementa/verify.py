@@ -11,21 +11,20 @@ import time
 from dataclasses import dataclass
 from itertools import combinations
 
-from ._primes import divisors, prime_factors
+from ._primes import divisors, is_p_power, p_part, prime_factors
 from .bounds import (derived_length_bound, factorial_index_bound, prop1_bound)
 from .complementation import (c_separating_subgroups,
                               is_completely_factorizable, is_c_separating,
                               is_supercomplemented, subgroup_as_group)
 from .constructions import catalog, holomorph8, split_p5_group
 from .groups import (FiniteGroup, element_order, exponent, primes_of, quotient)
-from .subgroups import (Subgroup, all_subgroups, bits_of, dedekind_identity_check,
+from .subgroups import (Subgroup, all_subgroups, bit_indices, dedekind_identity_check,
                         generated_subgroup, is_abelian,
                         is_elementary_abelian, is_normal, overgroups,
                         product_bits, product_set)
 from .series import (chief_series, derived_length, derived_subgroup,
                      is_nilpotent, frattini, minimal_normal_subgroups,
                      sylow_subgroup)
-from ._primes import p_part
 
 
 @dataclass(frozen=True)
@@ -224,12 +223,6 @@ def _has_normal_elem_abelian_of_index(g, p_sub, bound, lat) -> bool:
     return False
 
 
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def verify_supercomplemented_consequences(g: FiniteGroup, x_sub: Subgroup,
                                           prefix: str = "instance") -> list[VerificationReport]:
     """Given a verified supercomplemented cyclic p-subgroup of order m:
@@ -261,7 +254,7 @@ def verify_supercomplemented_consequences(g: FiniteGroup, x_sub: Subgroup,
     for p in _battery_primes(g, x_sub):
         dmax = 2 if p != 2 else 3
         for sub in lat.subgroups:
-            if not _is_p_power(sub.order, p):
+            if not is_p_power(sub.order, p):
                 continue
             if not is_nilpotent(sub):
                 bad.append({"p": p, "check": "nilpotent", "subgroup": sub_witness(sub)})
@@ -353,7 +346,7 @@ def verify_c_separating_consequences(g: FiniteGroup, h_sub: Subgroup,
     chosen = None
     for p in sorted(primes_of(g)):
         candidates = [s for s in lat.subgroups
-                      if s.order > 1 and _is_p_power(s.order, p)
+                      if s.order > 1 and is_p_power(s.order, p)
                       and sc_map.get(s.members)
                       and not h_sub.contains(s)
                       and any(element_order(g, e) == s.order for e in s.elements())]
@@ -375,12 +368,12 @@ def _primary_structure_holds(g, lat, p, m) -> bool:
         if q == p:
             continue
         for sub in lat.subgroups:
-            if sub.order > 1 and _is_p_power(sub.order, q) and not is_elementary_abelian(sub):
+            if sub.order > 1 and is_p_power(sub.order, q) and not is_elementary_abelian(sub):
                 return False
     fact_bound = factorial_index_bound(m)
     dmax = 2 if p != 2 else 3
     for sub in lat.subgroups:
-        if not _is_p_power(sub.order, p):
+        if not is_p_power(sub.order, p):
             continue
         dp = derived_length(sub)
         if not is_nilpotent(sub) or dp is None or dp > dmax:
@@ -394,41 +387,50 @@ def _primary_structure_holds(g, lat, p, m) -> bool:
 
 
 def subset_closure_subgroups(g: FiniteGroup) -> list[int]:
-    """Brute-force oracle: member bitsets of all subgroups, found by checking
-    closure of every identity-containing subset of divisor size.  Exponential;
-    intended for |G| <= 24."""
+    """Brute-force oracle: member bitsets of all subgroups, in canonical
+    order, found by an exhaustive search over identity-containing subsets
+    that reads nothing but ``g.mult``.
+
+    A finite subset containing the identity is a subgroup iff it is closed
+    under multiplication.  For each divisor d of |G| the search decides the
+    indices 1..n-1 in ascending order, including before excluding, and keeps
+    the bitset ``chosen`` and the bitset ``prods`` of all products of two
+    chosen elements, extended as each element is added.  Every closed
+    d-subset that contains ``chosen`` contains ``prods``, so each cut below
+    drops only branches holding no closed d-subset:
+
+    * a product on an index already excluded can never be covered;
+    * ``|prods | chosen| > d`` means no closed superset has d elements;
+    * an index in ``prods`` is never excluded, since it must be chosen;
+    * a branch stops when the undecided indices cannot fill d places;
+    * with d elements chosen, the subset is kept iff ``prods`` is within it.
+    """
     n = g.order
-    out = []
     rows = g.mult
-    for d in divisors(n):
-        if d == 1:
-            out.append(1)
-            continue
-        for combo in combinations(range(1, n), d - 1):
-            bits = bits_of(combo) | 1
-            closed = True
-            for x in combo:
-                row = rows[x]
-                for y in combo:
-                    if not bits >> row[y] & 1:
-                        closed = False
-                        break
-                if not closed:
-                    break
-            if closed:
-                out.append(bits)
-    return sorted(out, key=lambda b: (b.bit_count(), bit_indices_key(b)))
-
-
-def bit_indices_key(bits: int) -> tuple:
     out = []
-    i = 0
-    while bits:
-        if bits & 1:
-            out.append(i)
-        bits >>= 1
-        i += 1
-    return tuple(out)
+
+    def search(i: int, chosen: int, members: list, prods: int, d: int):
+        if len(members) == d:
+            if not prods & ~chosen:
+                out.append(chosen)
+            return
+        if len(members) + n - i < d:
+            return
+        row = rows[i]
+        grown = prods | 1 << row[i]
+        for x in members:
+            grown |= 1 << row[x] | 1 << rows[x][i]
+        bits = chosen | 1 << i
+        if not grown & ~bits & ((2 << i) - 1) and (grown | bits).bit_count() <= d:
+            members.append(i)
+            search(i + 1, bits, members, grown, d)
+            members.pop()
+        if not prods >> i & 1:
+            search(i + 1, chosen, members, prods, d)
+
+    for d in divisors(n):
+        search(1, 1, [0], 1, d)
+    return sorted(out, key=lambda b: (b.bit_count(), bit_indices(b)))
 
 
 # -- catalog-wide property suite ----------------------------------------------

@@ -1,7 +1,37 @@
 """Verification suites: statuses, witnesses, determinism, skip semantics."""
 
+from itertools import combinations
+
 import complementa as ca
+from complementa._primes import divisors
+from complementa.subgroups import bit_indices, bits_of
 from complementa.verify import _Suite
+
+
+def naive_subset_closure_subgroups(g):
+    """Reference for ``subset_closure_subgroups``: tests closure of every
+    identity-containing subset of divisor size, with no pruning."""
+    n = g.order
+    out = []
+    rows = g.mult
+    for d in divisors(n):
+        if d == 1:
+            out.append(1)
+            continue
+        for combo in combinations(range(1, n), d - 1):
+            bits = bits_of(combo) | 1
+            closed = True
+            for x in combo:
+                row = rows[x]
+                for y in combo:
+                    if not bits >> row[y] & 1:
+                        closed = False
+                        break
+                if not closed:
+                    break
+            if closed:
+                out.append(bits)
+    return sorted(out, key=lambda b: (b.bit_count(), bit_indices(b)))
 
 
 def test_holomorph8_suite_all_pass():
@@ -124,3 +154,20 @@ def test_subset_closure_oracle_counts(s3):
     assert len(ca.subset_closure_subgroups(ca.cyclic(12))) == 6
     v4 = ca.elementary_abelian(2, 2).group
     assert len(ca.subset_closure_subgroups(v4)) == 5
+
+
+def test_pruned_oracle_matches_naive_reference():
+    entries = [e for e in ca.catalog() if e.order <= 20]
+    assert len(entries) == 38
+    for entry in entries:
+        g = entry.build().group
+        assert ca.subset_closure_subgroups(g) == naive_subset_closure_subgroups(g), entry.name
+
+
+def test_oracle_matches_engine_up_to_order_64():
+    entries = [e for e in ca.catalog() if e.order <= 64]
+    assert len(entries) == 62
+    for entry in entries:
+        g = entry.build().group
+        assert ca.subset_closure_subgroups(g) == [
+            s.members for s in ca.all_subgroups(g).subgroups], entry.name
