@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Time table validation and the quotient constructor.
+
+For each group of the corpus it records the median seconds of
+``FiniteGroup._validate`` over ``REPEATS`` runs on the already built group,
+and the table cells its associativity check compares: n³ for the exhaustive
+audit (0 above ``ASSOC_AUDIT_CAP``, where that audit was skipped) or k·n²
+for Light's test over the k generators it keeps.  It also records the
+median wall time of ``run_catalog_suite()`` and of the ``quotient`` calls
+made inside it, over ``REPEATS`` runs, each started with the constructor
+caches cleared.  ``quotient`` is timed by a wrapper installed from outside
+the library.  Writes ``BENCH_<label>.json`` to ``--out-dir``.
+
+The corpus includes C64×C64 (order 4096); building it holds about 1 GB.
+
+Usage: PYTHONPATH=src python scripts/bench_validate.py --label NAME
+       [--out-dir .]
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+import complementa as ca
+import complementa.groups as groups_module
+
+REPEATS = 3
+
+CORPUS = [
+    ("hol32", lambda: ca.holomorph_cyclic(32).group),
+    ("hol27", lambda: ca.holomorph_cyclic(27).group),
+    ("split-p5-3", lambda: ca.split_p5_group(3).group),
+    ("S5", lambda: ca.from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], name="S5")),
+    ("C2^6", lambda: ca.elementary_abelian(2, 6).group),
+    ("C64xC64", lambda: ca.direct_product(ca.cyclic(64), ca.cyclic(64))),
+]
+
+
+def cells_compared(g) -> tuple[str, int]:
+    """The associativity check in use and the table cells it compares."""
+    n = g.order
+    cap = getattr(groups_module, "ASSOC_AUDIT_CAP", None)
+    if cap is not None:
+        return "exhaustive", n ** 3 if n <= cap else 0
+    return "light", len(groups_module._light_generators(g.mult, g.generators)) * n * n
+
+
+def measure_validation(build) -> dict:
+    g = build()
+    runs = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        g._validate()
+        runs.append(time.perf_counter() - t0)
+    method, cells = cells_compared(g)
+    return {"order": g.order, "generators": len(g.generators), "method": method,
+            "cells_compared": cells, "validate_s": statistics.median(runs),
+            "validate_runs_s": runs}
+
+
+class QuotientTimer:
+    """Sums the time of ``quotient`` calls by replacing it in every library
+    module that holds a reference to it."""
+
+    def __init__(self):
+        self.seconds = 0.0
+        self.calls = 0
+        self.original = groups_module.quotient
+
+        def timed(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return self.original(*args, **kwargs)
+            finally:
+                self.seconds += time.perf_counter() - t0
+                self.calls += 1
+
+        self.modules = [m for name, m in sys.modules.items()
+                        if name.startswith("complementa")
+                        and getattr(m, "quotient", None) is self.original]
+        for m in self.modules:
+            m.quotient = timed
+
+    def restore(self):
+        for m in self.modules:
+            m.quotient = self.original
+
+
+def clear_constructor_caches() -> None:
+    for obj in vars(ca.constructions).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+def measure_catalog_suite() -> dict:
+    wall, quo, calls = [], [], []
+    for _ in range(REPEATS):
+        clear_constructor_caches()
+        timer = QuotientTimer()
+        try:
+            t0 = time.perf_counter()
+            reports = ca.run_catalog_suite()
+            wall.append(time.perf_counter() - t0)
+        finally:
+            timer.restore()
+        quo.append(timer.seconds)
+        calls.append(timer.calls)
+    return {"claims": len(reports),
+            "failed": sum(1 for r in reports if r.status == "fail"),
+            "quotient_calls": calls[0],
+            "quotient_s": statistics.median(quo), "quotient_runs_s": quo,
+            "wall_s": statistics.median(wall), "wall_runs_s": wall}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--out-dir", default=".")
+    args = parser.parse_args()
+
+    groups = {}
+    for name, build in CORPUS:
+        groups[name] = row = measure_validation(build)
+        print(f"{name:>10} |G|={row['order']:>4} {row['method']:>10} "
+              f"cells={row['cells_compared']:>11,} "
+              f"validate={row['validate_s']:8.4f}s", flush=True)
+    suite = measure_catalog_suite()
+    print(f"catalog suite: {suite['claims']} claims, {suite['failed']} failed, "
+          f"{suite['wall_s']:.2f}s, {suite['quotient_calls']} quotients "
+          f"{suite['quotient_s']:.2f}s", flush=True)
+    report = {
+        "label": args.label,
+        "repeats": REPEATS,
+        "machine": {"cpu": platform.processor() or platform.machine(),
+                    "cpus": os.cpu_count(),
+                    "python": platform.python_version()},
+        "groups": groups,
+        "catalog_suite": suite,
+    }
+    path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,14 @@
 """CLI grammar, JSON determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
+from hypothesis import given, settings, strategies as st
+
+import complementa as ca
 from complementa.cli import run
 
 
@@ -177,3 +184,85 @@ def test_huge_table_entry_is_usage_error(tmp_path, capsys):
     code, out, err = run_on_document(tmp_path, capsys, doc)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "mult entries" in err
+
+
+def test_non_associative_order_640_table_is_usage_error(tmp_path, capsys, loop640):
+    mult, gens = loop640
+    doc = {"version": "cayley-v1", "order": len(mult),
+           "mult": [v for row in mult for v in row], "generators": gens}
+    code, out, err = run_on_document(tmp_path, capsys, doc)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "not associative" in err
+
+
+FUZZ_BASES = {name: ca.group_to_dict(ca.catalog_entry(name).build().group)
+              for name in ("c4", "s3", "ea2r2", "c5", "dih8", "a4")}
+
+FUZZ_COMMANDS = (["lattice"], ["build"], ["check", "nilpotent"],
+                 ["check", "normal", "--subgroup", "0"])
+
+NOT_AN_INDEX = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),
+                         st.text(max_size=3), st.integers(-3, -1))
+
+
+@st.composite
+def broken_documents(draw):
+    """The text of a valid cayley-v1 document with one change that makes it
+    invalid."""
+    doc = dict(FUZZ_BASES[draw(st.sampled_from(sorted(FUZZ_BASES)))])
+    n = doc["order"]
+    mult = doc["mult"] = list(doc["mult"])
+    cell = st.integers(0, n * n - 1)
+    kind = draw(st.sampled_from(["swap", "corrupt", "entry", "order", "generators",
+                                 "labels", "version", "drop", "truncate"]))
+    if kind == "swap":
+        # two cells of one row or one column hold different values
+        i = draw(cell)
+        r, c = divmod(i, n)
+        same_row = draw(st.booleans())
+        k = draw(st.integers(0, n - 1).filter(lambda k: k != (c if same_row else r)))
+        j = r * n + k if same_row else k * n + c
+        mult[i], mult[j] = mult[j], mult[i]
+    elif kind == "corrupt":
+        i = draw(cell)
+        mult[i] = draw(st.integers(0, n - 1).filter(lambda v: v != mult[i]))
+    elif kind == "entry":
+        mult[draw(cell)] = draw(NOT_AN_INDEX | st.integers(n, 2**70))
+    elif kind == "order":
+        doc["order"] = draw(NOT_AN_INDEX | st.integers(0, 4 * n).filter(lambda m: m != n))
+    elif kind == "generators":
+        bad = st.lists(NOT_AN_INDEX | st.integers(n, 2**70), min_size=1, max_size=3)
+        doc["generators"] = draw(st.sampled_from([[], [0], {"0": 1}])
+                                 | NOT_AN_INDEX
+                                 | bad.map(lambda extra: doc["generators"] + extra))
+    elif kind == "labels":
+        labels = list(doc["labels"])
+        labels[draw(st.integers(0, n - 1))] = draw(st.integers() | st.none())
+        doc["labels"] = draw(
+            st.sampled_from([labels, {"0": "e"}, "e", 1])
+            | st.lists(st.text(max_size=2), min_size=1, max_size=2 * n).filter(
+                lambda wrong: len(wrong) != n))
+    elif kind == "version":
+        doc["version"] = draw((st.text(max_size=9) | st.none()).filter(
+            lambda v: v != "cayley-v1"))
+    elif kind == "drop":
+        del doc[draw(st.sampled_from(["version", "order", "mult", "generators"]))]
+    text = json.dumps(doc)
+    if kind == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@given(broken_documents(), st.sampled_from(FUZZ_COMMANDS))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_fuzzed_documents_exit_2_with_error_line(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "group.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([*command[:2], "--recipe", path, *command[2:]])
+    assert code == 2, text
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error:"), err.getvalue()

@@ -1,10 +1,13 @@
 """Core group construction, arithmetic and serialization."""
 
+import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import complementa as ca
+import complementa.groups as groups_module
 from complementa.groups import ActionError, CapExceededError, GroupError
 
 
@@ -199,19 +202,132 @@ def test_serialization_rejects_malformed_fields(doc):
         ca.group_from_dict(doc)
 
 
-def test_validation_rejects_broken_tables():
+def test_validation_rejects_broken_tables(loop5):
     with pytest.raises(GroupError):
         ca.FiniteGroup([[0, 1], [1, 1]], [1], ["e", "x"])  # not a Latin square
-    # Latin square with identity that is not associative (order 5 loop)
-    loop = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
-    with pytest.raises(GroupError):
-        ca.FiniteGroup(loop, [1], list("exabc"))
+    # Latin square with identity that is not associative; [1, 2] generates it
+    with pytest.raises(GroupError, match="not associative"):
+        ca.FiniteGroup(loop5, [1, 2], list("exabc"))
+
+
+def test_validation_rejects_order_640_loop(loop640):
+    # above the order at which the old exhaustive audit stopped
+    mult, gens = loop640
+    with pytest.raises(GroupError, match="not associative"):
+        ca.FiniteGroup(mult, gens, [str(i) for i in range(len(mult))])
+
+
+def exhaustive_associative(mult) -> bool:
+    """Reference verdict: (a·b)·c == a·(b·c) over all n³ triples."""
+    table = np.array(mult, dtype=np.int32)
+    return all(np.array_equal(table[table[a]], table[a][table])
+               for a in range(len(table)))
+
+
+def light_accepts(mult, generators) -> bool:
+    """Whether FiniteGroup's validation accepts a loop table."""
+    try:
+        ca.FiniteGroup(mult, generators, [str(i) for i in range(len(mult))])
+    except GroupError as exc:
+        assert "not associative" in str(exc)
+        return False
+    return True
+
+
+def loop_isotope(mult, rng):
+    """A random principal loop isotope of a Latin square, identity at 0.
+
+    Rows and columns are permuted, x∘y = R_v⁻¹(x)·L_u⁻¹(y) makes u·v the
+    identity, and swapping the labels of u·v and 0 moves it to index 0.
+    """
+    n = len(mult)
+    rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+    t = [[mult[rows[x]][cols[y]] for y in range(n)] for x in range(n)]
+    u, v = rng.randrange(n), rng.randrange(n)
+    r_inv = {t[x][v]: x for x in range(n)}
+    l_inv = {t[u][y]: y for y in range(n)}
+    swap = list(range(n))
+    swap[0], swap[t[u][v]] = t[u][v], 0
+    return [[swap[t[r_inv[swap[x]]][l_inv[swap[y]]]] for y in range(n)]
+            for x in range(n)]
+
+
+def flip_intercalate(mult, rng):
+    """Swap a random 2×2 subsquare [[a, b], [b, a]] off row and column 0.
+
+    The result is again a loop with identity 0, and usually not associative;
+    returns None when the table has no such subsquare.
+    """
+    n = len(mult)
+    col_of = [{v: c for c, v in enumerate(row)} for row in mult]
+    found = [(r1, r2, c1, c2)
+             for r1 in range(1, n) for r2 in range(r1 + 1, n) for c1 in range(1, n)
+             for c2 in [col_of[r2][mult[r1][c1]]]
+             if c2 > c1 and mult[r1][c2] == mult[r2][c1]]
+    if not found:
+        return None
+    r1, r2, c1, c2 = rng.choice(found)
+    out = [list(row) for row in mult]
+    out[r1][c1], out[r1][c2], out[r2][c1], out[r2][c2] = (
+        mult[r1][c2], mult[r1][c1], mult[r2][c2], mult[r2][c1])
+    return out
+
+
+def test_light_matches_exhaustive_on_catalog():
+    # building each group ran Light's test; the reference must agree
+    for entry in ca.catalog():
+        g = entry.build().group
+        assert exhaustive_associative(g.mult), entry.name
+
+
+def test_light_matches_exhaustive_on_loops(loop5):
+    rng = random.Random(20070)
+    sources = [e.build().group.mult for e in ca.catalog() if e.order <= 24] + [loop5]
+    verdicts = Counter()
+    for mult in sources:
+        for _ in range(2):
+            loop = loop_isotope(mult, rng)
+            tables = [loop] + [flip_intercalate(loop, rng) for _ in range(2)]
+            for table in filter(None, tables):
+                n = len(table)
+                gens = rng.sample(range(1, n), n - 1)
+                expected = exhaustive_associative(table)
+                assert light_accepts(table, gens) == expected
+                verdicts[expected] += 1
+    # principal loop isotopes of groups are groups (Albert's theorem), so the
+    # non-associative cases come from the flips and the isotopes of LOOP5
+    assert verdicts[False] > verdicts[True] > 0, verdicts
+
+
+def test_light_runs_over_at_most_log2_n_generators(monkeypatch):
+    g = ca.holomorph_cyclic(8).group
+    doc = ca.group_to_dict(g)
+    doc["generators"] = list(range(g.order))
+    runs = []
+
+    def counted(mult, generators):
+        kept = original(mult, generators)
+        runs.append(len(kept))
+        return kept
+
+    original = groups_module._light_generators
+    monkeypatch.setattr(groups_module, "_light_generators", counted)
+    assert ca.group_from_dict(doc).mult == g.mult
+    assert len(runs) == 1 and 0 < runs[0] <= 5  # floor(log2 32)
+
+
+def test_quotient_projection_is_homomorphism_on_catalog():
+    for entry in ca.catalog():
+        if entry.order > 64:
+            continue
+        g = entry.build().group
+        table = np.array(g.mult)
+        for sub in ca.all_subgroups(g).subgroups:
+            if not ca.is_normal(g, sub):
+                continue
+            quo, proj = ca.quotient(g, sub.members)
+            p, q = np.array(proj), np.array(quo.mult)
+            assert np.array_equal(p[table], q[p[:, None], p[None, :]]), entry.name
 
 
 def test_validation_rejects_non_generating_set():
