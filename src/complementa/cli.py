@@ -167,6 +167,11 @@ def cmd_verify(args) -> int:
         reports = run_catalog_suite()
     elif suite.startswith("catalog:"):
         names = [n for n in suite.split(":", 1)[1].split(",") if n]
+        unknown = [n for n in names if n not in _catalog_names()]
+        if unknown:
+            raise GroupError(f"unknown catalog entries: {', '.join(unknown)}")
+        if not names:
+            raise GroupError(f"suite {suite!r} names no catalog entry")
         reports = run_catalog_suite(names=names)
     else:
         raise GroupError(f"unknown suite {suite!r}; use holomorph8, split-p5-2, "

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import CapExceededError, FiniteGroup, PreconditionError, quotient
+from .groups import (CapExceededError, FiniteGroup, PreconditionError,
+                     closure_bits, quotient)
 from .subgroups import (LATTICE_CAP, Subgroup, _small_gens,
                         _subgroups_order_dividing, bit_indices,
-                        overgroups, product_bits, trivial_subgroup)
+                        overgroups, product_bits)
 
 
 @dataclass(frozen=True)
@@ -70,18 +71,14 @@ def is_supercomplemented(g: FiniteGroup, h: Subgroup, cap: int = LATTICE_CAP):
 def is_completely_factorizable(g: FiniteGroup, cap: int = LATTICE_CAP):
     """Whether every subgroup of G is complemented; (ok, witness).
 
-    Asserted equivalent to the trivial subgroup being supercomplemented.
+    The witness is the first uncomplemented subgroup in canonical order.
+    This is the trivial subgroup being supercomplemented, which the
+    ``factorizable-equivalence`` verification claim checks.
     """
-    witness = None
     for k in _subgroups_order_dividing(g, g.order):
         if not is_complemented(g, k, cap):
-            witness = k
-            break
-    via_trivial, trivial_witness = is_supercomplemented(g, trivial_subgroup(g), cap)
-    if via_trivial != (witness is None) or (witness is None) != (trivial_witness is None):
-        raise AssertionError(
-            "completely-factorizable and supercomplemented(trivial) disagree")
-    return witness is None, witness
+            return False, k
+    return True, None
 
 
 def uncomplemented_subgroups(g: FiniteGroup, cap: int = LATTICE_CAP) -> tuple[Subgroup, ...]:
@@ -94,9 +91,10 @@ def c_separating_subgroups(g: FiniteGroup, cap: int = LATTICE_CAP,
     """All proper H such that every subgroup not contained in H is complemented.
 
     Equivalently: every uncomplemented subgroup lies inside H.  The result is
-    upward closed among proper subgroups, which is asserted as an internal
-    property.  ``max_index`` restricts the scan to subgroups of small index
-    (the index-2-only scan used alongside the full scan in reports).
+    upward closed among proper subgroups, which the
+    ``c-separating-upward-closed`` verification claim checks.  ``max_index``
+    restricts the scan to subgroups of small index (the index-2-only scan
+    used alongside the full scan in reports).
     """
     if g.order == 1:
         raise PreconditionError("C-separating subgroups are defined for nontrivial groups")
@@ -111,12 +109,6 @@ def c_separating_subgroups(g: FiniteGroup, cap: int = LATTICE_CAP,
             continue
         if all(h.contains(k) for k in bad):
             out.append(h)
-    if max_index is None:
-        found = {h.members for h in out}
-        for h in out:
-            for k in overgroups(g, h):
-                if k.order < g.order and k.members not in found:
-                    raise AssertionError("C-separating set is not upward closed")
     return tuple(out)
 
 
@@ -148,33 +140,15 @@ def subgroup_as_group(g: FiniteGroup, k: Subgroup):
         elems = k.elements()
         to_local = {e: i for i, e in enumerate(elems)}
         mult = [[to_local[g.mult[a][b]] for b in elems] for a in elems]
-        gens = [to_local[e] for e in (k.gens or ()) if e != 0]
-        if closure_bits_local(mult, gens) != (1 << len(elems)) - 1:
-            gens = [to_local[e] for e in _small_gens(g, k.members)]
+        gens = k.gens
+        if closure_bits(g.mult, gens) != k.members:
+            gens = _small_gens(g, k.members)
+        gens = [to_local[e] for e in gens if e != 0]
         labels = [g.labels[e] for e in elems]
         grp = FiniteGroup(mult, gens, labels, name=f"{g.name}|sub{k.order}")
         return grp, to_local, elems
 
     return g.cached(("as_group", k.members), build)
-
-
-def closure_bits_local(mult, seed) -> int:
-    members = 1
-    gens = [s for s in seed if s]
-    for s in gens:
-        members |= 1 << s
-    frontier = [0] + gens
-    while frontier:
-        nxt = []
-        for e in frontier:
-            row = mult[e]
-            for s in gens:
-                p = row[s]
-                if not members >> p & 1:
-                    members |= 1 << p
-                    nxt.append(p)
-        frontier = nxt
-    return members
 
 
 def quotient_transport_check(g: FiniteGroup, h: Subgroup, k: Subgroup,

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from ._primes import is_prime
-from .groups import (ActionSpec, CapExceededError, FiniteGroup,
-                     PreconditionError, cyclic, direct_product,
-                     from_generators, semidirect_product)
+from .groups import (CONSTRUCTION_CAP, ActionSpec, CapExceededError,
+                     FiniteGroup, PreconditionError, closure_bits, cyclic,
+                     direct_product, from_generators, semidirect_product)
 from .subgroups import Subgroup, generated_subgroup
 
 SPLIT_P5_CAP = 243
@@ -70,7 +70,12 @@ def dihedral(n: int) -> NamedGroup:
 def elementary_abelian(p: int, rank: int) -> NamedGroup:
     if not is_prime(p) or rank < 1:
         raise PreconditionError("need a prime p and rank >= 1")
-    names = ["a", "b", "c", "d", "e5", "e6"]
+    order = 1
+    for _ in range(rank):
+        order *= p
+        if order > CONSTRUCTION_CAP:
+            raise CapExceededError("construction", CONSTRUCTION_CAP, order)
+    names = ["a", "b", "c", "d"] + [f"e{i + 1}" for i in range(4, rank)]
     g = cyclic(p, names[0])
     for i in range(1, rank):
         g = direct_product(g, cyclic(p, names[i]))
@@ -108,29 +113,13 @@ def _unit_group(n: int) -> tuple[FiniteGroup, list[int]]:
     mult = [[index[(a * b) % n] if n > 1 else 0 for b in units] for a in units]
     # greedy generating set, ascending unit values
     gens: list[int] = []
-    have = {0}
+    have = 1
     for i in range(1, len(units)):
-        if i not in have:
+        if not have >> i & 1:
             gens.append(i)
-            have = set(_table_closure(mult, gens))
+            have = closure_bits(mult, gens)
     labels = ["e"] + [f"u{u}" for u in units[1:]]
     return FiniteGroup(mult, gens, labels, name=f"U{n}"), units
-
-
-def _table_closure(mult, gens):
-    seen = {0}
-    frontier = [0] + [g for g in gens if g]
-    seen.update(frontier)
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for s in gens:
-                p = mult[e][s]
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
-        frontier = nxt
-    return seen
 
 
 @cache
@@ -139,9 +128,11 @@ def holomorph_cyclic(n: int, cap: int = 4096) -> NamedGroup:
     automorphism group (units mod n acting by exponentiation)."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
+    # |Aut(C_n)| = φ(n), so the order is known before any table is built
+    order = n if n > cap else n * sum(math.gcd(u, n) == 1 for u in range(1, n + 1))
+    if order > cap:
+        raise CapExceededError("construction", cap, order)
     aut, units = _unit_group(n)
-    if n * aut.order > cap:
-        raise CapExceededError("construction", cap, n * aut.order)
     base = cyclic(n, "x")
     images = {gi: tuple((units[gi] * i) % n for i in range(n)) for gi in aut.generators}
     g = semidirect_product(base, aut, ActionSpec(aut, base, images), cap=cap)

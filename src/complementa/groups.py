@@ -115,7 +115,7 @@ class FiniteGroup:
         if not np.array_equal(table[ident, inv], np.zeros(n, dtype=np.int32)):
             raise GroupError("inverse table inconsistent")
         # every element must be a left-normed product of generators
-        if len(closure_indices(self.mult, self.generators)) != n:
+        if closure_bits(self.mult, self.generators) != (1 << n) - 1:
             raise GroupError("declared generators do not generate the group")
         # Light's test: the s with (x·s)·y = x·(s·y) for all x, y include 0
         # and are closed under products, so checking the generators suffices.
@@ -158,28 +158,43 @@ class FiniteGroup:
             self._cache[key] = builder()
         return self._cache[key]
 
+    def cached_value(self, key):
+        """The value memoized under ``key``, or None when none is built yet."""
+        return self._cache.get(key)
+
     def __repr__(self):
         return f"<FiniteGroup {self.name} of order {self.order}>"
 
 
-def closure_indices(mult, seed) -> list[int]:
-    """BFS closure of element indices under the table, identity first."""
-    seen = {0}
-    order_found = [0]
-    frontier = [0]
-    gens = list(seed)
+def closure_bits(mult, seed, cap: int | None = None) -> int | None:
+    """Bitset of the subgroup generated by the ``seed`` element indices,
+    closed breadth-first under the table rows ``mult``.
+
+    With ``cap`` set, returns None as soon as the closure exceeds cap elements.
+    """
+    members = 1
+    count = 1
+    gens = []
+    for s in seed:
+        if s and not members >> s & 1:
+            members |= 1 << s
+            count += 1
+            gens.append(s)
+    frontier = [0] + gens
     while frontier:
         nxt = []
         for e in frontier:
             row = mult[e]
-            for g in gens:
-                p = row[g]
-                if p not in seen:
-                    seen.add(p)
-                    order_found.append(p)
+            for s in gens:
+                p = row[s]
+                if not members >> p & 1:
+                    members |= 1 << p
+                    count += 1
                     nxt.append(p)
+        if cap is not None and count > cap:
+            return None
         frontier = nxt
-    return order_found
+    return members
 
 
 def _light_generators(mult, generators) -> list[int]:
@@ -193,13 +208,13 @@ def _light_generators(mult, generators) -> list[int]:
     """
     bound = len(mult).bit_length()
     kept: list[int] = []
-    reached = {0}
+    reached = 1
     for s in generators:
-        if s not in reached:
+        if not reached >> s & 1:
             kept.append(s)
             if len(kept) >= bound:
                 break
-            reached = set(closure_indices(mult, kept))
+            reached = closure_bits(mult, kept)
     return kept
 
 
@@ -258,6 +273,8 @@ def cyclic(n: int, gen_name: str = "x") -> FiniteGroup:
     """Cyclic group of order n; generator is index 1 (none if n == 1)."""
     if n < 1:
         raise GroupError(f"cyclic order must be positive, got {n}")
+    if n > CONSTRUCTION_CAP:
+        raise CapExceededError("construction", CONSTRUCTION_CAP, n)
     if n == 1:
         return trivial_group()
     mult = [[(i + j) % n for j in range(n)] for i in range(n)]
@@ -404,7 +421,7 @@ def quotient(g: FiniteGroup, normal_members: int):
         reps.append(e)
         for m in nm_elems:
             coset_of[g.mult[m][e]] = ci
-    if not _is_normal_bits(g, normal_members):
+    if not normalizes(g, normal_members, nm_elems, g.generators):
         raise PreconditionError("subgroup is not normal; quotient undefined")
     q = len(reps)
     mult = [[coset_of[g.mult[reps[i]][reps[j]]] for j in range(q)] for i in range(q)]
@@ -429,12 +446,20 @@ def cached_quotient(g: FiniteGroup, normal_members: int):
                     lambda: quotient(g, normal_members))
 
 
-def _is_normal_bits(g: FiniteGroup, members: int) -> bool:
-    for e in range(g.order):
-        if members >> e & 1:
-            for gen in g.generators:
-                if not members >> g.conj(e, gen) & 1:
-                    return False
+def normalizes(g: FiniteGroup, members: int, elems, by) -> bool:
+    """Whether e^b = b^-1·e·b lies in the bitset ``members`` for every e in
+    ``elems`` and b in ``by``.
+
+    With ``members`` a subgroup H generated by ``elems``, this says that the
+    subgroup generated by ``by`` normalizes H; with ``by`` the generators of
+    G, that H is normal in G.
+    """
+    mult, inv = g.mult, g.inv
+    for b in by:
+        row = mult[inv[b]]
+        for e in elems:
+            if not members >> mult[row[e]][b] & 1:
+                return False
     return True
 
 

@@ -6,10 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._primes import is_p_power, is_prime, lcm, p_part, prime_factors
-from .groups import FiniteGroup, PreconditionError, cached_quotient
-from .subgroups import (Subgroup, all_subgroups, closure_bits,
-                        full_subgroup, is_abelian, is_elementary_abelian,
-                        normal_closure, _small_gens, trivial_subgroup)
+from .groups import FiniteGroup, PreconditionError, cached_quotient, closure_bits
+from .subgroups import (Subgroup, all_subgroups, full_subgroup, is_abelian,
+                        is_elementary_abelian, normal_closure, _small_gens,
+                        trivial_subgroup)
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def commutator_subgroup(g: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
             comms.add(g.commutator(x, y))
     comms.discard(0)
     seed = sorted(comms)
-    bits = closure_bits(g, seed)
+    bits = closure_bits(g.mult, seed)
     return Subgroup(g, bits, _small_gens(g, bits))
 
 
@@ -189,7 +189,7 @@ def minimal_normal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
     def build():
         closures: dict[int, Subgroup] = {}
         for e in range(1, g.order):
-            sub = normal_closure(g, Subgroup(g, closure_bits(g, (e,)), (e,)))
+            sub = normal_closure(g, Subgroup(g, closure_bits(g.mult, (e,)), (e,)))
             closures.setdefault(sub.members, sub)
         subs = list(closures.values())
         minimal = [s for s in subs

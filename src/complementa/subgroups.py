@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 
 from ._primes import is_prime, lcm, prime_factors
-from .groups import CapExceededError, FiniteGroup, PreconditionError, element_order
+from .groups import (CapExceededError, FiniteGroup, PreconditionError,
+                     closure_bits, element_order, normalizes)
 
 LATTICE_CAP = 512
 
@@ -84,41 +85,10 @@ def full_subgroup(g: FiniteGroup) -> Subgroup:
     return Subgroup(g, (1 << g.order) - 1, g.generators)
 
 
-def closure_bits(g: FiniteGroup, seed, cap: int | None = None) -> int | None:
-    """Bitset of the subgroup generated by ``seed`` element indices.
-
-    With ``cap`` set, returns None as soon as the closure exceeds cap elements.
-    """
-    mult = g.mult
-    members = 1
-    count = 1
-    gens = []
-    for s in seed:
-        if s and not members >> s & 1:
-            members |= 1 << s
-            count += 1
-            gens.append(s)
-    frontier = [0] + gens
-    while frontier:
-        nxt = []
-        for e in frontier:
-            row = mult[e]
-            for s in gens:
-                p = row[s]
-                if not members >> p & 1:
-                    members |= 1 << p
-                    count += 1
-                    nxt.append(p)
-        if cap is not None and count > cap:
-            return None
-        frontier = nxt
-    return members
-
-
 def generated_subgroup(g: FiniteGroup, elems) -> Subgroup:
     """Least subgroup containing the given element indices."""
     elems = tuple(elems)
-    bits = closure_bits(g, elems)
+    bits = closure_bits(g.mult, elems)
     return Subgroup(g, bits, tuple(e for e in elems if e != 0))
 
 
@@ -140,7 +110,7 @@ def _small_gens(g: FiniteGroup, bits: int) -> tuple[int, ...]:
     for e in bit_indices(bits):
         if not have >> e & 1:
             gens.append(e)
-            have = closure_bits(g, gens)
+            have = closure_bits(g.mult, gens)
             if have == bits:
                 break
     return tuple(gens)
@@ -181,7 +151,7 @@ def _subgroups_order_dividing(g: FiniteGroup, c: int) -> tuple[Subgroup, ...]:
     c = math.gcd(g.order, c)
 
     def build():
-        full = g._cache.get(("sub_div", g.order))
+        full = g.cached_value(("sub_div", g.order))
         if full is not None:
             return tuple(s for s in full if c % s.order == 0)
         if _all_solvable(g, c):
@@ -403,14 +373,20 @@ def overgroups(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
 
     Does not require the full lattice; reuses it when already built.
     """
-    lat = g._cache.get("lattice")
-    if lat is not None:
-        return tuple(s for s in lat.subgroups if s.contains(h))
+    full = g.cached_value(("sub_div", g.order))
+    if full is not None:
+        return tuple(s for s in full if s.contains(h))
     return overgroups_by_joins(g, h)
 
 
 def overgroups_by_joins(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
-    """The join-based overgroup enumeration, independent of the lattice."""
+    """The join-based overgroup enumeration, independent of the lattice.
+
+    Each join records its seed's gens plus one element, so a seed whose gens
+    do not generate it is given a generating tuple first.
+    """
+    if closure_bits(g.mult, h.gens) != h.members:
+        h = Subgroup(g, h.members, _small_gens(g, h.members))
     return _join_search(g, [h], cyclic_subgroups(g))
 
 
@@ -441,11 +417,7 @@ def conjugate_subgroup(g: FiniteGroup, h: Subgroup, by: int) -> Subgroup:
 
 
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
-    for perm in _conj_perms(g):
-        for e in h.gens or h.elements():
-            if not h.members >> perm[e] & 1:
-                return False
-    return True
+    return normalizes(g, h.members, h.gens or h.elements(), g.generators)
 
 
 def conjugates(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
@@ -471,7 +443,7 @@ def conjugates(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
 def normal_closure(g: FiniteGroup, h: Subgroup) -> Subgroup:
     """Least normal subgroup of G containing h."""
     gens = list(h.gens)
-    bits = closure_bits(g, gens)
+    bits = closure_bits(g.mult, gens)
     perms = _conj_perms(g)
     changed = True
     while changed:
@@ -481,7 +453,7 @@ def normal_closure(g: FiniteGroup, h: Subgroup) -> Subgroup:
                 c = perm[s]
                 if not bits >> c & 1:
                     gens.append(c)
-                    bits = closure_bits(g, gens)
+                    bits = closure_bits(g.mult, gens)
                     changed = True
     return Subgroup(g, bits, tuple(gens))
 
@@ -498,8 +470,7 @@ def normalizer(g: FiniteGroup, h: Subgroup) -> Subgroup:
     gens = h.gens or h.elements()
     members = 0
     for e in g.elements():
-        inv = g.inv[e]
-        if all(h.members >> g.mult[g.mult[inv][s]][e] & 1 for s in gens):
+        if normalizes(g, h.members, gens, (e,)):
             members |= 1 << e
     return Subgroup(g, members, _small_gens(g, members))
 

@@ -17,11 +17,12 @@ from .complementation import (c_separating_subgroups,
                               is_completely_factorizable, is_c_separating,
                               is_supercomplemented, subgroup_as_group)
 from .constructions import catalog, holomorph8, split_p5_group
-from .groups import (FiniteGroup, element_order, exponent, primes_of, quotient)
+from .groups import (FiniteGroup, closure_bits, element_order, exponent,
+                     normalizes, primes_of, quotient)
 from .subgroups import (Subgroup, all_subgroups, bit_indices, dedekind_identity_check,
                         generated_subgroup, is_abelian,
                         is_elementary_abelian, is_normal, overgroups,
-                        product_bits, product_set)
+                        product_bits, product_set, trivial_subgroup)
 from .series import (chief_series, derived_length, derived_subgroup,
                      is_nilpotent, frattini, minimal_normal_subgroups,
                      sylow_subgroup)
@@ -201,16 +202,6 @@ def _battery_primes(g: FiniteGroup, x_sub: Subgroup) -> list[int]:
     return sorted(primes_of(g))
 
 
-def _normal_in(g: FiniteGroup, n_sub: Subgroup, p_sub: Subgroup) -> bool:
-    gens = n_sub.gens or n_sub.elements()
-    for s in p_sub.gens or p_sub.elements():
-        inv = g.inv[s]
-        for e in gens:
-            if not n_sub.members >> g.mult[g.mult[inv][e]][s] & 1:
-                return False
-    return True
-
-
 def _has_normal_elem_abelian_of_index(g, p_sub, bound, lat) -> bool:
     if p_sub.order <= bound:
         return True
@@ -218,7 +209,8 @@ def _has_normal_elem_abelian_of_index(g, p_sub, bound, lat) -> bool:
         if n_sub.order * bound < p_sub.order:
             continue
         if (p_sub.contains(n_sub) and is_elementary_abelian(n_sub)
-                and _normal_in(g, n_sub, p_sub)):
+                and normalizes(g, n_sub.members, n_sub.gens or n_sub.elements(),
+                               p_sub.gens or p_sub.elements())):
             return True
     return False
 
@@ -545,17 +537,26 @@ def _entry_suite(entry) -> list[VerificationReport]:
                     [{"subgroups": len(lat)}])
 
     cf, cf_wit = is_completely_factorizable(g)
-    suite.check(f"{pre}.factorizable-equivalence", True,
-                [{"completely_factorizable": cf,
-                  "witness": sub_witness(cf_wit) if cf_wit else None}])
+    sc, sc_wit = is_supercomplemented(g, trivial_subgroup(g))
+    cf_side = {"completely_factorizable": cf,
+               "witness": sub_witness(cf_wit) if cf_wit else None}
+    same = (cf, cf_wit and cf_wit.members) == (sc, sc_wit and sc_wit.members)
+    suite.check(f"{pre}.factorizable-equivalence", same,
+                [cf_side] if same else
+                [cf_side, {"trivial_supercomplemented": sc,
+                           "witness": sub_witness(sc_wit) if sc_wit else None}])
     if cf:
         suite.check(f"{pre}.factorizable-metabelian", d is not None and d <= 2,
                     [{"derived_length": d}])
 
     if g.order > 1:
         seps = c_separating_subgroups(g)
-        suite.check(f"{pre}.c-separating-upward-closed", True,
-                    [{"count": len(seps)}])
+        found = {h.members for h in seps}
+        stray = [{"c_separating": sub_witness(h), "overgroup": sub_witness(k)}
+                 for h in seps for k in overgroups(g, h)
+                 if k.order < g.order and k.members not in found]
+        suite.check(f"{pre}.c-separating-upward-closed", not stray,
+                    stray[:3] or [{"count": len(seps)}])
 
     _instance_batteries(suite, pre, g)
     return suite.reports
@@ -647,8 +648,6 @@ def _transport_scan(suite, pre, g, lat):
 
 
 def _frattini_spot_checks(suite, pre, g, lat):
-    from .subgroups import closure_bits
-
     phi = frattini(g)
     normal_ok = is_normal(g, phi)
     full = (1 << g.order) - 1
@@ -662,8 +661,8 @@ def _frattini_spot_checks(suite, pre, g, lat):
         if f == 0:
             continue
         for base in gen_subsets + singletons:
-            with_f = closure_bits(g, tuple(base) + (f,))
-            if with_f == full and closure_bits(g, base) != full:
+            with_f = closure_bits(g.mult, tuple(base) + (f,))
+            if with_f == full and closure_bits(g.mult, base) != full:
                 nongen_ok = False
     suite.check(f"{pre}.frattini-nongenerator", normal_ok and nongen_ok,
                 [{"frattini_order": phi.order}])

@@ -6,10 +6,11 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import complementa as ca
-from complementa.cli import run
+from complementa.cli import _PREDICATES, run
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +180,17 @@ def test_top_level_array_is_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and "JSON object" in err
 
 
+@pytest.mark.parametrize("suite, named", [
+    ("catalog:nonexistent", "nonexistent"),
+    ("catalog:", "'catalog:'"),
+    ("catalog:c4,nope,s3", "nope"),
+])
+def test_verify_rejects_unknown_catalog_entries(capsys, suite, named):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and named in err
+
+
 def test_huge_table_entry_is_usage_error(tmp_path, capsys):
     doc = {"version": "cayley-v1", "order": 2, "mult": [0, 1, 2**70, 0]}
     code, out, err = run_on_document(tmp_path, capsys, doc)
@@ -266,3 +278,66 @@ def test_fuzzed_documents_exit_2_with_error_line(text, command):
     assert code == 2, text
     assert out.getvalue() == ""
     assert err.getvalue().startswith("error:"), err.getvalue()
+
+
+SMALL_RECIPES = ("cyclic", "dihedral", "holomorph", "elementary", "split-p5",
+                 "c1", "c4", "s3", "dih8", "a4", "holomorph8", "split-p5-2")
+
+# no recipe accepts these as --n or --p: out of range, over the construction
+# cap, or not an integer (the large ones are valid caps)
+BAD_NUMBERS = st.sampled_from(["-1", "0", "4099", str(2**70), "2.5", "x", ""])
+
+
+def numbers(small):
+    """Mostly valid small values, one draw in four a bad one."""
+    good = small.map(str)
+    return st.one_of(good, good, good, BAD_NUMBERS)
+
+
+SUITES = (
+    st.sampled_from(["holomorph8", "split-p5", "split-p5-2", "split-p5-3", "catalog:"])
+    | st.lists(st.sampled_from(["c4", "s3", "dih8", "a4", "nope", ""]), max_size=3).map(
+        lambda names: "catalog:" + ",".join(names))
+    # the whole catalog takes seconds per run; its suites are tested elsewhere
+    | st.text(max_size=8).filter(lambda s: s not in ("catalog", "all")))
+
+SUBGROUPS = (
+    st.sampled_from(["x", "a", "b", "B", "V", "r", "s", ""])
+    | st.lists(st.integers(0, 40) | st.integers(-2, 300), max_size=3).map(
+        lambda xs: ",".join(map(str, xs)))
+    | st.text(alphabet="0123456789,- x", max_size=6))
+
+
+@st.composite
+def small_group_requests(draw):
+    """argv of a request on a small group, with fuzzed --subgroup, --n, --p,
+    --cap and --suite values; each option is left out one time in four."""
+
+    def maybe(flag, values):
+        return [flag, draw(values)] if draw(st.integers(0, 3)) else []
+
+    p_values = numbers(st.sampled_from([2, 3, 4]))
+    command = draw(st.sampled_from(["build", "lattice", "check", "verify"]))
+    if command == "verify":
+        return ["verify", "--suite", draw(SUITES), "--json", *maybe("--p", p_values)]
+    argv = [command]
+    if command == "check":
+        argv += [draw(st.sampled_from(_PREDICATES)), *maybe("--subgroup", SUBGROUPS),
+                 *maybe("--mode", st.sampled_from(["first", "all"]))]
+    return [*argv, "--recipe", draw(st.sampled_from(SMALL_RECIPES)),
+            *maybe("--n", numbers(st.integers(1, 4))), *maybe("--p", p_values),
+            *maybe("--cap", numbers(st.integers(1, 600)))]
+
+
+@given(small_group_requests())
+@settings(derandomize=True, max_examples=250, deadline=None)
+def test_fuzzed_arguments_give_json_or_a_usage_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert code == 2, (argv, err.getvalue())
+        assert out.getvalue() == ""
+        assert "error:" in err.getvalue(), err.getvalue()

@@ -63,6 +63,27 @@ def test_split_p5_rejects_large_p():
         ca.split_p5_group(5)
 
 
+@pytest.mark.parametrize("build, requested", [
+    (lambda: ca.cyclic(10**6), 10**6),
+    (lambda: ca.dihedral(2**70), 2**70),
+    (lambda: ca.holomorph_cyclic(4000), 4000 * 1600),
+    (lambda: ca.holomorph_cyclic(2**70), 2**70),
+    (lambda: ca.elementary_abelian(2, 2**70), 2**13),
+    (lambda: ca.elementary_abelian(4099, 1), 4099),
+], ids=["cyclic", "dihedral", "holomorph", "holomorph-huge", "elementary-rank",
+        "elementary-prime"])
+def test_constructions_refuse_orders_over_the_cap_before_building(build, requested):
+    with pytest.raises(CapExceededError) as exc:
+        build()
+    assert exc.value.requested == requested
+
+
+def test_elementary_abelian_beyond_six_generators():
+    nm = ca.elementary_abelian(2, 7)
+    assert nm.group.order == 128 and ca.exponent(nm.group) == 2
+    assert sorted(nm.elements) == ["a", "b", "c", "d", "e5", "e6", "e7"]
+
+
 def test_split_p5_deterministic_rebuild():
     g1 = ca.split_p5_group.__wrapped__(2).group
     g2 = ca.split_p5_group.__wrapped__(2).group

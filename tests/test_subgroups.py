@@ -5,7 +5,7 @@ import pytest
 import complementa as ca
 from complementa._primes import divisors
 from complementa.groups import CapExceededError, PreconditionError
-from complementa.subgroups import (_all_solvable, _cyclic_extension,
+from complementa.subgroups import (Subgroup, _all_solvable, _cyclic_extension,
                                    _join_search, _subgroups_order_dividing,
                                    bits_of, closure_bits, cyclic_subgroups,
                                    overgroups_by_joins)
@@ -301,7 +301,7 @@ def test_cyclic_extension_matches_join_search(build):
         extended = _cyclic_extension(g, c)
         assert [s.members for s in extended] == [s.members for s in joins], c
         for s in extended:
-            assert closure_bits(g, s.gens) == s.members
+            assert closure_bits(g.mult, s.gens) == s.members
 
 
 def test_overgroups_by_joins_match_filtered_lattice():
@@ -310,6 +310,35 @@ def test_overgroups_by_joins_match_filtered_lattice():
     for s in lat.subgroups:
         assert overgroups_by_joins(g, s) == tuple(k for k in lat.subgroups
                                                   if k.contains(s))
+
+
+def test_overgroups_of_subgroups_given_without_generators():
+    for entry in ca.catalog():
+        if entry.order > 64:
+            continue
+        g = entry.build().group
+        lat = ca.all_subgroups(g)
+        bare = _fresh(g)  # no full lattice, so overgroups come from joins
+        for s in lat.subgroups[1:]:
+            above = tuple(k for k in lat.subgroups if k.contains(s))
+            assert overgroups_by_joins(g, Subgroup(g, s.members)) == above, entry.name
+            bad = next((k for k in above if not ca.is_complemented(g, k)), None)
+            ok, wit = ca.is_supercomplemented(bare, Subgroup(bare, s.members))
+            assert (ok, wit and wit.members) == (bad is None, bad and bad.members)
+        assert bare.cached_value(("sub_div", bare.order)) is None
+
+
+def test_is_normal_and_normalizer_match_conjugation_by_every_element():
+    for entry in ca.catalog():
+        if entry.order > 64:
+            continue
+        g = entry.build().group
+        for s in ca.all_subgroups(g).subgroups:
+            norm = [x for x in g.elements()
+                    if all(s.members >> g.conj(e, x) & 1 for e in s.elements())]
+            assert ca.normalizer(g, s).elements() == tuple(norm), entry.name
+            for h in (s, Subgroup(g, s.members)):
+                assert ca.is_normal(g, h) == (len(norm) == g.order), entry.name
 
 
 @pytest.mark.parametrize("name", ["holomorph8", "s3xs3", "c2xa4", "split-p5-2"])

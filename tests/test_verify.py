@@ -2,10 +2,13 @@
 
 from itertools import combinations
 
+import pytest
+
 import complementa as ca
+import complementa.verify as verify_module
 from complementa._primes import divisors
 from complementa.subgroups import bit_indices, bits_of
-from complementa.verify import _Suite
+from complementa.verify import _Suite, _entry_suite
 
 
 def naive_subset_closure_subgroups(g):
@@ -122,6 +125,41 @@ def test_failed_checks_always_carry_witnesses():
     suite = _Suite()
     suite.check("demo", False)
     assert suite.reports[0].status == "fail" and suite.reports[0].witnesses
+
+
+def _wrong_factorizable(g, cap=512):
+    return False, ca.trivial_subgroup(g)
+
+
+def _wrong_supercomplemented(g, h, cap=512):
+    if h.order == 1:
+        return False, ca.trivial_subgroup(g)
+    return ca.is_supercomplemented(g, h, cap)
+
+
+def _too_few_c_separating(g, cap=512):
+    return ca.c_separating_subgroups(g, cap)[:1]
+
+
+def _extra_overgroup(g, h):
+    return ca.overgroups(g, h) + (ca.trivial_subgroup(g),)
+
+
+@pytest.mark.parametrize("entry, claim, name, replacement", [
+    ("s3", "factorizable-equivalence", "is_completely_factorizable", _wrong_factorizable),
+    ("s3", "factorizable-equivalence", "is_supercomplemented", _wrong_supercomplemented),
+    ("s3", "c-separating-upward-closed", "c_separating_subgroups", _too_few_c_separating),
+    ("c4", "c-separating-upward-closed", "overgroups", _extra_overgroup),
+], ids=["factorizable", "supercomplemented", "c-separating", "overgroups"])
+def test_cross_check_claims_report_disagreement(monkeypatch, entry, claim, name,
+                                                replacement):
+    by_claim = {r.claim: r for r in _entry_suite(ca.catalog_entry(entry))}
+    assert by_claim[f"catalog.{entry}.{claim}"].status == "pass"
+    monkeypatch.setattr(verify_module, name, replacement)
+    report = {r.claim: r for r in _entry_suite(ca.catalog_entry(entry))}[
+        f"catalog.{entry}.{claim}"]
+    assert report.status == "fail"
+    assert report.witnesses and report.witnesses != ("no witness recorded",)
 
 
 def test_catalog_suite_restriction_and_empty():
