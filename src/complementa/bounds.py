@@ -2,10 +2,11 @@
 and the exact order bound for elementary abelian minimal normal subgroups.
 
 The bracketed expressions are exact floors.  m·log2(m) is irrational unless m
-is a power of two, so the floating path floors behind a 1e-9 guard band and
-powers of two take an exact integer shortcut.  The base-9 logarithm floor is
-computed by exact big-integer comparison because (n-2)/8 can be an exact
-power of 9^(1/5) (n = 74 gives exactly 15), where any guard band around the
+is a power of two, so it is evaluated in decimal arithmetic at a precision
+raised until its error bound clears the nearest integer, and powers of two
+take an exact integer shortcut.  The base-9 logarithm floor is computed by
+exact big-integer comparison because (n-2)/8 can be an exact power of
+9^(1/5) (n = 74 gives exactly 15), where any tolerance band around the
 boundary would be wrong.
 """
 
@@ -13,13 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from mpmath import mp
+from decimal import Decimal, localcontext
 
 from ._primes import is_prime
 from .groups import PreconditionError
-
-GUARD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,14 +48,22 @@ class BoundReport:
         }
 
 
-def guarded_floor(value) -> int:
-    """Floor of an extended-precision value, rejecting results within the
-    guard band of an integer boundary."""
-    f = int(mp.floor(value))
-    frac = value - f
-    if frac < GUARD or frac > 1 - GUARD:
-        raise ArithmeticError(f"value {value} is within {GUARD} of an integer boundary")
-    return f
+def _floor_m_log2_m(m: int) -> int:
+    """floor(m·log2(m)) for m >= 2 not a power of two, where the value is
+    irrational.  Decimal ``ln`` is correctly rounded and each product or
+    quotient adds at most half a unit in the last place, so the computed
+    value is within a relative 10^(2-prec) of the true one; the precision
+    doubles until that band holds no integer."""
+    prec = 2 * len(str(m)) + 20
+    while True:
+        with localcontext() as ctx:
+            ctx.prec = prec
+            value = Decimal(m) * Decimal(m).ln() / Decimal(2).ln()
+            err = value.scaleb(2 - prec)
+            whole = int(value)
+            if whole < value - err and value + err < whole + 1:
+                return whole
+        prec *= 2
 
 
 def n_of_m(m: int) -> int:
@@ -68,8 +74,7 @@ def n_of_m(m: int) -> int:
         return 1
     if m & (m - 1) == 0:
         return m * (m - 1) + (m.bit_length() - 1) * m
-    with mp.workdps(40):
-        return guarded_floor(m * (m - 1) + m * mp.log(m, 2))
+    return m * (m - 1) + _floor_m_log2_m(m)
 
 
 def floor_5log9(num: int, den: int) -> int:

@@ -1,9 +1,11 @@
 """Complement search and the derived predicates: supercomplemented,
 completely factorizable, C-separating, and transport to quotients.
 
-T complements H when G = HT and H∩T = 1; for finite groups this is
-equivalent to |H|·|T| = |G| with trivial intersection, which is what the
-scans test, with the product-set equality asserted on every hit.
+T complements H when G = HT and H∩T = 1.  For finite groups
+|HT| = |H|·|T| / |H∩T|, so this holds exactly when |H|·|T| = |G| and
+H∩T = 1; the scans decide by that order criterion alone.  The
+``complement-criterion-equivalence`` verification claim and the tests
+compare it with the product set.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from dataclasses import dataclass
 from .groups import (CapExceededError, FiniteGroup, PreconditionError,
                      closure_bits, quotient)
 from .subgroups import (LATTICE_CAP, Subgroup, _small_gens,
-                        _subgroups_order_dividing, bit_indices,
-                        overgroups, product_bits)
+                        _subgroups_order_dividing, bit_indices, overgroups)
 
 
 @dataclass(frozen=True)
@@ -26,25 +27,25 @@ class ComplementResult:
     exhaustive: bool
 
 
+def _check_cap(g: FiniteGroup, cap: int) -> None:
+    """Refuse groups above the lattice cap before any scan or memo read."""
+    if g.order > cap:
+        raise CapExceededError("lattice", cap, g.order)
+
+
 def complements(g: FiniteGroup, h: Subgroup, mode: str = "all",
                 cap: int = LATTICE_CAP) -> ComplementResult:
     """Scan subgroups of order |G|/|H| for complements of h, in canonical order.
 
-    Every hit is re-verified against the explicit product set.
+    A subgroup T of that order is a complement exactly when H∩T = 1.
     """
     if mode not in ("first", "all"):
         raise PreconditionError(f"unknown mode {mode!r}")
-    if g.order > cap:
-        raise CapExceededError("lattice", cap, g.order)
+    _check_cap(g, cap)
     target = g.order // h.order
     hits = []
     for t in _subgroups_order_dividing(g, target):
-        if t.order != target:
-            continue
-        if t.members & h.members == 1:
-            if product_bits(g, h, t).bit_count() != g.order:
-                raise AssertionError(
-                    "order criterion and product set disagree: engine inconsistency")
+        if t.order == target and t.members & h.members == 1:
             hits.append(t)
             if mode == "first":
                 return ComplementResult(h, tuple(hits), False)
@@ -52,6 +53,7 @@ def complements(g: FiniteGroup, h: Subgroup, mode: str = "all",
 
 
 def is_complemented(g: FiniteGroup, h: Subgroup, cap: int = LATTICE_CAP) -> bool:
+    _check_cap(g, cap)
     return g.cached(("complemented", h.members),
                     lambda: bool(complements(g, h, "first", cap).complements))
 
@@ -62,10 +64,18 @@ def is_supercomplemented(g: FiniteGroup, h: Subgroup, cap: int = LATTICE_CAP):
     Returns (ok, witness); the witness is the first uncomplemented overgroup
     in canonical order when the answer is False.
     """
+    _check_cap(g, cap)
     for k in overgroups(g, h):
         if not is_complemented(g, k, cap):
             return False, k
     return True, None
+
+
+def _uncomplemented(g: FiniteGroup, cap: int):
+    """The uncomplemented subgroups of G, lazily, in canonical order."""
+    _check_cap(g, cap)
+    return (k for k in _subgroups_order_dividing(g, g.order)
+            if not is_complemented(g, k, cap))
 
 
 def is_completely_factorizable(g: FiniteGroup, cap: int = LATTICE_CAP):
@@ -75,15 +85,21 @@ def is_completely_factorizable(g: FiniteGroup, cap: int = LATTICE_CAP):
     This is the trivial subgroup being supercomplemented, which the
     ``factorizable-equivalence`` verification claim checks.
     """
-    for k in _subgroups_order_dividing(g, g.order):
-        if not is_complemented(g, k, cap):
-            return False, k
-    return True, None
+    witness = next(_uncomplemented(g, cap), None)
+    return witness is None, witness
 
 
 def uncomplemented_subgroups(g: FiniteGroup, cap: int = LATTICE_CAP) -> tuple[Subgroup, ...]:
-    return tuple(k for k in _subgroups_order_dividing(g, g.order)
-                 if not is_complemented(g, k, cap))
+    return tuple(_uncomplemented(g, cap))
+
+
+def _uncomplemented_union(g: FiniteGroup, cap: int) -> int:
+    """Union of the members of the uncomplemented subgroups: a proper H is
+    C-separating exactly when this bitset lies inside H."""
+    union = 0
+    for k in _uncomplemented(g, cap):
+        union |= k.members
+    return union
 
 
 def c_separating_subgroups(g: FiniteGroup, cap: int = LATTICE_CAP,
@@ -98,18 +114,10 @@ def c_separating_subgroups(g: FiniteGroup, cap: int = LATTICE_CAP,
     """
     if g.order == 1:
         raise PreconditionError("C-separating subgroups are defined for nontrivial groups")
-    if g.order > cap:
-        raise CapExceededError("lattice", cap, g.order)
-    bad = uncomplemented_subgroups(g, cap)
-    out = []
-    for h in _subgroups_order_dividing(g, g.order):
-        if h.order == g.order:
-            continue
-        if max_index is not None and g.order // h.order > max_index:
-            continue
-        if all(h.contains(k) for k in bad):
-            out.append(h)
-    return tuple(out)
+    union = _uncomplemented_union(g, cap)
+    return tuple(h for h in _subgroups_order_dividing(g, g.order)
+                 if h.order < g.order and not union & ~h.members
+                 and (max_index is None or g.order // h.order <= max_index))
 
 
 def has_c_separating(g: FiniteGroup, cap: int = LATTICE_CAP) -> bool:
@@ -117,9 +125,8 @@ def has_c_separating(g: FiniteGroup, cap: int = LATTICE_CAP) -> bool:
 
 
 def is_c_separating(g: FiniteGroup, h: Subgroup, cap: int = LATTICE_CAP) -> bool:
-    if h.order == g.order:
-        return False
-    return all(h.contains(k) for k in uncomplemented_subgroups(g, cap))
+    _check_cap(g, cap)
+    return h.order < g.order and not _uncomplemented_union(g, cap) & ~h.members
 
 
 # -- transport to quotients of intermediate subgroups -------------------------

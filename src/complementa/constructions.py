@@ -68,13 +68,15 @@ def dihedral(n: int) -> NamedGroup:
 
 @cache
 def elementary_abelian(p: int, rank: int) -> NamedGroup:
-    if not is_prime(p) or rank < 1:
+    if p < 2 or rank < 1:
         raise PreconditionError("need a prime p and rank >= 1")
     order = 1
     for _ in range(rank):
         order *= p
         if order > CONSTRUCTION_CAP:
             raise CapExceededError("construction", CONSTRUCTION_CAP, order)
+    if not is_prime(p):
+        raise PreconditionError("need a prime p and rank >= 1")
     names = ["a", "b", "c", "d"] + [f"e{i + 1}" for i in range(4, rank)]
     g = cyclic(p, names[0])
     for i in range(1, rank):
@@ -170,10 +172,10 @@ def split_p5_group(p: int, cap: int = SPLIT_P5_CAP) -> NamedGroup:
     neither <x> nor B normal.  For p = 2 the relation x^a = x^(p+1) = x^3
     coincides with inversion since |x| = 4.
     """
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
     if p ** 5 > cap:
         raise CapExceededError("construction", cap, p ** 5)
+    if not is_prime(p):
+        raise PreconditionError(f"{p} is not prime")
     xs = cyclic(p * p, "x")
     As = cyclic(p, "a")
     f_action = ActionSpec(As, xs, {1: tuple(((p + 1) * i) % (p * p) for i in range(p * p))})

@@ -166,19 +166,14 @@ class FiniteGroup:
         return f"<FiniteGroup {self.name} of order {self.order}>"
 
 
-def closure_bits(mult, seed, cap: int | None = None) -> int | None:
+def closure_bits(mult, seed) -> int:
     """Bitset of the subgroup generated by the ``seed`` element indices,
-    closed breadth-first under the table rows ``mult``.
-
-    With ``cap`` set, returns None as soon as the closure exceeds cap elements.
-    """
+    closed breadth-first under the table rows ``mult``."""
     members = 1
-    count = 1
     gens = []
     for s in seed:
         if s and not members >> s & 1:
             members |= 1 << s
-            count += 1
             gens.append(s)
     frontier = [0] + gens
     while frontier:
@@ -189,10 +184,7 @@ def closure_bits(mult, seed, cap: int | None = None) -> int | None:
                 p = row[s]
                 if not members >> p & 1:
                     members |= 1 << p
-                    count += 1
                     nxt.append(p)
-        if cap is not None and count > cap:
-            return None
         frontier = nxt
     return members
 

@@ -483,32 +483,15 @@ def intersection(a: Subgroup, b: Subgroup) -> Subgroup:
 # -- set products and the modular identity ----------------------------------
 
 
-def _coset_cover(g: FiniteGroup, a: Subgroup) -> tuple[int, ...]:
-    """For each element e, the bitset of the right coset A·e; cached per subgroup."""
-    key = ("cosets", a.members)
-
-    def build():
-        cover = [0] * g.order
-        elems = a.elements()
-        for e in g.elements():
-            if cover[e]:
-                continue
-            bits = 0
-            for m in elems:
-                bits |= 1 << g.mult[m][e]
-            for x in bit_indices(bits):
-                cover[x] = bits
-        return tuple(cover)
-
-    return g.cached(key, build)
-
-
 def product_bits(g: FiniteGroup, a: Subgroup, b: Subgroup) -> int:
-    """Bitset of the product set AB = {a·b}."""
-    cover = _coset_cover(g, a)
+    """Bitset of the product set AB = {a·b}: the union of the right cosets
+    A·y over y in B.  A y already in the union lies in a coset built before,
+    so it adds nothing and is skipped."""
+    elems = a.elements()
     bits = 0
-    for e in b.elements():
-        bits |= cover[e]
+    for y in b.elements():
+        if not bits >> y & 1:
+            bits |= _coset_bits(g.mult, elems, y)
     return bits
 
 

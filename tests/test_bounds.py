@@ -3,10 +3,9 @@
 import math
 
 import pytest
-from mpmath import mpf
 
 import complementa as ca
-from complementa.bounds import floor_5log9, guarded_floor
+from complementa.bounds import floor_5log9
 from complementa.groups import PreconditionError
 
 
@@ -27,6 +26,13 @@ def test_n_of_m_paper_values():
 def test_n_of_m_matches_bitlength_oracle():
     for m in range(2, 700):
         assert ca.n_of_m(m) == n_oracle(m), m
+
+
+def test_n_of_m_exact_just_above_a_power_of_two():
+    # m·log2(m) = 70·2^70 + 70 + m·log2(1 + 2^-70), and the last term is
+    # 1/ln 2 = 1.44... to within 2^-70, far below any float's resolution
+    m = 2 ** 70 + 1
+    assert ca.n_of_m(m) == m * (m - 1) + 70 * 2 ** 70 + 71
 
 
 def test_zeta_bound_piecewise():
@@ -99,12 +105,6 @@ def test_factorial_index_bound():
     assert ca.factorial_index_bound(1) == 1
     assert ca.factorial_index_bound(2) == 2
     assert ca.factorial_index_bound(8) == 40320
-
-
-def test_guarded_floor_rejects_boundary():
-    with pytest.raises(ArithmeticError):
-        guarded_floor(mpf(5) + mpf(10) ** -12)
-    assert guarded_floor(mpf("5.5")) == 5
 
 
 def test_bound_report_dict():

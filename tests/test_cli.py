@@ -144,6 +144,38 @@ def test_cap_override(capsys):
     assert "lattice" in err
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("work done before the cap check")
+
+
+@pytest.mark.parametrize("predicate, subgroup", [
+    ("complemented", ["--subgroup", "a"]),
+    ("supercomplemented", ["--subgroup", "a"]),
+    ("completely-factorizable", []),
+    ("c-separating", ["--subgroup", "a"]),
+])
+def test_check_refuses_over_the_lattice_cap_before_any_scan(capsys, monkeypatch,
+                                                            predicate, subgroup):
+    for module in (ca.subgroups, ca.complementation):
+        monkeypatch.setattr(module, "_subgroups_order_dividing", _refuse)
+    monkeypatch.setattr(ca.subgroups, "overgroups_by_joins", _refuse)
+    code, out, err = run_cli(capsys, "check", predicate, "--recipe", "elementary",
+                             "--p", "3", "--n", "5", "--cap", "10", *subgroup)
+    assert code == 2 and out == ""
+    assert err == "error: lattice cap exceeded: 243 > 10\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--recipe", "split-p5"],
+    ["--recipe", "elementary", "--n", "1"],
+])
+def test_construction_cap_is_checked_before_primality(capsys, monkeypatch, argv):
+    monkeypatch.setattr(ca.constructions, "is_prime", _refuse)
+    code, out, err = run_cli(capsys, "build", *argv, "--p", str(2**61 - 1))
+    assert code == 2 and out == ""
+    assert err.startswith("error: construction cap exceeded")
+
+
 def test_unknown_subgroup_handle(capsys):
     code, _, err = run_cli(capsys, "check", "normal", "--recipe", "s3",
                            "--subgroup", "nope")

@@ -4,8 +4,8 @@ C-separating predicates."""
 import pytest
 
 import complementa as ca
-from complementa.groups import PreconditionError
-from complementa.subgroups import full_subgroup
+from complementa.groups import CapExceededError, PreconditionError
+from complementa.subgroups import full_subgroup, product_bits
 
 
 def test_complements_of_extremes(s3):
@@ -174,3 +174,54 @@ def test_uncomplemented_sets():
     bad = ca.uncomplemented_subgroups(c4)
     assert [set(s.elements()) for s in bad] == [{0, 2}]
     assert ca.uncomplemented_subgroups(ca.symmetric3().group) == ()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ca.from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], name="S5"),
+    lambda: ca.holomorph_cyclic(16).group,
+    lambda: ca.split_p5_group(3).group,
+    lambda: ca.holomorph_cyclic(32).group,
+    lambda: ca.elementary_abelian(3, 4).group,
+], ids=["s5", "hol16", "split-p5-3", "hol32", "ea3r4"])
+def test_order_criterion_gives_product_set_above_order_64(build):
+    # complements decides by |H|·|T| = |G| and H∩T = 1 alone; the verify
+    # claim that compares this with the product set stops at order 64
+    g = build()
+    lat = ca.all_subgroups(g)
+    for h in lat.subgroups:
+        pairs = [t for t in lat.by_order(g.order // h.order) if t.members & h.members == 1]
+        assert all(product_bits(g, h, t).bit_count() == g.order for t in pairs)
+        assert ca.complements(g, h, "all").complements == tuple(pairs)
+
+
+def _c_separating_reference(g, lat, max_index=None):
+    """The definition: proper H containing every uncomplemented subgroup."""
+    bad = [k for k in lat.subgroups if not ca.is_complemented(g, k)]
+    return tuple(h for h in lat.subgroups
+                 if h.order < g.order and all(h.contains(k) for k in bad)
+                 and (max_index is None or g.order // h.order <= max_index))
+
+
+@pytest.mark.parametrize("name", [e.name for e in ca.catalog() if e.order > 1])
+def test_c_separating_union_bitset_matches_definition(name):
+    g = ca.catalog_entry(name).build().group
+    lat = ca.all_subgroups(g)
+    seps = _c_separating_reference(g, lat)
+    assert ca.c_separating_subgroups(g) == seps
+    assert ca.c_separating_subgroups(g, max_index=2) == _c_separating_reference(g, lat, 2)
+    assert [ca.is_c_separating(g, h) for h in lat.subgroups] == \
+        [h in seps for h in lat.subgroups]
+
+
+def test_cap_is_checked_before_the_memo():
+    c4 = ca.cyclic(4)
+    half = ca.generated_subgroup(c4, (2,))
+    assert not ca.is_complemented(c4, half)
+    for predicate in (lambda: ca.is_complemented(c4, half, cap=2),
+                      lambda: ca.is_supercomplemented(c4, half, cap=2),
+                      lambda: ca.is_completely_factorizable(c4, cap=2),
+                      lambda: ca.uncomplemented_subgroups(c4, cap=2),
+                      lambda: ca.c_separating_subgroups(c4, cap=2),
+                      lambda: ca.is_c_separating(c4, half, cap=2)):
+        with pytest.raises(CapExceededError):
+            predicate()

@@ -8,7 +8,7 @@ from complementa.groups import CapExceededError, PreconditionError
 from complementa.subgroups import (Subgroup, _all_solvable, _cyclic_extension,
                                    _join_search, _subgroups_order_dividing,
                                    bits_of, closure_bits, cyclic_subgroups,
-                                   overgroups_by_joins)
+                                   overgroups_by_joins, product_bits)
 from complementa.verify import subset_closure_subgroups
 
 
@@ -350,3 +350,13 @@ def test_inclusion_is_the_covering_relation(name):
                     if not any((i, k) in below and (k, j) in below
                                for k in range(len(subs))))
     assert list(ca.all_subgroups(subs[0].parent).inclusion) == covers
+
+
+@pytest.mark.parametrize("name", [e.name for e in ca.catalog() if e.order <= 24])
+def test_product_bits_is_the_set_of_products(name):
+    g = ca.catalog_entry(name).build().group
+    subs = ca.all_subgroups(g).subgroups
+    for a in subs:
+        for b in subs:
+            brute = bits_of(g.mult[x][y] for x in a.elements() for y in b.elements())
+            assert product_bits(g, a, b) == brute, (a, b)
