@@ -29,7 +29,7 @@ from .subgroups import (Subgroup, SubgroupLattice, all_subgroups,
                         dedekind_identity_check, generated_subgroup,
                         intersection, is_abelian, is_elementary_abelian,
                         is_normal, lattice_to_dict, lattice_to_dot,
-                        normal_closure, normalizer, overgroups, product_set,
+                        normal_closure, normalizer, overgroups,
                         subgroup_from_members, trivial_subgroup)
 from .verify import (VerificationReport, reports_to_dicts, run_catalog_suite,
                      subset_closure_subgroups, summarize,

@@ -5,19 +5,30 @@ from __future__ import annotations
 import math
 
 
+# Miller–Rabin with the first 13 primes as bases is exact below
+# MR_EXACT_BELOW (Sorenson and Webster, Math. Comp. 86, 2017).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test, sufficient for the orders handled here."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    """Deterministic Miller–Rabin; ValueError for n >= MR_EXACT_BELOW."""
+    if n >= MR_EXACT_BELOW:
+        raise ValueError(f"primality is decided only below {MR_EXACT_BELOW}, got {n}")
+    if n < 2 or any(n % p == 0 for p in MR_BASES):
+        return n in MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d·2^s with d odd
+    d = (n - 1) >> s
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
 
 

@@ -13,6 +13,7 @@ boundary would be wrong.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
@@ -149,6 +150,8 @@ def factorial_index_bound(m: int) -> int:
     p-subgroup."""
     if m < 1:
         raise PreconditionError("m must be >= 1")
+    if m > sys.maxsize:
+        raise PreconditionError(f"m! is not computed for m above {sys.maxsize}")
     return math.factorial(m)
 
 

@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._primes import is_p_power, is_prime, lcm, p_part, prime_factors
-from .groups import FiniteGroup, PreconditionError, cached_quotient, closure_bits
+from .groups import FiniteGroup, PreconditionError, cached_quotient
 from .subgroups import (Subgroup, all_subgroups, full_subgroup, is_abelian,
-                        is_elementary_abelian, normal_closure, _small_gens,
+                        is_elementary_abelian, _normal_closure, _small_gens,
                         trivial_subgroup)
 
 
@@ -44,15 +44,11 @@ def as_subgroup(x) -> Subgroup:
 
 
 def commutator_subgroup(g: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
-    """⟨[a,b] : a in A, b in B⟩."""
-    comms = set()
-    for x in a.elements():
-        for y in b.elements():
-            comms.add(g.commutator(x, y))
-    comms.discard(0)
-    seed = sorted(comms)
-    bits = closure_bits(g.mult, seed)
-    return Subgroup(g, bits, _small_gens(g, bits))
+    """[A, B] = <[a, b] : a in A, b in B>, as the normal closure in <A, B>
+    of the commutators [a_i, b_j] of generators of A and B (Holt, Eick and
+    O'Brien, *Handbook of Computational Group Theory*, 2005)."""
+    ga, gb = a.gens or a.elements(), b.gens or b.elements()
+    return _normal_closure(g, (g.commutator(x, y) for x in ga for y in gb), ga + gb)
 
 
 def derived_subgroup(x) -> Subgroup:
@@ -75,14 +71,15 @@ def _section_exponent(g: FiniteGroup, a: Subgroup, b_bits: int) -> int:
 
 
 def section_info(g: FiniteGroup, a: Subgroup, b: Subgroup) -> FactorInfo:
-    """Structure of the factor A/B for B normal in A."""
+    """Structure of the factor A/B, for B normal in A with A/B abelian.
+
+    The factors of the derived and lower central series are abelian by
+    construction: A/[A, A], and γ_i/[γ_i, A] since [γ_i, γ_i] <= [γ_i, A].
+    """
     order = a.order // b.order
-    abelian = all(b.members >> g.commutator(x, y) & 1
-                  for x in a.elements() for y in a.elements())
-    exp = _section_exponent(g, a, b.members) if abelian else 0
-    elementary = order == 1 or (abelian and is_prime(exp))
     primes = prime_factors(order)
-    return FactorInfo(order, abelian, elementary,
+    return FactorInfo(order, True,
+                      order == 1 or is_prime(_section_exponent(g, a, b.members)),
                       primes[0] if len(primes) == 1 else None)
 
 
@@ -189,7 +186,7 @@ def minimal_normal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
     def build():
         closures: dict[int, Subgroup] = {}
         for e in range(1, g.order):
-            sub = normal_closure(g, Subgroup(g, closure_bits(g.mult, (e,)), (e,)))
+            sub = _normal_closure(g, (e,), g.generators)
             closures.setdefault(sub.members, sub)
         subs = list(closures.values())
         minimal = [s for s in subs

@@ -349,12 +349,9 @@ class SubgroupLattice:
         return self._classes
 
     def maximal_subgroups(self) -> tuple[Subgroup, ...]:
-        proper = [s for s in self.subgroups if s.order < self.group.order]
-        maximal: list[Subgroup] = []
-        for s in sorted(proper, key=lambda t: -t.order):
-            if not any(m.contains(s) for m in maximal):
-                maximal.append(s)
-        return tuple(sorted(maximal, key=Subgroup.sort_key))
+        """The subgroups covered by G, the last subgroup in canonical order."""
+        top = len(self.subgroups) - 1
+        return tuple(self.subgroups[i] for i, j in self.inclusion if j == top)
 
 
 def all_subgroups(g: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
@@ -408,14 +405,6 @@ def _conj_bits(perm, elems) -> int:
     return out
 
 
-def conjugate_subgroup(g: FiniteGroup, h: Subgroup, by: int) -> Subgroup:
-    inv = g.inv[by]
-    members = 0
-    for e in h.elements():
-        members |= 1 << g.mult[g.mult[inv][e]][by]
-    return Subgroup(g, members, tuple(g.conj(e, by) for e in h.gens))
-
-
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
     return normalizes(g, h.members, h.gens or h.elements(), g.generators)
 
@@ -440,22 +429,30 @@ def conjugates(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
     return tuple(sorted(seen.values(), key=Subgroup.sort_key))
 
 
+def _normal_closure(g: FiniteGroup, seed, by) -> Subgroup:
+    """The least subgroup N containing ``seed`` and normalized by ``by``, the
+    normal closure of <seed> in <seed, by>, in one pass over a growing
+    generator list: a conjugate s^b outside N joins the list and N is closed
+    again.  Each kept generator at least doubles N; they become N's gens."""
+    mult, inv = g.mult, g.inv
+    gens: list[int] = []
+    bits = 1
+    for s in seed:
+        if not bits >> s & 1:
+            gens.append(s)
+            bits = closure_bits(mult, gens)
+    for s in gens:
+        for b in by:
+            c = mult[mult[inv[b]][s]][b]
+            if not bits >> c & 1:
+                gens.append(c)
+                bits = closure_bits(mult, gens)
+    return Subgroup(g, bits, tuple(gens))
+
+
 def normal_closure(g: FiniteGroup, h: Subgroup) -> Subgroup:
     """Least normal subgroup of G containing h."""
-    gens = list(h.gens)
-    bits = closure_bits(g.mult, gens)
-    perms = _conj_perms(g)
-    changed = True
-    while changed:
-        changed = False
-        for s in list(gens):
-            for perm in perms:
-                c = perm[s]
-                if not bits >> c & 1:
-                    gens.append(c)
-                    bits = closure_bits(g.mult, gens)
-                    changed = True
-    return Subgroup(g, bits, tuple(gens))
+    return _normal_closure(g, h.gens or h.elements(), g.generators)
 
 
 def core(g: FiniteGroup, h: Subgroup) -> Subgroup:
@@ -493,18 +490,6 @@ def product_bits(g: FiniteGroup, a: Subgroup, b: Subgroup) -> int:
         if not bits >> y & 1:
             bits |= _coset_bits(g.mult, elems, y)
     return bits
-
-
-def product_set(g: FiniteGroup, a: Subgroup, b: Subgroup):
-    """The set AB and whether it is a subgroup (AB = BA criterion).
-
-    |AB| = |A||B| / |A∩B| is asserted, as it must hold for any two subgroups.
-    """
-    ab = product_bits(g, a, b)
-    inter = (a.members & b.members).bit_count()
-    if ab.bit_count() * inter != a.order * b.order:
-        raise AssertionError("|AB|·|A∩B| != |A|·|B|: engine inconsistency")
-    return ab, ab == product_bits(g, b, a)
 
 
 def dedekind_identity_check(g: FiniteGroup, a: Subgroup, b: Subgroup,
@@ -559,14 +544,6 @@ def is_elementary_abelian(x) -> bool:
     if len(elems) == 1:
         return True
     return is_abelian(x) and is_prime(subgroup_exponent(x))
-
-
-def subgroup_primes(x) -> set[int]:
-    g, elems, _ = _as_parent_and_elems(x)
-    out: set[int] = set()
-    for e in elems:
-        out.update(prime_factors(element_order(g, e)))
-    return out
 
 
 # -- lattice export -----------------------------------------------------------

@@ -22,7 +22,7 @@ from .groups import (FiniteGroup, closure_bits, element_order, exponent,
 from .subgroups import (Subgroup, all_subgroups, bit_indices, dedekind_identity_check,
                         generated_subgroup, is_abelian,
                         is_elementary_abelian, is_normal, overgroups,
-                        product_bits, product_set, trivial_subgroup)
+                        product_bits, trivial_subgroup)
 from .series import (chief_series, derived_length, derived_subgroup,
                      is_nilpotent, frattini, minimal_normal_subgroups,
                      sylow_subgroup)
@@ -123,7 +123,7 @@ def verify_holomorph8() -> list[VerificationReport]:
     covers = {k.members for k, _ in listed} == {s.members for s in index2}
     complemented_ok = True
     for k, t in listed:
-        prod, _ = product_set(g, k, t)
+        prod = product_bits(g, k, t)
         if k.members & t.members != 1 or prod.bit_count() != g.order:
             complemented_ok = False
     suite.check(f"{pre}.listed-complements",
@@ -160,7 +160,7 @@ def verify_split_p5(p: int) -> list[VerificationReport]:
 
     suite.check(f"{pre}.order", g.order == p ** 5, [{"order": g.order}])
 
-    prod, _ = product_set(g, xs, bs)
+    prod = product_bits(g, xs, bs)
     suite.check(f"{pre}.factorization", prod.bit_count() == g.order,
                 [{"product_size": prod.bit_count()}])
     suite.check(f"{pre}.trivial-intersection", xs.members & bs.members == 1,
@@ -241,23 +241,29 @@ def verify_supercomplemented_consequences(g: FiniteGroup, x_sub: Subgroup,
                 [{"derived_length": d, "bound": bound}])
 
     lat = all_subgroups(g)
-    fact_bound = factorial_index_bound(m)
-    bad = []
-    for p in _battery_primes(g, x_sub):
-        dmax = 2 if p != 2 else 3
-        for sub in lat.subgroups:
-            if not is_p_power(sub.order, p):
-                continue
-            if not is_nilpotent(sub):
-                bad.append({"p": p, "check": "nilpotent", "subgroup": sub_witness(sub)})
-            dp = derived_length(sub)
-            if dp is None or dp > dmax:
-                bad.append({"p": p, "check": "derived-length", "subgroup": sub_witness(sub)})
-            if not _has_normal_elem_abelian_of_index(g, sub, fact_bound, lat):
-                bad.append({"p": p, "check": "almost-elementary", "subgroup": sub_witness(sub)})
+    bad = [f for p in _battery_primes(g, x_sub) for f in _p_subgroup_failures(g, lat, p, m)]
     suite.check(f"{prefix}.p-subgroup-battery", not bad,
-                bad or [{"m": m, "factorial_bound": fact_bound}])
+                bad or [{"m": m, "factorial_bound": factorial_index_bound(m)}])
     return suite.reports
+
+
+def _p_subgroup_failures(g, lat, p, m):
+    """The p-subgroup battery for a supercomplemented cyclic p-subgroup of
+    order m: yields, in canonical order, each p-subgroup that is not
+    nilpotent, has derived length above 3 (above 2 for odd p), or has no
+    normal elementary abelian subgroup of index <= m!."""
+    fact_bound = factorial_index_bound(m)
+    dmax = 2 if p != 2 else 3
+    for sub in lat.subgroups:
+        if not is_p_power(sub.order, p):
+            continue
+        if not is_nilpotent(sub):
+            yield {"p": p, "check": "nilpotent", "subgroup": sub_witness(sub)}
+        dp = derived_length(sub)
+        if dp is None or dp > dmax:
+            yield {"p": p, "check": "derived-length", "subgroup": sub_witness(sub)}
+        if not _has_normal_elem_abelian_of_index(g, sub, fact_bound, lat):
+            yield {"p": p, "check": "almost-elementary", "subgroup": sub_witness(sub)}
 
 
 def verify_minimal_normal_bounds(g: FiniteGroup, x_sub: Subgroup,
@@ -362,17 +368,7 @@ def _primary_structure_holds(g, lat, p, m) -> bool:
         for sub in lat.subgroups:
             if sub.order > 1 and is_p_power(sub.order, q) and not is_elementary_abelian(sub):
                 return False
-    fact_bound = factorial_index_bound(m)
-    dmax = 2 if p != 2 else 3
-    for sub in lat.subgroups:
-        if not is_p_power(sub.order, p):
-            continue
-        dp = derived_length(sub)
-        if not is_nilpotent(sub) or dp is None or dp > dmax:
-            return False
-        if not _has_normal_elem_abelian_of_index(g, sub, fact_bound, lat):
-            return False
-    return True
+    return next(_p_subgroup_failures(g, lat, p, m), None) is None
 
 
 # -- independent oracle: subgroups by subset closure ---------------------------

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import complementa as ca
+from complementa._primes import MR_EXACT_BELOW, is_prime
 from complementa.bounds import floor_5log9
 from complementa.groups import PreconditionError
 
@@ -105,6 +106,33 @@ def test_factorial_index_bound():
     assert ca.factorial_index_bound(1) == 1
     assert ca.factorial_index_bound(2) == 2
     assert ca.factorial_index_bound(8) == 40320
+    with pytest.raises(PreconditionError):
+        ca.factorial_index_bound(2 ** 70 + 1)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert all(is_prime(n) == trial(n) for n in range(-2, 20000))
+
+
+@pytest.mark.parametrize("n", [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051,
+    318665857834031151167461,  # strong pseudoprime to the first 12 prime bases
+    (2 ** 31 - 1) * (2 ** 19 - 1),
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_is_exact_up_to_its_bound_and_refuses_beyond():
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+    assert not is_prime(MR_EXACT_BELOW - 1)  # even
+    for n in (MR_EXACT_BELOW, 2 ** 89 - 1):
+        with pytest.raises(ValueError):
+            is_prime(n)
 
 
 def test_bound_report_dict():

@@ -46,6 +46,22 @@ def test_bounds_with_q(capsys):
     assert json.loads(out)["prop1_bound"] == 36
 
 
+def test_bounds_with_a_large_prime_q_answers_at_once(capsys):
+    q = 2 ** 61 - 1
+    code, out, _ = run_cli(capsys, "bounds", "--m", "2", "--q", str(q))
+    assert code == 0 and json.loads(out)["prop1_bound"] == q ** 2 * 4
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--m", "2", "--q", "3317044064679887385961981"], "error: primality is decided only"),
+    (["--m", str(2 ** 70 + 1)], "error: m! is not computed"),
+])
+def test_bounds_out_of_range_is_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(message)
+
+
 def test_check_supercomplemented_x(capsys):
     code, out, _ = run_cli(capsys, "check", "supercomplemented",
                            "--recipe", "holomorph8", "--subgroup", "x")

@@ -3,7 +3,8 @@
 import pytest
 
 import complementa as ca
-from complementa.groups import PreconditionError
+from complementa.groups import PreconditionError, closure_bits
+from complementa.subgroups import Subgroup, full_subgroup
 
 
 def commutator_oracle(g):
@@ -138,3 +139,82 @@ def test_derived_series_report_fields(s3):
     assert rep.length == 2
     assert [f.order for f in rep.factors] == [2, 3]
     assert all(f.abelian for f in rep.factors)
+
+
+# -- commutator subgroups from generators ----------------------------------
+
+
+def naive_commutator_subgroup(g, a, b):
+    """Reference for ``commutator_subgroup``: the closure of [x, y] over all
+    x in A and y in B."""
+    return closure_bits(g.mult, sorted({g.commutator(x, y) for x in a.elements()
+                                        for y in b.elements()}))
+
+
+CATALOG_NAMES = [e.name for e in ca.catalog()]
+UP_TO_64 = [e.name for e in ca.catalog() if e.order <= 64]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_derived_and_commutator_with_g_match_all_pairs(name):
+    g = ca.catalog_entry(name).build().group
+    full = full_subgroup(g)
+    for a in ca.all_subgroups(g).subgroups:
+        assert ca.commutator_subgroup(g, a, a).members == naive_commutator_subgroup(g, a, a)
+        assert ca.commutator_subgroup(g, a, full).members == \
+            naive_commutator_subgroup(g, a, full)
+
+
+def test_commutator_of_every_pair_matches_all_pairs_up_to_order_64():
+    pairs = 0
+    for name in UP_TO_64:
+        g = ca.catalog_entry(name).build().group
+        subs = ca.all_subgroups(g).subgroups
+        for a in subs:
+            for b in subs:
+                assert ca.commutator_subgroup(g, a, b).members == \
+                    naive_commutator_subgroup(g, a, b), (name, a, b)
+        pairs += len(subs) ** 2
+    assert len(UP_TO_64) == 62 and pairs == 32893
+
+
+def test_commutator_gens_generate_it_and_empty_gens_fall_back_to_elements():
+    g = ca.catalog_entry("s3xs3").build().group
+    subs = ca.all_subgroups(g).subgroups
+    for a in subs:
+        for b in subs[::5]:
+            c = ca.commutator_subgroup(g, a, b)
+            assert closure_bits(g.mult, c.gens) == c.members
+            bare = ca.commutator_subgroup(g, Subgroup(g, a.members), Subgroup(g, b.members))
+            assert bare.members == c.members
+
+
+@pytest.mark.parametrize("name", UP_TO_64)
+def test_normal_closure_is_the_least_normal_subgroup_containing_h(name):
+    g = ca.catalog_entry(name).build().group
+    subs = ca.all_subgroups(g).subgroups
+    normals = [n.members for n in subs if ca.is_normal(g, n)]
+    for h in subs:
+        least = (1 << g.order) - 1
+        for n in normals:
+            if n & h.members == h.members:
+                least &= n
+        for given in (h, Subgroup(g, h.members)):
+            closure = ca.normal_closure(g, given)
+            assert closure.members == least, (name, h)
+            assert closure_bits(g.mult, closure.gens) == least
+
+
+@pytest.mark.parametrize("name", UP_TO_64)
+def test_series_factor_flags_match_brute_force(name):
+    g = ca.catalog_entry(name).build().group
+    for a in ca.all_subgroups(g).subgroups:
+        for report in (ca.derived_series(a), ca.lower_central_series(a)):
+            for top, low, f in zip(report.terms, report.terms[1:], report.factors):
+                elems = top.elements()
+                assert f.abelian == all(low.members >> g.commutator(x, y) & 1
+                                        for x in elems for y in elems)
+                p = f.prime
+                assert f.elementary_abelian == (p is not None and all(
+                    low.members >> g.power(x, p) & 1 for x in elems))
+

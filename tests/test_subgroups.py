@@ -128,23 +128,28 @@ def test_normalizer(s3):
     assert ca.normalizer(s3, ca.trivial_subgroup(s3)).order == 6
 
 
+# AB is a subgroup exactly when AB = BA.
+
+
 def test_product_set_with_trivial(s3):
     h = ca.generated_subgroup(s3, (2,))
-    prod, is_sub = ca.product_set(s3, h, ca.trivial_subgroup(s3))
-    assert prod == h.members and is_sub
+    triv = ca.trivial_subgroup(s3)
+    prod = product_bits(s3, h, triv)
+    assert prod == h.members and prod == product_bits(s3, triv, h)
 
 
 def test_product_of_two_reflections_not_subgroup(s3):
     lat = ca.all_subgroups(s3)
     twos = lat.by_order(2)
-    prod, is_sub = ca.product_set(s3, twos[0], twos[1])
-    assert prod.bit_count() == 4 and not is_sub
+    prod = product_bits(s3, twos[0], twos[1])
+    assert prod.bit_count() == 4 and prod != product_bits(s3, twos[1], twos[0])
 
 
 def test_product_xV_is_whole_holomorph(hol8):
     g = hol8.group
-    prod, is_sub = ca.product_set(g, hol8.subgroups["x"], hol8.subgroups["V"])
-    assert prod.bit_count() == g.order and is_sub
+    x, v = hol8.subgroups["x"], hol8.subgroups["V"]
+    prod = product_bits(g, x, v)
+    assert prod.bit_count() == g.order and prod == product_bits(g, v, x)
 
 
 def test_dedekind_reduces_when_a_equals_b(s3):
@@ -360,3 +365,15 @@ def test_product_bits_is_the_set_of_products(name):
         for b in subs:
             brute = bits_of(g.mult[x][y] for x in a.elements() for y in b.elements())
             assert product_bits(g, a, b) == brute, (a, b)
+
+
+def test_maximal_subgroups_read_from_inclusion_match_the_maximality_scan():
+    for entry in ca.catalog():
+        lat = ca.all_subgroups(entry.build().group)
+        proper = [s for s in lat.subgroups if s.order < lat.group.order]
+        maximal = []
+        for s in sorted(proper, key=lambda t: -t.order):
+            if not any(m.contains(s) for m in maximal):
+                maximal.append(s)
+        assert lat.maximal_subgroups() == tuple(sorted(maximal, key=Subgroup.sort_key)), \
+            entry.name
