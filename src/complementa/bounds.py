@@ -133,6 +133,18 @@ def derived_length_bound_general(m: int) -> int:
     return zeta_bound(n_of_m(m)) + 3
 
 
+def _refuse_unprintable(name: str, log10_value: float) -> None:
+    """Refuse a bound before computing it when its decimal form is certain to
+    exceed the interpreter's limit on integer-to-string conversion
+    (``sys.get_int_max_str_digits()``, 0 for no limit).  The float estimate
+    of log10 must pass twice the limit, far beyond its rounding error, so a
+    value near the limit is still computed and the conversion decides."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and log10_value > 2 * limit:
+        raise PreconditionError(f"{name} has about {log10_value:.3g} digits, "
+                                f"over the {limit}-digit limit for integer strings")
+
+
 def prop1_bound(q: int, m: int) -> int:
     """Exact order bound q^((m-1)m) · m^m for an elementary abelian minimal
     normal q-subgroup; exactly q when m = 1."""
@@ -142,6 +154,7 @@ def prop1_bound(q: int, m: int) -> int:
         raise PreconditionError("m must be >= 1")
     if m == 1:
         return q
+    _refuse_unprintable("q^((m-1)m)·m^m", (m - 1) * m * math.log10(q) + m * math.log10(m))
     return q ** ((m - 1) * m) * m ** m
 
 
@@ -152,6 +165,7 @@ def factorial_index_bound(m: int) -> int:
         raise PreconditionError("m must be >= 1")
     if m > sys.maxsize:
         raise PreconditionError(f"m! is not computed for m above {sys.maxsize}")
+    _refuse_unprintable("m!", math.lgamma(m + 1) / math.log(10))
     return math.factorial(m)
 
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import (CapExceededError, FiniteGroup, PreconditionError,
-                     closure_bits, quotient)
-from .subgroups import (LATTICE_CAP, Subgroup, _small_gens,
-                        _subgroups_order_dividing, bit_indices, overgroups)
+from .groups import CapExceededError, FiniteGroup, PreconditionError, quotient
+from .subgroups import (LATTICE_CAP, Subgroup, _subgroups_order_dividing,
+                        bit_indices, overgroups)
 
 
 @dataclass(frozen=True)
@@ -147,10 +146,7 @@ def subgroup_as_group(g: FiniteGroup, k: Subgroup):
         elems = k.elements()
         to_local = {e: i for i, e in enumerate(elems)}
         mult = [[to_local[g.mult[a][b]] for b in elems] for a in elems]
-        gens = k.gens
-        if closure_bits(g.mult, gens) != k.members:
-            gens = _small_gens(g, k.members)
-        gens = [to_local[e] for e in gens if e != 0]
+        gens = [to_local[e] for e in k.gens]
         labels = [g.labels[e] for e in elems]
         grp = FiniteGroup(mult, gens, labels, name=f"{g.name}|sub{k.order}")
         return grp, to_local, elems
@@ -174,7 +170,7 @@ def quotient_transport_check(g: FiniteGroup, h: Subgroup, k: Subgroup,
     h_local_bits = 0
     for e in h.elements():
         h_local_bits |= 1 << to_local[e]
-    h_local = Subgroup(k_grp, h_local_bits, _small_gens(k_grp, h_local_bits))
+    h_local = Subgroup(k_grp, h_local_bits)
     ok, _ = is_supercomplemented(k_grp, h_local, cap)
     if not ok:
         raise PreconditionError("H is not supercomplemented in K")
@@ -182,6 +178,6 @@ def quotient_transport_check(g: FiniteGroup, h: Subgroup, k: Subgroup,
     img_bits = 0
     for e in bit_indices(h_local_bits):
         img_bits |= 1 << proj[e]
-    img = Subgroup(quo, img_bits, _small_gens(quo, img_bits))
+    img = Subgroup(quo, img_bits)
     ok_q, _ = is_supercomplemented(quo, img, cap)
     return ok_q

@@ -15,8 +15,8 @@ from functools import cache
 
 from ._primes import is_prime
 from .groups import (CONSTRUCTION_CAP, ActionSpec, CapExceededError,
-                     FiniteGroup, PreconditionError, closure_bits, cyclic,
-                     direct_product, from_generators, semidirect_product)
+                     FiniteGroup, PreconditionError, cyclic, direct_product,
+                     from_generators, greedy_generators, semidirect_product)
 from .subgroups import Subgroup, generated_subgroup
 
 SPLIT_P5_CAP = 243
@@ -114,12 +114,7 @@ def _unit_group(n: int) -> tuple[FiniteGroup, list[int]]:
     index = {u: i for i, u in enumerate(units)}
     mult = [[index[(a * b) % n] if n > 1 else 0 for b in units] for a in units]
     # greedy generating set, ascending unit values
-    gens: list[int] = []
-    have = 1
-    for i in range(1, len(units)):
-        if not have >> i & 1:
-            gens.append(i)
-            have = closure_bits(mult, gens)
+    gens = [i for i, _ in greedy_generators(mult, range(1, len(units)))]
     labels = ["e"] + [f"u{u}" for u in units[1:]]
     return FiniteGroup(mult, gens, labels, name=f"U{n}"), units
 

@@ -11,6 +11,7 @@ generators instead of n³.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -189,25 +190,37 @@ def closure_bits(mult, seed) -> int:
     return members
 
 
+def greedy_generators(mult, candidates):
+    """Yield (s, reached) for each candidate s outside the subgroup generated
+    by the candidates yielded before it, where ``reached`` is the subgroup
+    they generate together with s.
+
+    The one greedy generating-set loop: the yielded elements generate what
+    all the candidates generate, and in a group each one at least doubles
+    the subgroup reached.  ``reached`` comes from ``closure_bits``, which is
+    exact even on a table not yet shown to be associative.  The candidates
+    are read lazily, so a worklist may grow while it is consumed.
+    """
+    kept: list[int] = []
+    reached = 1
+    for s in candidates:
+        if not reached >> s & 1:
+            kept.append(s)
+            reached = closure_bits(mult, kept)
+            yield s, reached
+
+
 def _light_generators(mult, generators) -> list[int]:
-    """Each generator that is not in the closure of the ones kept before it.
+    """The generators that ``greedy_generators`` keeps, cut at
+    floor(log2 n) + 1.
 
     Light's test needs only these: a skipped generator is a product of kept
     ones, so it passes whenever they do.  In a group each kept generator at
     least doubles the subgroup reached, so at most floor(log2 n) are kept;
-    the scan stops once one more is kept, which only a non-associative
-    table can reach.
+    only a non-associative table can reach the cut.
     """
-    bound = len(mult).bit_length()
-    kept: list[int] = []
-    reached = 1
-    for s in generators:
-        if not reached >> s & 1:
-            kept.append(s)
-            if len(kept) >= bound:
-                break
-            reached = closure_bits(mult, kept)
-    return kept
+    kept = islice(greedy_generators(mult, generators), len(mult).bit_length())
+    return [s for s, _ in kept]
 
 
 # -- constructors ---------------------------------------------------------

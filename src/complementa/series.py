@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 from ._primes import is_p_power, is_prime, lcm, p_part, prime_factors
 from .groups import FiniteGroup, PreconditionError, cached_quotient
-from .subgroups import (Subgroup, all_subgroups, full_subgroup, is_abelian,
-                        is_elementary_abelian, _normal_closure, _small_gens,
+from .subgroups import (Subgroup, all_subgroups, as_subgroup, is_abelian,
+                        is_elementary_abelian, _normal_closure,
                         trivial_subgroup)
 
 
@@ -37,18 +37,12 @@ class SeriesReport:
         return self.terms[-1].order == 1
 
 
-def as_subgroup(x) -> Subgroup:
-    if isinstance(x, Subgroup):
-        return x
-    return x.cached("full_subgroup", lambda: full_subgroup(x))
-
-
 def commutator_subgroup(g: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
     """[A, B] = <[a, b] : a in A, b in B>, as the normal closure in <A, B>
     of the commutators [a_i, b_j] of generators of A and B (Holt, Eick and
     O'Brien, *Handbook of Computational Group Theory*, 2005)."""
-    ga, gb = a.gens or a.elements(), b.gens or b.elements()
-    return _normal_closure(g, (g.commutator(x, y) for x in ga for y in gb), ga + gb)
+    return _normal_closure(g, (g.commutator(x, y) for x in a.gens for y in b.gens),
+                           a.gens + b.gens)
 
 
 def derived_subgroup(x) -> Subgroup:
@@ -83,20 +77,23 @@ def section_info(g: FiniteGroup, a: Subgroup, b: Subgroup) -> FactorInfo:
                       primes[0] if len(primes) == 1 else None)
 
 
-def derived_series(x) -> SeriesReport:
-    sub = as_subgroup(x)
-    g = sub.parent
+def _series(kind: str, sub: Subgroup, step) -> SeriesReport:
+    """The series sub = T_0 > T_1 > ... with T_(i+1) = step(T_i), stopped at
+    the first step that changes nothing; its length counts the steps when it
+    reaches the trivial subgroup."""
     terms = [sub]
     while True:
-        nxt = derived_subgroup(terms[-1])
+        nxt = step(terms[-1])
         if nxt.members == terms[-1].members:
             break
         terms.append(nxt)
-    solvable = terms[-1].order == 1
-    factors = tuple(section_info(g, terms[i], terms[i + 1])
-                    for i in range(len(terms) - 1))
-    return SeriesReport("derived", tuple(terms),
-                        len(terms) - 1 if solvable else None, factors)
+    factors = tuple(section_info(sub.parent, a, b) for a, b in zip(terms, terms[1:]))
+    return SeriesReport(kind, tuple(terms),
+                        len(terms) - 1 if terms[-1].order == 1 else None, factors)
+
+
+def derived_series(x) -> SeriesReport:
+    return _series("derived", as_subgroup(x), derived_subgroup)
 
 
 def derived_length(x) -> int | None:
@@ -112,23 +109,13 @@ def center(g: FiniteGroup) -> Subgroup:
         row = g.mult[z]
         if all(row[gen] == g.mult[gen][z] for gen in g.generators):
             members |= 1 << z
-    return Subgroup(g, members, _small_gens(g, members))
+    return Subgroup(g, members)
 
 
 def lower_central_series(x) -> SeriesReport:
     sub = as_subgroup(x)
-    g = sub.parent
-    terms = [sub]
-    while True:
-        nxt = commutator_subgroup(g, terms[-1], sub)
-        if nxt.members == terms[-1].members:
-            break
-        terms.append(nxt)
-    nilpotent = terms[-1].order == 1
-    factors = tuple(section_info(g, terms[i], terms[i + 1])
-                    for i in range(len(terms) - 1))
-    return SeriesReport("lower-central", tuple(terms),
-                        len(terms) - 1 if nilpotent else None, factors)
+    return _series("lower-central", sub,
+                   lambda t: commutator_subgroup(sub.parent, t, sub))
 
 
 def is_nilpotent(x) -> bool:
@@ -147,7 +134,7 @@ def frattini(g: FiniteGroup) -> Subgroup:
     bits = (1 << g.order) - 1
     for m in maximal:
         bits &= m.members
-    return Subgroup(g, bits, _small_gens(g, bits))
+    return Subgroup(g, bits)
 
 
 def sylow_subgroup(g: FiniteGroup, p: int, containing: Subgroup | None = None) -> Subgroup:
@@ -209,7 +196,7 @@ def chief_series(g: FiniteGroup) -> SeriesReport:
         for e in g.elements():
             if m.members >> proj[e] & 1:
                 pre_bits |= 1 << e
-        ascending.append(Subgroup(g, pre_bits, _small_gens(g, pre_bits)))
+        ascending.append(Subgroup(g, pre_bits))
         primes = prime_factors(m.order)
         factors_up.append(FactorInfo(m.order, is_abelian(m),
                                      is_elementary_abelian(m),

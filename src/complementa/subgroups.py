@@ -11,7 +11,7 @@ import math
 
 from ._primes import is_prime, lcm, prime_factors
 from .groups import (CapExceededError, FiniteGroup, PreconditionError,
-                     closure_bits, element_order, normalizes)
+                     closure_bits, element_order, greedy_generators, normalizes)
 
 LATTICE_CAP = 512
 
@@ -37,22 +37,33 @@ def bit_indices(bits: int) -> tuple[int, ...]:
 class Subgroup:
     """Subgroup of a parent group, stored as a membership bitset.
 
-    ``gens`` is a (small) generating tuple kept from construction; it is not
+    ``gens`` always generates ``members``: closure_bits(parent.mult, gens)
+    == members.  A routine that builds the subgroup from a generating tuple
+    passes that tuple and it is kept; every other subgroup derives its tuple
+    on first read, greedily from its elements in ascending order.  User
+    input reaches here only through ``generated_subgroup``.  ``gens`` is not
     part of the identity of the subgroup, which is (parent, members) only.
     """
 
-    __slots__ = ("parent", "members", "order", "gens", "_elems")
+    __slots__ = ("parent", "members", "order", "_gens", "_elems")
 
-    def __init__(self, parent: FiniteGroup, members: int, gens=()):
+    def __init__(self, parent: FiniteGroup, members: int, gens=None):
         if not members & 1:
             raise PreconditionError("subgroup must contain the identity (index 0)")
         self.parent = parent
         self.members = members
         self.order = members.bit_count()
-        self.gens = tuple(gens)
+        self._gens = None if gens is None else tuple(gens)
         self._elems = None
         if parent.order % self.order:
             raise PreconditionError("subgroup order must divide the group order")
+
+    @property
+    def gens(self) -> tuple[int, ...]:
+        if self._gens is None:
+            self._gens = tuple(s for s, _ in greedy_generators(
+                self.parent.mult, bit_indices(self.members)))
+        return self._gens
 
     def elements(self) -> tuple[int, ...]:
         if self._elems is None:
@@ -101,19 +112,7 @@ def subgroup_from_members(g: FiniteGroup, members) -> Subgroup:
         for b in elems:
             if not bits >> row[b] & 1:
                 raise PreconditionError("member set is not closed under multiplication")
-    return Subgroup(g, bits, _small_gens(g, bits))
-
-
-def _small_gens(g: FiniteGroup, bits: int) -> tuple[int, ...]:
-    gens: list[int] = []
-    have = 1
-    for e in bit_indices(bits):
-        if not have >> e & 1:
-            gens.append(e)
-            have = closure_bits(g.mult, gens)
-            if have == bits:
-                break
-    return tuple(gens)
+    return Subgroup(g, bits)
 
 
 def cyclic_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
@@ -199,12 +198,12 @@ def _cyclic_extension(g: FiniteGroup, c: int) -> tuple[Subgroup, ...]:
     while layer:
         nxt = []
         for h in layer:
-            hm, room = h.members, c // h.order
+            hm, hgens, room = h.members, h.gens, c // h.order
             covered = hm
             for x, x_inv, p, xp in zuppos:
                 if covered >> x & 1 or room % p or not hm >> xp & 1:
                     continue
-                if not all(hm >> mult[mult[x_inv][s]][x] & 1 for s in h.gens):
+                if not all(hm >> mult[mult[x_inv][s]][x] & 1 for s in hgens):
                     continue
                 bits, y = hm, x
                 for _ in range(p - 1):
@@ -212,7 +211,7 @@ def _cyclic_extension(g: FiniteGroup, c: int) -> tuple[Subgroup, ...]:
                     y = mult[y][x]
                 covered |= bits
                 if bits not in found:
-                    new = Subgroup(g, bits, h.gens + (x,))
+                    new = Subgroup(g, bits, hgens + (x,))
                     found[bits] = new
                     nxt.append(new)
         layer = nxt
@@ -236,7 +235,7 @@ def _join_bits(g: FiniteGroup, h: Subgroup, x: int, cap: int | None = None) -> i
     """
     mult = g.mult
     elems = h.elements()
-    gens = (h.gens or elems) + (x,)
+    gens = h.gens + (x,)
     bits, count = h.members, h.order
     reps = [0]
     for t in reps:
@@ -379,11 +378,9 @@ def overgroups(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
 def overgroups_by_joins(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
     """The join-based overgroup enumeration, independent of the lattice.
 
-    Each join records its seed's gens plus one element, so a seed whose gens
-    do not generate it is given a generating tuple first.
+    Each join ⟨K, x⟩ is grown from K's generators and records them plus x
+    as its own.
     """
-    if closure_bits(g.mult, h.gens) != h.members:
-        h = Subgroup(g, h.members, _small_gens(g, h.members))
     return _join_search(g, [h], cyclic_subgroups(g))
 
 
@@ -406,7 +403,7 @@ def _conj_bits(perm, elems) -> int:
 
 
 def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
-    return normalizes(g, h.members, h.gens or h.elements(), g.generators)
+    return normalizes(g, h.members, h.gens, g.generators)
 
 
 def conjugates(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
@@ -431,28 +428,27 @@ def conjugates(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
 
 def _normal_closure(g: FiniteGroup, seed, by) -> Subgroup:
     """The least subgroup N containing ``seed`` and normalized by ``by``, the
-    normal closure of <seed> in <seed, by>, in one pass over a growing
-    generator list: a conjugate s^b outside N joins the list and N is closed
-    again.  Each kept generator at least doubles N; they become N's gens."""
+    normal closure of <seed> in <seed, by>, in one greedy pass over a
+    worklist: the seed, then the conjugate s^b of each kept generator s by
+    each b.  A candidate outside N joins N's gens and N is closed again."""
     mult, inv = g.mult, g.inv
     gens: list[int] = []
     bits = 1
-    for s in seed:
-        if not bits >> s & 1:
-            gens.append(s)
-            bits = closure_bits(mult, gens)
-    for s in gens:
-        for b in by:
-            c = mult[mult[inv[b]][s]][b]
-            if not bits >> c & 1:
-                gens.append(c)
-                bits = closure_bits(mult, gens)
+
+    def candidates():  # reads gens while the loop below appends to it
+        yield from seed
+        for s in gens:
+            for b in by:
+                yield mult[mult[inv[b]][s]][b]
+
+    for s, bits in greedy_generators(mult, candidates()):
+        gens.append(s)
     return Subgroup(g, bits, tuple(gens))
 
 
 def normal_closure(g: FiniteGroup, h: Subgroup) -> Subgroup:
     """Least normal subgroup of G containing h."""
-    return _normal_closure(g, h.gens or h.elements(), g.generators)
+    return _normal_closure(g, h.gens, g.generators)
 
 
 def core(g: FiniteGroup, h: Subgroup) -> Subgroup:
@@ -460,21 +456,19 @@ def core(g: FiniteGroup, h: Subgroup) -> Subgroup:
     bits = h.members
     for c in conjugates(g, h):
         bits &= c.members
-    return Subgroup(g, bits, _small_gens(g, bits))
+    return Subgroup(g, bits)
 
 
 def normalizer(g: FiniteGroup, h: Subgroup) -> Subgroup:
-    gens = h.gens or h.elements()
     members = 0
     for e in g.elements():
-        if normalizes(g, h.members, gens, (e,)):
+        if normalizes(g, h.members, h.gens, (e,)):
             members |= 1 << e
-    return Subgroup(g, members, _small_gens(g, members))
+    return Subgroup(g, members)
 
 
 def intersection(a: Subgroup, b: Subgroup) -> Subgroup:
-    bits = a.members & b.members
-    return Subgroup(a.parent, bits, _small_gens(a.parent, bits))
+    return Subgroup(a.parent, a.members & b.members)
 
 
 # -- set products and the modular identity ----------------------------------
@@ -511,39 +505,37 @@ def dedekind_identity_check(g: FiniteGroup, a: Subgroup, b: Subgroup,
 # -- commutativity predicates ------------------------------------------------
 
 
-def _as_parent_and_elems(x):
+def as_subgroup(x) -> Subgroup:
+    """A subgroup as itself, a group as its full subgroup (cached)."""
     if isinstance(x, Subgroup):
-        return x.parent, x.elements(), x.members
-    return x, tuple(x.elements()), (1 << x.order) - 1
+        return x
+    return x.cached("full_subgroup", lambda: full_subgroup(x))
 
 
 def is_abelian(x) -> bool:
-    """Whether a group or subgroup is abelian (cached per member set)."""
-    g, elems, bits = _as_parent_and_elems(x)
+    """Whether a group or subgroup is abelian: whether its generators
+    commute pairwise (cached per member set)."""
+    sub = as_subgroup(x)
 
     def compute():
-        for i, a in enumerate(elems):
-            row = g.mult[a]
-            for b in elems[i + 1:]:
-                if row[b] != g.mult[b][a]:
-                    return False
-        return True
+        mult, gens = sub.parent.mult, sub.gens
+        return all(mult[a][b] == mult[b][a]
+                   for i, a in enumerate(gens) for b in gens[i + 1:])
 
-    return g.cached(("abelian", bits), compute)
+    return sub.parent.cached(("abelian", sub.members), compute)
 
 
 def subgroup_exponent(x) -> int:
-    g, elems, bits = _as_parent_and_elems(x)
-    return g.cached(("exponent", bits),
-                    lambda: lcm(element_order(g, e) for e in elems))
+    sub = as_subgroup(x)
+    g = sub.parent
+    return g.cached(("exponent", sub.members),
+                    lambda: lcm(element_order(g, e) for e in sub.elements()))
 
 
 def is_elementary_abelian(x) -> bool:
     """Abelian of prime exponent; the trivial group counts as elementary abelian."""
-    g, elems, bits = _as_parent_and_elems(x)
-    if len(elems) == 1:
-        return True
-    return is_abelian(x) and is_prime(subgroup_exponent(x))
+    sub = as_subgroup(x)
+    return sub.order == 1 or (is_abelian(sub) and is_prime(subgroup_exponent(sub)))
 
 
 # -- lattice export -----------------------------------------------------------

@@ -17,12 +17,13 @@ from .complementation import (c_separating_subgroups,
                               is_completely_factorizable, is_c_separating,
                               is_supercomplemented, subgroup_as_group)
 from .constructions import catalog, holomorph8, split_p5_group
-from .groups import (FiniteGroup, closure_bits, element_order, exponent,
-                     normalizes, primes_of, quotient)
-from .subgroups import (Subgroup, all_subgroups, bit_indices, dedekind_identity_check,
+from .groups import (FiniteGroup, cached_quotient, closure_bits, element_order,
+                     exponent, normalizes, primes_of, quotient)
+from .subgroups import (Subgroup, _conj_bits, _conj_perms, all_subgroups,
+                        bit_indices, dedekind_identity_check,
                         generated_subgroup, is_abelian,
                         is_elementary_abelian, is_normal, overgroups,
-                        product_bits, trivial_subgroup)
+                        overgroups_by_joins, product_bits, trivial_subgroup)
 from .series import (chief_series, derived_length, derived_subgroup,
                      is_nilpotent, frattini, minimal_normal_subgroups,
                      sylow_subgroup)
@@ -196,6 +197,24 @@ def _cyclic_prime_power_hypothesis(g: FiniteGroup, x_sub: Subgroup):
     return True, ""
 
 
+def _supercomplemented_hypothesis(suite, g: FiniteGroup, x_sub: Subgroup,
+                                  prefix: str) -> bool:
+    """Records the ``hypothesis`` claim of the instance suites, skipped unless
+    x_sub is a supercomplemented cyclic subgroup of prime-power order, and
+    returns whether it holds."""
+    ok, reason = _cyclic_prime_power_hypothesis(g, x_sub)
+    if not ok:
+        suite.skip(f"{prefix}.hypothesis", f"skipped: {reason}")
+        return False
+    sc, wit = is_supercomplemented(g, x_sub)
+    if not sc:
+        suite.skip(f"{prefix}.hypothesis", "skipped: subgroup is not supercomplemented",
+                   [sub_witness(wit)])
+        return False
+    suite.check(f"{prefix}.hypothesis", True, [{"m": x_sub.order}])
+    return True
+
+
 def _battery_primes(g: FiniteGroup, x_sub: Subgroup) -> list[int]:
     if x_sub.order > 1:
         return prime_factors(x_sub.order)
@@ -209,8 +228,7 @@ def _has_normal_elem_abelian_of_index(g, p_sub, bound, lat) -> bool:
         if n_sub.order * bound < p_sub.order:
             continue
         if (p_sub.contains(n_sub) and is_elementary_abelian(n_sub)
-                and normalizes(g, n_sub.members, n_sub.gens or n_sub.elements(),
-                               p_sub.gens or p_sub.elements())):
+                and normalizes(g, n_sub.members, n_sub.gens, p_sub.gens)):
             return True
     return False
 
@@ -222,17 +240,9 @@ def verify_supercomplemented_consequences(g: FiniteGroup, x_sub: Subgroup,
     nilpotency, derived length <= 3 (<= 2 for odd p), and a normal elementary
     abelian subgroup of index <= m!."""
     suite = _Suite()
-    ok, reason = _cyclic_prime_power_hypothesis(g, x_sub)
-    if not ok:
-        suite.skip(f"{prefix}.hypothesis", f"skipped: {reason}")
-        return suite.reports
-    sc, wit = is_supercomplemented(g, x_sub)
-    if not sc:
-        suite.skip(f"{prefix}.hypothesis", "skipped: subgroup is not supercomplemented",
-                   [sub_witness(wit)])
+    if not _supercomplemented_hypothesis(suite, g, x_sub, prefix):
         return suite.reports
     m = x_sub.order
-    suite.check(f"{prefix}.hypothesis", True, [{"m": m}])
 
     d = derived_length(g)
     suite.check(f"{prefix}.solvable", d is not None, [{"derived_length": d}])
@@ -272,17 +282,9 @@ def verify_minimal_normal_bounds(g: FiniteGroup, x_sub: Subgroup,
     elementary abelian minimal normal q-subgroup Q has |Q| <= q^((m-1)m)·m^m,
     and exactly |Q| = q when m = 1."""
     suite = _Suite()
-    ok, reason = _cyclic_prime_power_hypothesis(g, x_sub)
-    if not ok:
-        suite.skip(f"{prefix}.hypothesis", f"skipped: {reason}")
-        return suite.reports
-    sc, wit = is_supercomplemented(g, x_sub)
-    if not sc:
-        suite.skip(f"{prefix}.hypothesis", "skipped: subgroup is not supercomplemented",
-                   [sub_witness(wit)])
+    if not _supercomplemented_hypothesis(suite, g, x_sub, prefix):
         return suite.reports
     m = x_sub.order
-    suite.check(f"{prefix}.hypothesis", True, [{"m": m}])
 
     witnesses = []
     ok_all = True
@@ -456,10 +458,6 @@ def run_catalog_suite(names=None) -> list[VerificationReport]:
 
 
 def _entry_suite(entry) -> list[VerificationReport]:
-    from .groups import cached_quotient
-    from .subgroups import _conj_perms, _conj_bits, overgroups_by_joins
-    from .series import derived_length as dlen
-
     suite = _Suite()
     pre = f"catalog.{entry.name}"
     nm = entry.build()
@@ -492,7 +490,7 @@ def _entry_suite(entry) -> list[VerificationReport]:
         sylow_wit.append({"p": p, "sylow_order": syl.order, "count": count})
     suite.check(f"{pre}.sylow", sylow_ok, sylow_wit or [{"primes": 0}])
 
-    d = dlen(g)
+    d = derived_length(g)
     if d is not None:
         factors = chief_series(g).factors
         suite.check(f"{pre}.chief-factors-elementary",
@@ -507,7 +505,7 @@ def _entry_suite(entry) -> list[VerificationReport]:
     for s in lat.subgroups:
         if is_normal(g, s):
             quo, _ = cached_quotient(g, s.members)
-            dq = dlen(quo)
+            dq = derived_length(quo)
             if d is not None and (dq is None or dq > d):
                 mono_ok = False
     suite.check(f"{pre}.quotient-derived-monotone", mono_ok,
@@ -609,8 +607,6 @@ def _dedekind_scan(suite, pre, g, lat):
 def _transport_scan(suite, pre, g, lat):
     """Supercomplementedness survives passing to quotients of intermediate
     subgroups: scan (H, K, N) over conjugacy-class representatives K."""
-    from .groups import cached_quotient
-
     count = 0
     ok = True
     witness = []

@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import math
 import os
+import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +63,43 @@ def test_bounds_out_of_range_is_usage_error(capsys, argv, message):
     code, out, err = run_cli(capsys, "bounds", *argv)
     assert code == 2 and out == ""
     assert err.startswith(message)
+
+
+@pytest.fixture
+def int_str_limit():
+    """Sets the integer-to-string digit limit for one test, then restores it."""
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("argv, printed", [
+    (["--m", "1558"], True), (["--m", "1559"], False),
+    (["--m", "116", "--q", "2"], True), (["--m", "117", "--q", "2"], False),
+    (["--m", "93", "--q", "3"], True), (["--m", "94", "--q", "3"], False),
+])
+def test_bounds_print_up_to_the_integer_string_limit(capsys, int_str_limit, argv, printed):
+    int_str_limit(4300)
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    if printed:
+        assert code == 0 and json.loads(out)["m"] == int(argv[1])
+    else:
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("m", [10 ** 6, 10 ** 7])
+def test_bounds_refuse_oversize_factorials_at_once(capsys, int_str_limit, m):
+    int_str_limit(4300)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "bounds", "--m", str(m))
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == "" and err.startswith("error: m! has about")
+
+
+def test_bounds_without_a_digit_limit_compute_in_full(capsys, int_str_limit):
+    int_str_limit(0)
+    code, out, _ = run_cli(capsys, "bounds", "--m", "3000")
+    assert code == 0 and json.loads(out)["factorial_bound"] == math.factorial(3000)
 
 
 def test_check_supercomplemented_x(capsys):

@@ -1,10 +1,12 @@
 """Distinguished constructions: relation audits, handles, catalog fingerprints."""
 
+import math
 from collections import Counter
 
 import pytest
 
 import complementa as ca
+from complementa.constructions import _unit_group
 from complementa.groups import CapExceededError
 
 
@@ -99,6 +101,35 @@ def test_holomorph_cyclic_small():
     assert ca.holomorph_cyclic(1).group.order == 1
     h3 = ca.holomorph_cyclic(3).group
     assert h3.order == 6 and not ca.is_abelian(h3)
+
+
+def greedy_unit_generators(n):
+    """Positions, in the ascending list of units mod n, of the units kept by
+    a scan in ascending order that keeps each unit outside the subgroup
+    generated by those kept before, closed here by brute force."""
+    units = [u for u in range(1, max(n, 2)) if math.gcd(u, n) == 1] or [1]
+    kept, reached = [], {1 % n}
+    for i, u in enumerate(units[1:], 1):
+        if u not in reached:
+            kept.append(i)
+            frontier = set(reached)
+            while frontier:
+                frontier = {a * units[k] % n for a in frontier for k in kept} - reached
+                reached |= frontier
+    return kept
+
+
+def test_unit_group_generators_are_the_greedy_units():
+    for n in range(1, 65):
+        assert list(_unit_group(n)[0].generators) == greedy_unit_generators(n), n
+
+
+def test_holomorph_cyclic_generators_are_x_then_the_greedy_units():
+    for n in range(2, 65):
+        phi = sum(math.gcd(u, n) == 1 for u in range(1, n))
+        if n * phi <= 512:  # larger holomorphs take up to seconds and 100s of MB
+            assert ca.holomorph_cyclic(n).group.generators == \
+                (phi, *greedy_unit_generators(n)), n
 
 
 def test_holomorph_cyclic8_matches_distinguished_builder(hol8):

@@ -333,6 +333,38 @@ def test_overgroups_of_subgroups_given_without_generators():
         assert bare.cached_value(("sub_div", bare.order)) is None
 
 
+def _built_subgroups(g):
+    """(routine, subgroups it returns) for every routine that builds
+    subgroups of g: the lattice, and each construction applied to it."""
+    lat = ca.all_subgroups(g).subgroups
+    pairs = list(zip(lat, reversed(lat)))
+    yield "all_subgroups", lat
+    yield "intersection", [ca.intersection(a, b) for a, b in pairs]
+    yield "core", [ca.core(g, s) for s in lat]
+    yield "normalizer", [ca.normalizer(g, s) for s in lat]
+    yield "center", [ca.center(g)]
+    yield "frattini", [ca.frattini(g)]
+    yield "chief_series", ca.chief_series(g).terms
+    yield "derived_subgroup", [ca.derived_subgroup(s) for s in lat]
+    yield "commutator_subgroup", [ca.commutator_subgroup(g, a, b) for a, b in pairs]
+    yield "normal_closure", [ca.normal_closure(g, s) for s in lat]
+    yield "subgroup_from_members", [ca.subgroup_from_members(g, s.members) for s in lat]
+    yield "Subgroup", [Subgroup(g, s.members) for s in lat]
+
+
+@pytest.mark.parametrize("name", [e.name for e in ca.catalog() if e.order <= 64])
+def test_every_subgroup_is_generated_by_its_gens(name):
+    g = ca.catalog_entry(name).build().group
+    for routine, subs in _built_subgroups(g):
+        fresh = _fresh(g)  # an empty memo, so is_abelian reads these gens
+        for s in subs:
+            assert closure_bits(g.mult, s.gens) == s.members, (routine, s)
+            elems = s.elements()
+            all_pairs = all(g.mult[a][b] == g.mult[b][a] for a in elems for b in elems)
+            assert ca.is_abelian(Subgroup(fresh, s.members, s.gens)) == all_pairs, \
+                (routine, s)
+
+
 def test_is_normal_and_normalizer_match_conjugation_by_every_element():
     for entry in ca.catalog():
         if entry.order > 64:

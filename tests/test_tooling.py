@@ -1,10 +1,16 @@
 """Tooling outside the library that depends on its names."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+PACKAGE = "complementa"
 
 
 def _load_tracer():
@@ -26,3 +32,46 @@ def test_every_traced_name_resolves_in_the_library():
             assert attr in vars(getattr(mod, cls_name)), path
         else:
             assert callable(getattr(mod, path, None)), f"{mod_name}.{path}"
+
+
+def _attribute_chain(node):
+    """["ca", "groups", "f"] for the expression ca.groups.f, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
+
+
+def _library_names(tree):
+    """(module, attribute path) for every name of the package that a script
+    imports, or reads as an attribute chain from a name bound to a module
+    of the package."""
+    modules = {}
+    reached = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == PACKAGE:
+                    modules[alias.asname or PACKAGE] = alias.name if alias.asname else PACKAGE
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.partition(".")[0] == PACKAGE:
+            reached += [(node.module, [alias.name]) for alias in node.names]
+    for node in ast.walk(tree):
+        chain = _attribute_chain(node) if isinstance(node, ast.Attribute) else None
+        if chain and chain[0] in modules:
+            reached.append((modules[chain[0]], chain[1:]))
+    return reached
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_every_library_name_a_script_reaches_resolves(script):
+    """The scripts are not run by the tests, so a renamed or deleted library
+    name they use, such as ``groups._light_generators``, would go unseen."""
+    reached = _library_names(ast.parse(script.read_text(encoding="utf-8")))
+    assert reached
+    for module, path in reached:
+        obj = importlib.import_module(module)
+        for attr in path:
+            assert hasattr(obj, attr), f"{script.name}: {module}.{'.'.join(path)}"
+            obj = getattr(obj, attr)
