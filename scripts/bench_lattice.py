@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Time lattice enumeration and the covering relation on a fixed corpus.
+"""Time lattice enumeration, the covering relation and the lattice export
+on a fixed corpus.
 
 For each group of the corpus it records the median seconds of
-``all_subgroups`` and of ``SubgroupLattice.inclusion`` over ``REPEATS``
-runs, each on a fresh copy of the group (empty cache), the subgroup count,
-and the number of ``closure_bits`` calls made during enumeration.  The calls
-are counted by a wrapper installed from outside the library.  Writes
-``BENCH_<label>.json`` to ``--out-dir``.
+``all_subgroups``, of ``SubgroupLattice.inclusion`` and of the export over
+``REPEATS`` runs, each on a fresh copy of the group (empty cache), the
+subgroup count, and the number of ``closure_bits`` calls made during
+enumeration.  The export is ``lattice_to_dict`` plus the JSON encoding that
+``complementa lattice`` writes (``cli._emit_json``, into a string buffer);
+it runs after ``inclusion``, so it includes the conjugacy classes but not
+the covering relation.  The calls are counted by a wrapper installed from
+outside the library.  Writes ``BENCH_<label>.json`` to ``--out-dir``.
 
 Usage: PYTHONPATH=src python scripts/bench_lattice.py --label NAME
        [--out-dir .]
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -21,6 +27,7 @@ import sys
 import time
 
 import complementa as ca
+import complementa.cli as cli_module
 import complementa.subgroups as subgroups_module
 from complementa.groups import FiniteGroup
 
@@ -66,7 +73,7 @@ def fresh(g: FiniteGroup) -> FiniteGroup:
 
 def measure(build) -> dict:
     base = build()
-    enum_s, incl_s = [], []
+    enum_s, incl_s, export_s = [], [], []
     for _ in range(REPEATS):
         g = fresh(base)
         counter = ClosureCounter()
@@ -79,14 +86,20 @@ def measure(build) -> dict:
         t0 = time.perf_counter()
         lat.inclusion
         incl_s.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli_module._emit_json(argparse.Namespace(out=None), ca.lattice_to_dict(lat))
+        export_s.append(time.perf_counter() - t0)
     return {
         "order": base.order,
         "subgroups": len(lat),
         "enumeration_s": statistics.median(enum_s),
         "inclusion_s": statistics.median(incl_s),
+        "export_s": statistics.median(export_s),
         "closure_calls": counter.calls,
         "enumeration_runs_s": enum_s,
         "inclusion_runs_s": incl_s,
+        "export_runs_s": export_s,
     }
 
 
@@ -102,7 +115,7 @@ def main() -> int:
         groups[name] = row = measure(build)
         print(f"{name:>26} |G|={row['order']:>3} subgroups={row['subgroups']:>5} "
               f"enum={row['enumeration_s']:8.3f}s incl={row['inclusion_s']:7.3f}s "
-              f"closure_calls={row['closure_calls']}", flush=True)
+              f"export={row['export_s']:7.3f}s closure_calls={row['closure_calls']}", flush=True)
     report = {
         "label": args.label,
         "repeats": REPEATS,

@@ -85,8 +85,65 @@ def _emit(args, payload: str):
         sys.stdout.write(payload)
 
 
+_encode_scalar = json.JSONEncoder().encode
+
+
+def _indented_json(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, raising where it raises.
+
+    With ``indent`` set, ``json`` falls back to its pure-Python encoder.
+    Here the containers are walked in Python, but scalars and keys go
+    through the C encoder, and a list of plain ints is joined in one call.
+    """
+    return _json_text(obj, "\n", set())
+
+
+def _json_text(obj, newline: str, path: set) -> str:
+    """The indented JSON of obj at the level whose line break and indent is
+    ``newline``.  ``path`` holds the ids of the containers being written, to
+    refuse circular references as json does."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, obj)) == {int}:
+            items = map(str, obj)
+        else:
+            _enter(obj, path)
+            items = [_json_text(item, inner, path) for item in obj]
+            path.remove(id(obj))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        _enter(obj, path)
+        items = [_json_key(key) + ": " + _json_text(value, inner, path)
+                 for key, value in obj.items()]
+        path.remove(id(obj))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return _encode_scalar(obj)
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: str as is, int, float, bool and None
+    coerced to the text of their JSON value."""
+    if not isinstance(key, str):
+        if not (isinstance(key, (int, float)) or key is None):
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = _encode_scalar(key)
+    return _encode_scalar(key)
+
+
+def _enter(container, path: set) -> None:
+    if id(container) in path:
+        raise ValueError("Circular reference detected")
+    path.add(id(container))
+
+
 def _emit_json(args, obj):
-    _emit(args, json.dumps(obj, indent=2) + "\n")
+    _emit(args, _indented_json(obj) + "\n")
 
 
 def cmd_build(args) -> int:

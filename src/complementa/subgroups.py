@@ -8,6 +8,7 @@ everything here is deterministic and heavily memoized on the parent group.
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 from ._primes import is_prime, lcm, prime_factors
 from .groups import (CapExceededError, FiniteGroup, PreconditionError,
@@ -23,15 +24,14 @@ def bits_of(indices) -> int:
     return out
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def bit_indices(bits: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while bits:
-        if bits & 1:
-            out.append(i)
-        bits >>= 1
-        i += 1
-    return tuple(out)
+    """The set bit positions of a non-negative int, ascending: the binary
+    digits, least significant first, as 0/1 bytes select from a range."""
+    flags = bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
+    return tuple(compress(range(len(flags)), flags))
 
 
 class Subgroup:
@@ -307,28 +307,33 @@ class SubgroupLattice:
     @property
     def inclusion(self) -> tuple[tuple[int, int], ...]:
         if self._inclusion is None:
-            # The covers of a subgroup are its maximal subgroups: walking the
-            # smaller subgroups in decreasing canonical order, a subgroup is
-            # maximal unless a cover already accepted contains it.
-            members = [s.members for s in self.subgroups]
-            orders = [s.order for s in self.subgroups]
+            # holders[e] is the bitset of the indices of the subgroups that
+            # contain e.  Every subgroup's gens generate it, so the subgroups
+            # containing H are the AND of holders over H's gens; canonical
+            # order puts the strict ones at the indices above H's.  The
+            # covers of H are the minimal ones: the lowest index left is
+            # minimal, and accepting it clears it and everything above it,
+            # so the pairs come out sorted.
+            subs = self.subgroups
+            holders = [0] * self.group.order
+            for i, s in enumerate(subs):
+                bit = 1 << i
+                for e in s.elements():
+                    holders[e] |= bit
+            everything = (1 << len(subs)) - 1
+            above = []
+            for i, s in enumerate(subs):
+                bits = everything
+                for x in s.gens:
+                    bits &= holders[x]
+                above.append(bits >> (i + 1) << (i + 1))
             pairs = []
-            lo = 0
-            for j, big in enumerate(members):
-                while orders[lo] < orders[j]:
-                    lo += 1
-                covers: list[int] = []
-                below = [i for i in range(lo - 1, -1, -1)
-                         if members[i] & big == members[i]]
-                for i in below:
-                    sm = members[i]
-                    for m in covers:
-                        if sm & m == sm:
-                            break
-                    else:
-                        covers.append(sm)
-                        pairs.append((i, j))
-            self._inclusion = tuple(sorted(pairs))
+            for i, bits in enumerate(above):
+                while bits:
+                    k = (bits & -bits).bit_length() - 1
+                    pairs.append((i, k))
+                    bits &= ~(above[k] | 1 << k)
+            self._inclusion = tuple(pairs)
         return self._inclusion
 
     @property
@@ -542,14 +547,19 @@ def is_elementary_abelian(x) -> bool:
 
 
 def lattice_to_dict(lat: SubgroupLattice) -> dict:
-    g = lat.group
+    # A subgroup is normal exactly when its conjugacy class is itself alone.
+    classes = lat.conjugacy_classes
+    normal = [False] * len(lat)
+    for c in classes:
+        if len(c) == 1:
+            normal[c[0]] = True
     return {
-        "group_order": g.order,
+        "group_order": lat.group.order,
         "subgroups": [list(s.elements()) for s in lat.subgroups],
         "orders": [s.order for s in lat.subgroups],
         "inclusion": [list(p) for p in lat.inclusion],
-        "normal": [is_normal(g, s) for s in lat.subgroups],
-        "conjugacy_classes": [list(c) for c in lat.conjugacy_classes],
+        "normal": normal,
+        "conjugacy_classes": [list(c) for c in classes],
     }
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import time
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import complementa as ca
-from complementa.cli import _PREDICATES, run
+import complementa.cli as cli
+from complementa.cli import _PREDICATES, _indented_json, run
 
 
 def run_cli(capsys, *argv):
@@ -429,3 +431,93 @@ def test_fuzzed_arguments_give_json_or_a_usage_error(argv):
         assert code == 2, (argv, err.getvalue())
         assert out.getvalue() == ""
         assert "error:" in err.getvalue(), err.getvalue()
+
+
+# -- the indented JSON writer ------------------------------------------------
+
+
+def assert_written_as_json_does(obj):
+    """The writer's text equals json.dumps(obj, indent=2) on the object
+    itself: reloading JSON would hide non-str keys and tuples."""
+    assert _indented_json(obj) == json.dumps(obj, indent=2)
+
+
+def test_writer_matches_json_on_lattices_and_groups():
+    for entry in ca.catalog():
+        g = entry.build().group
+        assert_written_as_json_does(ca.lattice_to_dict(ca.all_subgroups(g)))
+        assert_written_as_json_does(ca.group_to_dict(g))
+
+
+def test_writer_matches_json_on_bound_reports():
+    for m in range(1, 41):
+        for q in (None, 2, 7):
+            assert_written_as_json_does(ca.bound_report(m, q=q).to_dict())
+
+
+def test_writer_matches_json_on_verify_reports():
+    for reports in (ca.verify_holomorph8(), ca.verify_split_p5(2), ca.verify_split_p5(3)):
+        assert_written_as_json_does(ca.reports_to_dicts(reports, timing=False))
+
+
+def test_writer_matches_json_on_every_check_result(monkeypatch):
+    written = []
+    monkeypatch.setattr(cli, "_emit_json", lambda args, obj: written.append(obj))
+    for name in ("holomorph8", "split-p5-2", "s3xs3"):
+        handles = sorted(ca.catalog_entry(name).build().subgroups) + ["0", "1,2"]
+        for predicate in _PREDICATES:
+            for handle in handles:
+                for mode in ("first", "all"):
+                    assert run(["check", predicate, "--recipe", name,
+                                "--subgroup", handle, "--mode", mode]) == 0
+    for obj in written:
+        assert_written_as_json_does(obj)
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                | st.floats() | st.sampled_from([-0.0, 1e300, -1e300])
+                | st.text() | st.sampled_from(['", "', "\\\"\n\t\x00", "é ☃ \U0001f600"]))
+JSON_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(JSON_KEYS, inner, max_size=5)),
+    max_leaves=40)
+
+
+@given(JSON_VALUES)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_writer_matches_json_on_nested_values(obj):
+    assert_written_as_json_does(obj)
+
+
+def _circular_list():
+    out = [1]
+    out.append([out])
+    return out
+
+
+def _circular_dict():
+    out = {"a": 1}
+    out["b"] = [{"c": out}]
+    return out
+
+
+@pytest.mark.parametrize("obj", [
+    {(1, 2): 3},
+    {"a": [1, {frozenset(): 0}]},
+    [1, 2, {3}],
+    {"a": object()},
+    [1, 10 ** 5000],
+    {"a": 10 ** 5000},
+    {10 ** 5000: 1},
+    _circular_list(),
+    _circular_dict(),
+], ids=["tuple-key", "nested-frozenset-key", "set-value", "object-value",
+        "long-int-in-int-list", "long-int-value", "long-int-key",
+        "circular-list", "circular-dict"])
+def test_writer_raises_where_json_raises(obj):
+    with pytest.raises(Exception) as want:
+        json.dumps(obj, indent=2)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        _indented_json(obj)

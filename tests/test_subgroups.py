@@ -1,12 +1,14 @@
 """Subgroup arithmetic, lattice enumeration, normality and the modular identity."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import complementa as ca
 from complementa._primes import divisors
 from complementa.groups import CapExceededError, PreconditionError
-from complementa.subgroups import (Subgroup, _all_solvable, _cyclic_extension,
-                                   _join_search, _subgroups_order_dividing,
+from complementa.subgroups import (Subgroup, SubgroupLattice, _all_solvable,
+                                   _cyclic_extension, _join_search,
+                                   _subgroups_order_dividing, bit_indices,
                                    bits_of, closure_bits, cyclic_subgroups,
                                    overgroups_by_joins, product_bits)
 from complementa.verify import subset_closure_subgroups
@@ -370,12 +372,15 @@ def test_is_normal_and_normalizer_match_conjugation_by_every_element():
         if entry.order > 64:
             continue
         g = entry.build().group
-        for s in ca.all_subgroups(g).subgroups:
+        lat = ca.all_subgroups(g)
+        exported = ca.lattice_to_dict(lat)["normal"]
+        for i, s in enumerate(lat.subgroups):
             norm = [x for x in g.elements()
                     if all(s.members >> g.conj(e, x) & 1 for e in s.elements())]
             assert ca.normalizer(g, s).elements() == tuple(norm), entry.name
             for h in (s, Subgroup(g, s.members)):
                 assert ca.is_normal(g, h) == (len(norm) == g.order), entry.name
+            assert exported[i] == (len(norm) == g.order), entry.name
 
 
 @pytest.mark.parametrize("name", ["holomorph8", "s3xs3", "c2xa4", "split-p5-2"])
@@ -409,3 +414,74 @@ def test_maximal_subgroups_read_from_inclusion_match_the_maximality_scan():
                 maximal.append(s)
         assert lat.maximal_subgroups() == tuple(sorted(maximal, key=Subgroup.sort_key)), \
             entry.name
+
+
+def reference_inclusion(subs):
+    """The covering relation by a walk over containment: for each subgroup,
+    its smaller subgroups in decreasing canonical order, each one a cover
+    unless a cover already kept contains it."""
+    members = [s.members for s in subs]
+    orders = [s.order for s in subs]
+    pairs = []
+    lo = 0
+    for j, big in enumerate(members):
+        while orders[lo] < orders[j]:
+            lo += 1
+        covers = []
+        below = [i for i in range(lo - 1, -1, -1) if members[i] & big == members[i]]
+        for i in below:
+            sm = members[i]
+            if not any(sm & m == sm for m in covers):
+                covers.append(sm)
+                pairs.append((i, j))
+    return tuple(sorted(pairs))
+
+
+LARGE_LATTICES = {
+    "C2^6": lambda: ca.elementary_abelian(2, 6).group,
+    "C3^5": lambda: ca.elementary_abelian(3, 5).group,
+    "hol32": lambda: ca.holomorph_cyclic(32).group,
+    "dih128": lambda: ca.dihedral(128).group,
+    "S5": lambda: ca.from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], name="S5"),
+    "A5": lambda: ca.from_generators([(1, 2, 3, 4, 0), (0, 2, 3, 1, 4)], name="A5"),
+}
+
+
+@pytest.mark.parametrize("name", [e.name for e in ca.catalog()] + list(LARGE_LATTICES))
+def test_inclusion_matches_the_reference_walk(name):
+    if name in LARGE_LATTICES:
+        g = LARGE_LATTICES[name]()
+    else:
+        g = ca.catalog_entry(name).build().group
+    lat = ca.all_subgroups(g, cap=g.order)
+    assert lat.inclusion == reference_inclusion(lat.subgroups)
+
+
+@pytest.mark.parametrize("name", ["holomorph8", "s3xs3", "c2xa4", "split-p5-3"])
+def test_inclusion_of_subgroups_given_without_generators(name):
+    g = _fresh(ca.catalog_entry(name).build().group)
+    subs = [Subgroup(g, s.members) for s in ca.all_subgroups(g).subgroups]
+    assert all(s._gens is None for s in subs)
+    lat = SubgroupLattice(g, subs)
+    assert lat.inclusion == reference_inclusion(subs)
+
+
+def loop_bit_indices(bits):
+    """bit_indices by one shift per bit position."""
+    out = []
+    i = 0
+    while bits:
+        if bits & 1:
+            out.append(i)
+        bits >>= 1
+        i += 1
+    return tuple(out)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 4096 - 1)
+       | st.sets(st.integers(min_value=0, max_value=4095)).map(bits_of))
+@example(0)
+@example(1)
+@example(2 ** 4096 - 1)
+def test_bit_indices_matches_the_shift_loop(bits):
+    assert bit_indices(bits) == loop_bit_indices(bits)
