@@ -1,16 +1,24 @@
 #!/usr/bin/env python3
-"""Time lattice enumeration, the covering relation and the lattice export
-on a fixed corpus.
+"""Time lattice enumeration, the covering relation, the lattice export and
+the join search on a fixed corpus.
 
-For each group of the corpus it records the median seconds of
+For each group of the lattice corpus it records the median seconds of
 ``all_subgroups``, of ``SubgroupLattice.inclusion`` and of the export over
 ``REPEATS`` runs, each on a fresh copy of the group (empty cache), the
 subgroup count, and the number of ``closure_bits`` calls made during
 enumeration.  The export is ``lattice_to_dict`` plus the JSON encoding that
 ``complementa lattice`` writes (``cli._emit_json``, into a string buffer);
 it runs after ``inclusion``, so it includes the conjugacy classes but not
-the covering relation.  The calls are counted by a wrapper installed from
-outside the library.  Writes ``BENCH_<label>.json`` to ``--out-dir``.
+the covering relation.
+
+The join section times the two uses of the join search: ``all_subgroups``
+on S5 and A5, where it builds the whole lattice, and
+``overgroups_by_joins`` from every subgroup of C3^4 and C5^3 (the lattice
+is built first, outside the timing).  It records the median seconds over
+``REPEATS`` runs on fresh copies and the number of ``_join_bits`` calls.
+
+Calls are counted by a wrapper installed from outside the library.  Writes
+``BENCH_<label>.json`` to ``--out-dir``.
 
 Usage: PYTHONPATH=src python scripts/bench_lattice.py --label NAME
        [--out-dir .]
@@ -31,7 +39,16 @@ import complementa.cli as cli_module
 import complementa.subgroups as subgroups_module
 from complementa.groups import FiniteGroup
 
-REPEATS = 3
+REPEATS = 9
+
+
+def s5() -> FiniteGroup:
+    return ca.from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], name="S5")
+
+
+def a5() -> FiniteGroup:
+    return ca.from_generators([(1, 2, 3, 4, 0), (0, 2, 3, 1, 4)], name="A5")
+
 
 CORPUS = [
     ("holomorph_cyclic(32)", lambda: ca.holomorph_cyclic(32).group),
@@ -39,32 +56,42 @@ CORPUS = [
     ("elementary_abelian(3, 5)", lambda: ca.elementary_abelian(3, 5).group),
     ("elementary_abelian(2, 6)", lambda: ca.elementary_abelian(2, 6).group),
     ("dihedral(128)", lambda: ca.dihedral(128).group),
-    ("S5", lambda: ca.from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], name="S5")),
-    ("A5", lambda: ca.from_generators([(1, 2, 3, 4, 0), (0, 2, 3, 1, 4)], name="A5")),
+    ("S5", s5),
+    ("A5", a5),
+]
+
+# (name, build, what is timed): "lattice" for all_subgroups, "overgroups"
+# for overgroups_by_joins from every subgroup.
+JOIN_CORPUS = [
+    ("S5", s5, "lattice"),
+    ("A5", a5, "lattice"),
+    ("elementary_abelian(3, 4)", lambda: ca.elementary_abelian(3, 4).group, "overgroups"),
+    ("elementary_abelian(5, 3)", lambda: ca.elementary_abelian(5, 3).group, "overgroups"),
 ]
 
 
-class ClosureCounter:
-    """Counts ``closure_bits`` calls by replacing it in every library module
-    that holds a reference to it."""
+class CallCounter:
+    """Counts the calls of a library function by replacing it in every
+    library module that holds a reference to it."""
 
-    def __init__(self):
+    def __init__(self, original):
         self.calls = 0
-        self.original = subgroups_module.closure_bits
+        self.original = original
+        self.name = original.__name__
 
         def counted(*args, **kwargs):
             self.calls += 1
             return self.original(*args, **kwargs)
 
-        self.modules = [m for name, m in sys.modules.items()
-                        if name.startswith("complementa")
-                        and getattr(m, "closure_bits", None) is self.original]
+        self.modules = [m for mod_name, m in sys.modules.items()
+                        if mod_name.startswith("complementa")
+                        and getattr(m, self.name, None) is original]
         for m in self.modules:
-            m.closure_bits = counted
+            setattr(m, self.name, counted)
 
     def restore(self):
         for m in self.modules:
-            m.closure_bits = self.original
+            setattr(m, self.name, self.original)
 
 
 def fresh(g: FiniteGroup) -> FiniteGroup:
@@ -76,7 +103,7 @@ def measure(build) -> dict:
     enum_s, incl_s, export_s = [], [], []
     for _ in range(REPEATS):
         g = fresh(base)
-        counter = ClosureCounter()
+        counter = CallCounter(subgroups_module.closure_bits)
         try:
             t0 = time.perf_counter()
             lat = ca.all_subgroups(g, cap=g.order)
@@ -103,6 +130,33 @@ def measure(build) -> dict:
     }
 
 
+def measure_joins(build, kind: str) -> dict:
+    base = build()
+    runs_s = []
+    for _ in range(REPEATS):
+        g = fresh(base)
+        subs = ca.all_subgroups(g, cap=g.order).subgroups if kind == "overgroups" else ()
+        counter = CallCounter(subgroups_module._join_bits)
+        try:
+            t0 = time.perf_counter()
+            if kind == "lattice":
+                ca.all_subgroups(g, cap=g.order)
+            else:
+                for s in subs:
+                    subgroups_module.overgroups_by_joins(g, s)
+            runs_s.append(time.perf_counter() - t0)
+        finally:
+            counter.restore()
+    return {
+        "order": base.order,
+        "timed": ("all_subgroups" if kind == "lattice"
+                  else f"overgroups_by_joins from each of {len(subs)} subgroups"),
+        "seconds": statistics.median(runs_s),
+        "join_calls": counter.calls,
+        "runs_s": runs_s,
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -116,6 +170,11 @@ def main() -> int:
         print(f"{name:>26} |G|={row['order']:>3} subgroups={row['subgroups']:>5} "
               f"enum={row['enumeration_s']:8.3f}s incl={row['inclusion_s']:7.3f}s "
               f"export={row['export_s']:7.3f}s closure_calls={row['closure_calls']}", flush=True)
+    joins = {}
+    for name, build, kind in JOIN_CORPUS:
+        joins[name] = row = measure_joins(build, kind)
+        print(f"{name:>26} |G|={row['order']:>3} {row['timed']}: "
+              f"{row['seconds']:8.3f}s join_calls={row['join_calls']}", flush=True)
     report = {
         "label": args.label,
         "repeats": REPEATS,
@@ -123,6 +182,7 @@ def main() -> int:
                     "cpus": os.cpu_count(),
                     "python": platform.python_version()},
         "groups": groups,
+        "joins": joins,
     }
     path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:

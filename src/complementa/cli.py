@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 
 from .bounds import bound_report
 from .complementation import (complements, is_completely_factorizable,
@@ -93,7 +94,8 @@ def _indented_json(obj) -> str:
 
     With ``indent`` set, ``json`` falls back to its pure-Python encoder.
     Here the containers are walked in Python, but scalars and keys go
-    through the C encoder, and a list of plain ints is joined in one call.
+    through the C encoder, a list of plain ints is joined in one call, and
+    a list of non-empty lists of plain ints in one join per level.
     """
     return _json_text(obj, "\n", set())
 
@@ -106,8 +108,16 @@ def _json_text(obj, newline: str, path: set) -> str:
         if not obj:
             return "[]"
         inner = newline + "  "
-        if set(map(type, obj)) == {int}:
+        types = set(map(type, obj))
+        if types == {int}:
             items = map(str, obj)
+        elif (types <= {list, tuple} and all(obj)
+              and set(map(type, chain.from_iterable(obj))) == {int}):
+            # no container inside, so no circular reference to refuse
+            deeper = inner + "  "
+            rows = (inner + "]," + inner + "[" + deeper).join(
+                [("," + deeper).join(map(str, row)) for row in obj])
+            return "[" + inner + "[" + deeper + rows + inner + "]" + newline + "]"
         else:
             _enter(obj, path)
             items = [_json_text(item, inner, path) for item in obj]

@@ -256,22 +256,51 @@ def _join_search(g: FiniteGroup, seeds, cyclics, cap: int | None = None) -> tupl
 
     With ``cap`` set, only joins whose order divides cap are kept; any
     subgroup of such order is reachable through joins that stay inside it.
+
+    Each found K is joined with the generator x of each cyclic subgroup
+    unless x lies in ``skip``, a bitset of elements y already known to give
+    a join ⟨K, y⟩ computed before for K.  After joining K with x:
+    - if |⟨K, x⟩ : K| is prime, all of ⟨K, x⟩ goes into ``skip``: no
+      subgroup lies strictly between K and ⟨K, x⟩, so any y in ⟨K, x⟩
+      outside K gives ⟨K, y⟩ = ⟨K, x⟩;
+    - otherwise the double coset KxK goes into ``skip``: for y = k₁·x·k₂,
+      ⟨K, y⟩ contains x = k₁⁻¹·y·k₂⁻¹ and ⟨K, x⟩ contains y.
+    The same holds for a join that exceeds ``cap``.  So every skipped join
+    repeats an earlier one, and the found subgroups, the ``gens`` each
+    records (K's gens plus the x of the first join that finds it) and
+    their order are those of the search without skips.
     """
+    mult = g.mult
     found = {s.members: s for s in seeds}
     frontier = list(found.values())
     while frontier:
         nxt = []
         for sub in frontier:
+            skip, elems, hgens = sub.members, sub.elements(), sub.gens
             for cyc in cyclics:
                 x = cyc.gens[0]
-                if sub.members >> x & 1:
+                if skip >> x & 1:
                     continue
                 bits = _join_bits(g, sub, x, cap)
+                if bits is not None and is_prime(bits.bit_count() // sub.order):
+                    skip |= bits
+                else:
+                    # KxK, grown from Kx one right coset K·t·s at a time
+                    double = _coset_bits(mult, elems, x)
+                    reps = [x]
+                    for t in reps:
+                        row = mult[t]
+                        for s in hgens:
+                            y = row[s]
+                            if not double >> y & 1:
+                                double |= _coset_bits(mult, elems, y)
+                                reps.append(y)
+                    skip |= double
                 if bits is None or bits in found:
                     continue
                 if cap is not None and cap % bits.bit_count():
                     continue
-                new = Subgroup(g, bits, sub.gens + (x,))
+                new = Subgroup(g, bits, hgens + (x,))
                 found[bits] = new
                 nxt.append(new)
         frontier = nxt
@@ -383,8 +412,11 @@ def overgroups(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
 def overgroups_by_joins(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
     """The join-based overgroup enumeration, independent of the lattice.
 
-    Each join ⟨K, x⟩ is grown from K's generators and records them plus x
-    as its own.
+    Each found K is joined with generators x of cyclic subgroups, except
+    those that ``_join_search`` knows to repeat an earlier join of K (x in
+    a double coset K·y·K already joined, or in a join of prime index).  A
+    new ⟨K, x⟩ is grown from K's generators and records them plus x as its
+    own.
     """
     return _join_search(g, [h], cyclic_subgroups(g))
 

@@ -491,6 +491,32 @@ def test_writer_matches_json_on_nested_values(obj):
     assert_written_as_json_does(obj)
 
 
+_ROW = [4, 5]
+
+
+@pytest.mark.parametrize("obj", [
+    [[1, 2], [3]],
+    [(1,), [2, 3], (-4, 0)],
+    {"a": [[1, 2], [3, 4]], "b": [[[5]], [[6, 7]]]},
+    [_ROW, _ROW, [_ROW]],
+    [[1], []],
+    [[True, 1], [2]],
+    [[1], [2.0]],
+    [[1], 2],
+], ids=["rows", "tuple-rows", "nested-rows", "shared-row", "empty-row",
+        "bool-in-row", "float-in-row", "int-beside-rows"])
+def test_writer_matches_json_on_lists_of_int_lists(obj):
+    assert_written_as_json_does(obj)
+
+
+def test_writer_raises_where_json_raises_in_a_list_of_int_lists():
+    obj = [[1], [2, 10 ** 5000]]
+    with pytest.raises(ValueError) as want:
+        json.dumps(obj, indent=2)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        _indented_json(obj)
+
+
 def _circular_list():
     out = [1]
     out.append([out])

@@ -7,7 +7,7 @@ import complementa as ca
 from complementa._primes import divisors
 from complementa.groups import CapExceededError, PreconditionError
 from complementa.subgroups import (Subgroup, SubgroupLattice, _all_solvable,
-                                   _cyclic_extension, _join_search,
+                                   _cyclic_extension, _join_bits, _join_search,
                                    _subgroups_order_dividing, bit_indices,
                                    bits_of, closure_bits, cyclic_subgroups,
                                    overgroups_by_joins, product_bits)
@@ -317,6 +317,67 @@ def test_overgroups_by_joins_match_filtered_lattice():
     for s in lat.subgroups:
         assert overgroups_by_joins(g, s) == tuple(k for k in lat.subgroups
                                                   if k.contains(s))
+
+
+def reference_join_search(g, seeds, cyclics, cap=None):
+    """The join search with no skipped joins: every found K is joined with
+    the generator of every cyclic subgroup outside K."""
+    found = {s.members: s for s in seeds}
+    frontier = list(found.values())
+    while frontier:
+        nxt = []
+        for sub in frontier:
+            for cyc in cyclics:
+                x = cyc.gens[0]
+                if sub.members >> x & 1:
+                    continue
+                bits = _join_bits(g, sub, x, cap)
+                if bits is None or bits in found:
+                    continue
+                if cap is not None and cap % bits.bit_count():
+                    continue
+                new = Subgroup(g, bits, sub.gens + (x,))
+                found[bits] = new
+                nxt.append(new)
+        frontier = nxt
+    return tuple(sorted(found.values(), key=Subgroup.sort_key))
+
+
+def _members_and_gens(subs):
+    return [(s.members, s.gens) for s in subs]
+
+
+@pytest.mark.parametrize("build", [
+    _s5, _a5,
+    lambda: ca.holomorph8().group,
+    lambda: ca.split_p5_group(2).group,
+    lambda: ca.catalog_entry("c2xa4").build().group,
+], ids=["s5", "a5", "holomorph8", "split-p5-2", "c2xa4"])
+def test_join_search_matches_the_search_without_skips(build):
+    """Same subgroups, same recorded gens, same order, uncapped and capped
+    at every divisor of |G|."""
+    g = _fresh(build())
+    cyclics = cyclic_subgroups(g)
+    seeds = [ca.trivial_subgroup(g), *cyclics]
+    assert _members_and_gens(_join_search(g, seeds, cyclics)) == \
+        _members_and_gens(reference_join_search(g, seeds, cyclics))
+    for c in divisors(g.order):
+        cs = [s for s in cyclics if c % s.order == 0]
+        seeds = [ca.trivial_subgroup(g), *cs]
+        assert _members_and_gens(_join_search(g, seeds, cs, cap=c)) == \
+            _members_and_gens(reference_join_search(g, seeds, cs, cap=c)), c
+
+
+@pytest.mark.parametrize("build", [
+    _s5,
+    lambda: ca.elementary_abelian(3, 4).group,
+], ids=["s5", "ea3r4"])
+def test_overgroups_by_joins_match_the_search_without_skips(build):
+    g = build()
+    cyclics = cyclic_subgroups(g)
+    for s in ca.all_subgroups(g).subgroups:
+        assert _members_and_gens(overgroups_by_joins(g, s)) == \
+            _members_and_gens(reference_join_search(g, [s], cyclics)), s
 
 
 def test_overgroups_of_subgroups_given_without_generators():
