@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Time table validation and the quotient constructor.
+"""Time table construction, table validation and the quotient constructor.
 
-For each group of the corpus it records the median seconds of
-``FiniteGroup._validate`` over ``REPEATS`` runs on the already built group,
-and the table cells its associativity check compares: n³ for the exhaustive
-audit (0 above ``ASSOC_AUDIT_CAP``, where that audit was skipped) or k·n²
-for Light's test over the k generators it keeps.  It also records the
-median wall time of ``run_catalog_suite()`` and of the ``quotient`` calls
-made inside it, over ``REPEATS`` runs, each started with the constructor
-caches cleared.  ``quotient`` is timed by a wrapper installed from outside
-the library.  Writes ``BENCH_<label>.json`` to ``--out-dir``.
+For each group of ``CONSTRUCT`` it builds the group ``REPEATS`` times, each
+in a fresh interpreter, and records the median seconds of the constructor
+call and the median peak RSS of that process (``ru_maxrss``, which includes
+the interpreter and the imported library).  For each group of the corpus it
+records the median seconds of ``FiniteGroup._validate`` over ``REPEATS``
+runs on the already built group, and the table cells its associativity
+check compares: n³ for the exhaustive audit (0 above ``ASSOC_AUDIT_CAP``,
+where that audit was skipped) or k·n² for Light's test over the k
+generators it keeps.  It also records the median wall time of
+``run_catalog_suite()`` and of the ``quotient`` calls made inside it, over
+``REPEATS`` runs, each started with the constructor caches cleared.
+``quotient`` is timed by a wrapper installed from outside the library.
+Writes ``BENCH_<label>.json`` to ``--out-dir``.
 
 The corpus includes C64×C64 (order 4096); building it holds about 1 GB.
 
@@ -21,7 +25,9 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
+import subprocess
 import sys
 import time
 
@@ -38,6 +44,37 @@ CORPUS = [
     ("C2^6", lambda: ca.elementary_abelian(2, 6).group),
     ("C64xC64", lambda: ca.direct_product(ca.cyclic(64), ca.cyclic(64))),
 ]
+
+
+CONSTRUCT = {
+    "hol27": lambda: ca.holomorph_cyclic(27),
+    "hol32": lambda: ca.holomorph_cyclic(32),
+    "hol43": lambda: ca.holomorph_cyclic(43),
+    "split-p5-5": lambda: ca.split_p5_group(5, cap=3125),
+    "C64xC64": lambda: ca.direct_product(ca.cyclic(64), ca.cyclic(64)),
+}
+
+
+def construct_once(name: str) -> dict:
+    """Build one ``CONSTRUCT`` group in this process; seconds and peak RSS."""
+    t0 = time.perf_counter()
+    built = CONSTRUCT[name]()
+    seconds = time.perf_counter() - t0
+    group = getattr(built, "group", built)
+    return {"order": group.order, "build_s": seconds,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+
+
+def measure_construction(name: str) -> dict:
+    runs = []
+    for _ in range(REPEATS):
+        out = subprocess.run([sys.executable, __file__, "--construct", name],
+                             check=True, capture_output=True, text=True).stdout
+        runs.append(json.loads(out))
+    return {"order": runs[0]["order"],
+            "build_s": statistics.median(r["build_s"] for r in runs),
+            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
+            "build_runs_s": [r["build_s"] for r in runs]}
 
 
 def cells_compared(g) -> tuple[str, int]:
@@ -116,13 +153,7 @@ def measure_catalog_suite() -> dict:
             "wall_s": statistics.median(wall), "wall_runs_s": wall}
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--out-dir", default=".")
-    args = parser.parse_args()
-
+def measure_validation_and_suite() -> dict:
     groups = {}
     for name, build in CORPUS:
         groups[name] = row = measure_validation(build)
@@ -133,14 +164,36 @@ def main() -> int:
     print(f"catalog suite: {suite['claims']} claims, {suite['failed']} failed, "
           f"{suite['wall_s']:.2f}s, {suite['quotient_calls']} quotients "
           f"{suite['quotient_s']:.2f}s", flush=True)
+    return {"groups": groups, "catalog_suite": suite}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--label")
+    parser.add_argument("--out-dir", default=".")
+    parser.add_argument("--construct", choices=sorted(CONSTRUCT),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.construct:
+        print(json.dumps(construct_once(args.construct)))
+        return 0
+    if args.label is None:
+        parser.error("--label is required")
+
+    construction = {}
+    for name in CONSTRUCT:
+        construction[name] = row = measure_construction(name)
+        print(f"{name:>10} |G|={row['order']:>4} build={row['build_s']:8.4f}s "
+              f"peak_rss={row['peak_rss_mb']:7.1f}MB", flush=True)
     report = {
         "label": args.label,
         "repeats": REPEATS,
         "machine": {"cpu": platform.processor() or platform.machine(),
                     "cpus": os.cpu_count(),
                     "python": platform.python_version()},
-        "groups": groups,
-        "catalog_suite": suite,
+        "construction": construction,
+        **measure_validation_and_suite(),
     }
     path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:

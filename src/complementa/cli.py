@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from itertools import chain
 
 from .bounds import bound_report
@@ -42,7 +43,11 @@ def _resolve_group(args) -> NamedGroup:
         raise GroupError("--recipe is required for this subcommand")
     if os.path.exists(recipe) or recipe.endswith(".json"):
         with open(recipe, "r", encoding="utf-8") as fh:
-            return NamedGroup(group_from_dict(json.load(fh)))
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise GroupError("cayley-v1 document is nested too deeply to decode") from None
+        return NamedGroup(group_from_dict(doc))
     if recipe in _catalog_names():
         return catalog_entry(recipe).build()
     if recipe in RECIPES:
@@ -265,7 +270,9 @@ def cmd_export(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="complementa",
         description="Finite-group complementation analysis over multiplication tables.")
@@ -317,9 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -128,12 +128,6 @@ class FiniteGroup:
 
     # -- element arithmetic ------------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
-
-    def inv_of(self, a: int) -> int:
-        return self.inv[a]
-
     def conj(self, h: int, g: int) -> int:
         """h^g = g^-1 h g."""
         return self.mult[self.mult[self.inv[g]][h]][g]
@@ -289,23 +283,28 @@ def cyclic(n: int, gen_name: str = "x") -> FiniteGroup:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup,
                    cap: int = CONSTRUCTION_CAP) -> FiniteGroup:
-    """Direct product on pairs, encoded as index = a * |H| + b."""
+    """Direct product on pairs, encoded as index = a * |H| + b: the product
+    kernel with every h acting as the identity."""
     n = g.order * h.order
     if n > cap:
         raise CapExceededError("construction", cap, n)
-    ho = h.order
-    mult = [[0] * n for _ in range(n)]
-    for a1 in range(g.order):
-        for b1 in range(ho):
-            row = mult[a1 * ho + b1]
-            grow, hrow = g.mult[a1], h.mult[b1]
-            for a2 in range(g.order):
-                ga = grow[a2] * ho
-                for b2 in range(ho):
-                    row[a2 * ho + b2] = ga + hrow[b2]
-    gens = [a * ho for a in g.generators] + list(h.generators)
-    labels = [_join_labels(g.labels[i // ho], h.labels[i % ho]) for i in range(n)]
-    return FiniteGroup(mult, gens, labels, name=f"{g.name}x{h.name}")
+    identity = np.broadcast_to(np.arange(g.order), (h.order, g.order))
+    return _product(g, h, identity, name=f"{g.name}x{h.name}")
+
+
+def _product(n_grp: FiniteGroup, h_grp: FiniteGroup, alpha_inv,
+             name: str) -> FiniteGroup:
+    """The one product kernel.  ``alpha_inv[h][n]`` is n^(h^-1), and cell
+    (n1·|H| + h1, n2·|H| + h2) holds N[n1, n2^(h1^-1)]·|H| + H[h1, h2],
+    gathered over whole index arrays at once."""
+    total, ho = n_grp.order * h_grp.order, h_grp.order
+    gens = [a * ho for a in n_grp.generators] + list(h_grp.generators)
+    labels = [_join_labels(a, b) for a in n_grp.labels for b in h_grp.labels]
+    # left[n1, h1, n2] = N[n1, n2^(h1^-1)]
+    left = np.array(n_grp.mult, dtype=np.intp)[:, np.asarray(alpha_inv, dtype=np.intp)]
+    right = np.array(h_grp.mult, dtype=np.intp)
+    rows = (left[..., None] * ho + right[:, None, :]).reshape(total, total).tolist()
+    return FiniteGroup(rows, gens, labels, name=name)
 
 
 @dataclass(frozen=True)
@@ -327,17 +326,14 @@ class ActionSpec:
         for gen in self.acting.generators:
             if gen not in self.images:
                 raise ActionError(f"no image for generator {gen}")
+        table = np.array(self.acted.mult, dtype=np.intp)
         for gen, img in self.images.items():
             perm = tuple(img)
             if sorted(perm) != list(range(n)) or perm[0] != 0:
                 raise ActionError(f"image of {gen} is not an identity-fixing permutation")
-            mt = self.acted.mult
-            for a in range(n):
-                pa = perm[a]
-                row, prow = mt[a], mt[pa]
-                for b in range(n):
-                    if perm[row[b]] != prow[perm[b]]:
-                        raise ActionError(f"image of {gen} is not an automorphism")
+            p = np.array(perm, dtype=np.intp)
+            if not np.array_equal(p[table], table[p[:, None], p[None, :]]):
+                raise ActionError(f"image of {gen} is not an automorphism")
 
     def full_action(self) -> list[tuple[int, ...]]:
         """Permutation n -> n^h for every h, or raise if inconsistent."""
@@ -382,23 +378,8 @@ def semidirect_product(n_grp: FiniteGroup, h_grp: FiniteGroup, action: ActionSpe
     if total > cap:
         raise CapExceededError("construction", cap, total)
     alpha = action.full_action()
-    alpha_inv = [alpha[h_grp.inv[h]] for h in range(h_grp.order)]
-    ho = h_grp.order
-    mult = [[0] * total for _ in range(total)]
-    for n1 in range(n_grp.order):
-        nrow = n_grp.mult[n1]
-        for h1 in range(ho):
-            row = mult[n1 * ho + h1]
-            act = alpha_inv[h1]
-            hrow = h_grp.mult[h1]
-            for n2 in range(n_grp.order):
-                nn = nrow[act[n2]] * ho
-                for h2 in range(ho):
-                    row[n2 * ho + h2] = nn + hrow[h2]
-    gens = [a * ho for a in n_grp.generators] + list(h_grp.generators)
-    labels = [_join_labels(n_grp.labels[i // ho], h_grp.labels[i % ho])
-              for i in range(total)]
-    return FiniteGroup(mult, gens, labels, name=f"{n_grp.name}:{h_grp.name}")
+    alpha_inv = [alpha[h] for h in h_grp.inv]
+    return _product(n_grp, h_grp, alpha_inv, name=f"{n_grp.name}:{h_grp.name}")
 
 
 def trivial_action(n_grp: FiniteGroup, h_grp: FiniteGroup) -> ActionSpec:

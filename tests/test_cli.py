@@ -195,6 +195,38 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_too_deeply_nested_document_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "lattice", "--recipe", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_one_parser_serves_every_request_as_a_fresh_one_would(tmp_path, capsys):
+    out_file = tmp_path / "c8.json"
+    requests = [("build", "--recipe", "cyclic", "--n", "8", "--bogus-flag"),
+                ("build", "--recipe", "cyclic", "--n", "8", "--out", str(out_file)),
+                ("build", "--recipe", "cyclic", "--n", "8")]
+
+    def send(argv):
+        code, out, err = run_cli(capsys, *argv)
+        written = out_file.read_text(encoding="utf-8") if out_file.exists() else None
+        out_file.unlink(missing_ok=True)
+        return code, out, err, written
+
+    fresh = []
+    for argv in requests:
+        cli._build_parser.cache_clear()
+        fresh.append(send(argv))
+    assert [(code, bool(out), written is None) for code, out, _, written in fresh] == \
+        [(2, False, True), (0, False, False), (0, True, True)]
+    assert fresh[1][3] == fresh[2][1]
+    parser = cli._build_parser()
+    assert [send(argv) for argv in requests] == fresh
+    assert cli._build_parser() is parser
+
+
 def test_cap_override(capsys):
     code, _, err = run_cli(capsys, "lattice", "--recipe", "cyclic", "--n", "40",
                            "--cap", "20")

@@ -2,11 +2,13 @@
 
 import random
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 
 import complementa as ca
+import complementa.constructions as constructions_module
 import complementa.groups as groups_module
 from complementa.groups import ActionError, CapExceededError, GroupError
 
@@ -118,6 +120,70 @@ def test_semidirect_rejects_non_automorphism():
     # i -> i+1 is no automorphism (does not fix the identity)
     with pytest.raises(ActionError):
         ca.semidirect_product(c4, c2, ca.ActionSpec(c2, c4, {1: (1, 2, 3, 0)}))
+
+
+def test_semidirect_rejects_identity_fixing_non_automorphism():
+    c4, c2 = ca.cyclic(4), ca.cyclic(2)
+    # fixes 0 and permutes C4, but sends 1·1 = 2 to 1 and 1·1 to 2·2 = 0
+    with pytest.raises(ActionError, match="not an automorphism"):
+        ca.semidirect_product(c4, c2, ca.ActionSpec(c2, c4, {1: (0, 2, 1, 3)}))
+
+
+def test_action_images_are_checked_in_order():
+    c4, klein = ca.cyclic(4), ca.direct_product(ca.cyclic(2), ca.cyclic(2))
+    no_automorphism, no_permutation = (0, 2, 1, 3), (1, 0, 2, 3)
+    for images, named in (({1: no_automorphism, 2: no_permutation},
+                           "image of 1 is not an automorphism"),
+                          ({2: no_permutation, 1: no_automorphism},
+                           "image of 2 is not an identity-fixing permutation")):
+        with pytest.raises(ActionError, match=named):
+            ca.semidirect_product(c4, klein, ca.ActionSpec(klein, c4, images))
+
+
+def reference_product(n_grp, h_grp, alpha):
+    """Per-cell oracle for both products: (n1, h1)(n2, h2) =
+    (n1 · n2^(h1^-1), h1 h2) on pairs encoded as n·|H| + h, where
+    ``alpha[h][n]`` is n^h."""
+    ho = h_grp.order
+    return tuple(
+        tuple(n_grp.mult[n1][alpha[h_grp.inv[h1]][n2]] * ho + h_grp.mult[h1][h2]
+              for n2 in range(n_grp.order) for h2 in range(ho))
+        for n1 in range(n_grp.order) for h1 in range(ho))
+
+
+# uncached builders, so every semidirect product they make runs again
+SPLIT_EXTENSIONS = {
+    "holomorph8": constructions_module.holomorph8.__wrapped__,
+    "split-p5-2": partial(constructions_module.split_p5_group.__wrapped__, 2),
+    "split-p5-3": partial(constructions_module.split_p5_group.__wrapped__, 3),
+    **{f"hol{n}": partial(constructions_module.holomorph_cyclic.__wrapped__, n)
+       for n in range(1, 17)},
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_EXTENSIONS)
+def test_semidirect_products_match_the_per_cell_reference(monkeypatch, name):
+    products = []
+
+    def recording(n_grp, h_grp, action, cap=groups_module.CONSTRUCTION_CAP):
+        g = groups_module.semidirect_product(n_grp, h_grp, action, cap=cap)
+        products.append((n_grp, h_grp, action.full_action(), g))
+        return g
+
+    monkeypatch.setattr(constructions_module, "semidirect_product", recording)
+    SPLIT_EXTENSIONS[name]()
+    assert products
+    for n_grp, h_grp, alpha, g in products:
+        assert g.mult == reference_product(n_grp, h_grp, alpha)
+
+
+@pytest.mark.parametrize("a, b", [
+    (ca.symmetric3().group, ca.symmetric3().group),
+    (ca.cyclic(2), ca.alternating4().group),
+], ids=["s3xs3", "c2xa4"])
+def test_direct_products_match_the_per_cell_reference(a, b):
+    g = ca.direct_product(a, b)
+    assert g.mult == reference_product(a, b, [tuple(range(a.order))] * b.order)
 
 
 def test_semidirect_rejects_inconsistent_extension():
