@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Time table construction, table validation and the quotient constructor.
+"""Time cayley-v1 loading, table construction, table validation and the
+quotient constructor.
 
-For each group of ``CONSTRUCT`` it builds the group ``REPEATS`` times, each
-in a fresh interpreter, and records the median seconds of the constructor
-call and the median peak RSS of that process (``ru_maxrss``, which includes
-the interpreter and the imported library).  For each group of the corpus it
-records the median seconds of ``FiniteGroup._validate`` over ``REPEATS``
-runs on the already built group, and the table cells its associativity
-check compares: n³ for the exhaustive audit (0 above ``ASSOC_AUDIT_CAP``,
-where that audit was skipped) or k·n² for Light's test over the k
-generators it keeps.  It also records the median wall time of
+For each group of ``LOAD`` it records the median seconds, over
+``LOAD_REPEATS`` runs, of loading its cayley-v1 text: ``json.loads`` plus
+``group_from_dict``.  For each group of ``CONSTRUCT`` it builds the group
+``REPEATS`` times, each in a fresh interpreter, and records the median
+seconds of the constructor call and the median peak RSS of that process
+(``ru_maxrss``, which includes the interpreter and the imported library).
+For each group of the corpus it records the median seconds, over
+``REPEATS`` runs, of ``FiniteGroup`` on the rows of the already built group
+(tuple rows, validation and inverses), and the table cells its
+associativity check compares: n³ for the exhaustive audit (0 above
+``ASSOC_AUDIT_CAP``, where that audit was skipped) or k·n² for Light's test
+over the k generators it keeps.  It also records the median wall time of
 ``run_catalog_suite()`` and of the ``quotient`` calls made inside it, over
 ``REPEATS`` runs, each started with the constructor caches cleared.
 ``quotient`` is timed by a wrapper installed from outside the library.
@@ -35,6 +39,7 @@ import complementa as ca
 import complementa.groups as groups_module
 
 REPEATS = 3
+LOAD_REPEATS = 9
 
 CORPUS = [
     ("hol32", lambda: ca.holomorph_cyclic(32).group),
@@ -46,6 +51,9 @@ CORPUS = [
 ]
 
 
+LOAD = ("hol27", "hol32")
+
+
 CONSTRUCT = {
     "hol27": lambda: ca.holomorph_cyclic(27),
     "hol32": lambda: ca.holomorph_cyclic(32),
@@ -53,6 +61,16 @@ CONSTRUCT = {
     "split-p5-5": lambda: ca.split_p5_group(5, cap=3125),
     "C64xC64": lambda: ca.direct_product(ca.cyclic(64), ca.cyclic(64)),
 }
+
+
+def measure_load(build) -> dict:
+    text = json.dumps(ca.group_to_dict(build()))
+    runs = []
+    for _ in range(LOAD_REPEATS):
+        t0 = time.perf_counter()
+        g = ca.group_from_dict(json.loads(text))
+        runs.append(time.perf_counter() - t0)
+    return {"order": g.order, "load_s": statistics.median(runs), "load_runs_s": runs}
 
 
 def construct_once(name: str) -> dict:
@@ -91,12 +109,12 @@ def measure_validation(build) -> dict:
     runs = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        g._validate()
+        ca.FiniteGroup(g.mult, g.generators, g.labels, name=g.name)
         runs.append(time.perf_counter() - t0)
     method, cells = cells_compared(g)
     return {"order": g.order, "generators": len(g.generators), "method": method,
-            "cells_compared": cells, "validate_s": statistics.median(runs),
-            "validate_runs_s": runs}
+            "cells_compared": cells, "init_s": statistics.median(runs),
+            "init_runs_s": runs}
 
 
 class QuotientTimer:
@@ -159,7 +177,7 @@ def measure_validation_and_suite() -> dict:
         groups[name] = row = measure_validation(build)
         print(f"{name:>10} |G|={row['order']:>4} {row['method']:>10} "
               f"cells={row['cells_compared']:>11,} "
-              f"validate={row['validate_s']:8.4f}s", flush=True)
+              f"init={row['init_s']:8.4f}s", flush=True)
     suite = measure_catalog_suite()
     print(f"catalog suite: {suite['claims']} claims, {suite['failed']} failed, "
           f"{suite['wall_s']:.2f}s, {suite['quotient_calls']} quotients "
@@ -181,6 +199,10 @@ def main() -> int:
     if args.label is None:
         parser.error("--label is required")
 
+    load = {}
+    for name in LOAD:
+        load[name] = row = measure_load(dict(CORPUS)[name])
+        print(f"{name:>10} |G|={row['order']:>4} load={row['load_s']:8.4f}s", flush=True)
     construction = {}
     for name in CONSTRUCT:
         construction[name] = row = measure_construction(name)
@@ -189,9 +211,11 @@ def main() -> int:
     report = {
         "label": args.label,
         "repeats": REPEATS,
+        "load_repeats": LOAD_REPEATS,
         "machine": {"cpu": platform.processor() or platform.machine(),
                     "cpus": os.cpu_count(),
                     "python": platform.python_version()},
+        "load": load,
         "construction": construction,
         **measure_validation_and_suite(),
     }

@@ -17,7 +17,7 @@ from ._primes import is_prime
 from .groups import (CONSTRUCTION_CAP, ActionSpec, CapExceededError,
                      FiniteGroup, PreconditionError, cyclic, direct_product,
                      from_generators, greedy_generators, semidirect_product)
-from .subgroups import Subgroup, generated_subgroup
+from .subgroups import generated_subgroup
 
 SPLIT_P5_CAP = 243
 
@@ -29,9 +29,6 @@ class NamedGroup:
     group: FiniteGroup
     elements: dict = field(default_factory=dict)
     subgroups: dict = field(default_factory=dict)
-
-    def subgroup(self, name: str) -> Subgroup:
-        return self.subgroups[name]
 
 
 def _named(group: FiniteGroup, elements=None, subgroup_gens=None) -> NamedGroup:
@@ -120,7 +117,7 @@ def _unit_group(n: int) -> tuple[FiniteGroup, list[int]]:
 
 
 @cache
-def holomorph_cyclic(n: int, cap: int = 4096) -> NamedGroup:
+def holomorph_cyclic(n: int, cap: int = CONSTRUCTION_CAP) -> NamedGroup:
     """Holomorph of the cyclic group of order n: C_n extended by its full
     automorphism group (units mod n acting by exponentiation)."""
     if n < 1:
@@ -237,10 +234,6 @@ def build_recipe(recipe: tuple) -> NamedGroup:
     return RECIPES[kind](**params)
 
 
-def _entry(name, recipe, order, abelian, exponent):
-    return CatalogEntry(name, recipe, order, abelian, exponent)
-
-
 @cache
 def catalog() -> tuple[CatalogEntry, ...]:
     """Deterministic test corpus: cyclic and elementary abelian families,
@@ -249,35 +242,35 @@ def catalog() -> tuple[CatalogEntry, ...]:
     lattice cap."""
     entries = []
     for n in range(1, 33):
-        entries.append(_entry(f"c{n}", ("cyclic", {"n": n}), n, True, n))
+        entries.append(CatalogEntry(f"c{n}", ("cyclic", {"n": n}), n, True, n))
     for p, ranks in ((2, (2, 3, 4)), (3, (2, 3, 4)), (5, (2, 3))):
         for r in ranks:
-            entries.append(_entry(f"ea{p}r{r}", ("elementary", {"p": p, "rank": r}),
-                                  p ** r, True, p))
+            entries.append(CatalogEntry(f"ea{p}r{r}", ("elementary", {"p": p, "rank": r}),
+                                        p ** r, True, p))
     for n in range(3, 17):
-        entries.append(_entry(f"dih{2 * n}", ("dihedral", {"n": n}),
-                              2 * n, False, math.lcm(n, 2)))
-    entries.append(_entry("s3", ("s3", {}), 6, False, 6))
-    entries.append(_entry("a4", ("a4", {}), 12, False, 6))
-    entries.append(_entry("dicyclic12", ("dicyclic12", {}), 12, False, 12))
-    entries.append(_entry("holomorph8", ("holomorph8", {}), 32, False, 8))
-    entries.append(_entry("split-p5-2", ("split-p5", {"p": 2}), 32, False, 4))
-    entries.append(_entry("split-p5-3", ("split-p5", {"p": 3}), 243, False, 9))
-    entries.append(_entry("c4xc2",
-                          ("direct", {"factors": (("cyclic", {"n": 4}), ("cyclic", {"n": 2}))}),
-                          8, True, 4))
-    entries.append(_entry("dih8xc2",
-                          ("direct", {"factors": (("dihedral", {"n": 4}), ("cyclic", {"n": 2}))}),
-                          16, False, 4))
-    entries.append(_entry("s3xc3",
-                          ("direct", {"factors": (("s3", {}), ("cyclic", {"n": 3}))}),
-                          18, False, 6))
-    entries.append(_entry("s3xs3",
-                          ("direct", {"factors": (("s3", {}), ("s3", {}))}),
-                          36, False, 6))
-    entries.append(_entry("c2xa4",
-                          ("direct", {"factors": (("cyclic", {"n": 2}), ("a4", {}))}),
-                          24, False, 6))
+        entries.append(CatalogEntry(f"dih{2 * n}", ("dihedral", {"n": n}),
+                                    2 * n, False, math.lcm(n, 2)))
+    entries.append(CatalogEntry("s3", ("s3", {}), 6, False, 6))
+    entries.append(CatalogEntry("a4", ("a4", {}), 12, False, 6))
+    entries.append(CatalogEntry("dicyclic12", ("dicyclic12", {}), 12, False, 12))
+    entries.append(CatalogEntry("holomorph8", ("holomorph8", {}), 32, False, 8))
+    entries.append(CatalogEntry("split-p5-2", ("split-p5", {"p": 2}), 32, False, 4))
+    entries.append(CatalogEntry("split-p5-3", ("split-p5", {"p": 3}), 243, False, 9))
+    entries.append(CatalogEntry(
+        "c4xc2", ("direct", {"factors": (("cyclic", {"n": 4}), ("cyclic", {"n": 2}))}),
+        8, True, 4))
+    entries.append(CatalogEntry(
+        "dih8xc2", ("direct", {"factors": (("dihedral", {"n": 4}), ("cyclic", {"n": 2}))}),
+        16, False, 4))
+    entries.append(CatalogEntry(
+        "s3xc3", ("direct", {"factors": (("s3", {}), ("cyclic", {"n": 3}))}),
+        18, False, 6))
+    entries.append(CatalogEntry(
+        "s3xs3", ("direct", {"factors": (("s3", {}), ("s3", {}))}),
+        36, False, 6))
+    entries.append(CatalogEntry(
+        "c2xa4", ("direct", {"factors": (("cyclic", {"n": 2}), ("a4", {}))}),
+        24, False, 6))
     return tuple(entries)
 
 

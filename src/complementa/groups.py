@@ -1,8 +1,9 @@
 """Finite groups as validated multiplication tables over dense indices 0..n-1.
 
 The identity is always index 0.  Groups are immutable after construction;
-every constructor validates the table: Latin square, identity, inverses,
-generation, and associativity by Light's test over the declared generators
+every constructor validates the table once, as one int32 array: a Latin
+square with identity 0 (so each element's inverse is where 0 sits in its
+row), generation, and associativity by Light's test over the declared generators
 (Clifford and Preston, *The Algebraic Theory of Semigroups* I, 1961, §1.2),
 which is exact once generation is shown and compares k·n² cells for k
 generators instead of n³.
@@ -77,24 +78,17 @@ class FiniteGroup:
 
     def __init__(self, mult, generators, labels, name="G"):
         self.order = len(mult)
-        self.mult = tuple(tuple(row) for row in mult)
+        self.mult = tuple(map(tuple, mult.tolist() if isinstance(mult, np.ndarray) else mult))
         self.generators = tuple(generators)
         self.labels = tuple(labels)
         self.name = name
-        self.inv = self._compute_inverses()
         self._cache: dict = {}
-        self._validate()
+        # in a Latin square with identity 0, each row holds 0 once, as its least entry
+        self.inv = tuple(self._validate(mult).argmin(axis=1).tolist())
 
-    def _compute_inverses(self) -> tuple[int, ...]:
-        inv = [0] * self.order
-        for g, row in enumerate(self.mult):
-            try:
-                inv[g] = row.index(0)
-            except ValueError:
-                raise GroupError(f"row {g} has no inverse entry") from None
-        return tuple(inv)
-
-    def _validate(self):
+    def _validate(self, mult) -> np.ndarray:
+        """Check ``mult`` (rows or an integer array) against this group's
+        order, labels and generators; return it as an int32 array."""
         n = self.order
         if n == 0:
             raise GroupError("empty multiplication table")
@@ -103,18 +97,19 @@ class FiniteGroup:
         bad = [s for s in self.generators if type(s) is not int or not 0 <= s < n]
         if bad:
             raise GroupError(f"generator indices out of range 0..{n - 1}: {bad}")
-        table = np.array(self.mult, dtype=np.int32)
-        if table.shape != (n, n) or table.min() < 0 or table.max() >= n:
-            raise GroupError("table entries out of range")
+        try:
+            table = np.asarray(mult, dtype=np.int32)
+        except OverflowError:
+            table = None
+        if (table is None or table.shape != (n, n)
+                or table.min() < 0 or table.max() >= n):
+            raise GroupError(f"mult entries must be integers in 0..{n - 1}")
         ident = np.arange(n, dtype=np.int32)
         if not (np.array_equal(table[0], ident) and np.array_equal(table[:, 0], ident)):
             raise GroupError("index 0 is not a two-sided identity")
         if not (np.array_equal(np.sort(table, axis=1), np.tile(ident, (n, 1)))
                 and np.array_equal(np.sort(table, axis=0), np.tile(ident[:, None], (1, n)))):
             raise GroupError("table is not a Latin square")
-        inv = np.array(self.inv, dtype=np.int32)
-        if not np.array_equal(table[ident, inv], np.zeros(n, dtype=np.int32)):
-            raise GroupError("inverse table inconsistent")
         # every element must be a left-normed product of generators
         if closure_bits(self.mult, self.generators) != (1 << n) - 1:
             raise GroupError("declared generators do not generate the group")
@@ -125,6 +120,7 @@ class FiniteGroup:
                 np.array_equal(table[table[:, s]], table.take(table[s], axis=1))
                 for s in light):
             raise GroupError("multiplication table is not associative")
+        return table
 
     # -- element arithmetic ------------------------------------------------
 
@@ -301,10 +297,10 @@ def _product(n_grp: FiniteGroup, h_grp: FiniteGroup, alpha_inv,
     gens = [a * ho for a in n_grp.generators] + list(h_grp.generators)
     labels = [_join_labels(a, b) for a in n_grp.labels for b in h_grp.labels]
     # left[n1, h1, n2] = N[n1, n2^(h1^-1)]
-    left = np.array(n_grp.mult, dtype=np.intp)[:, np.asarray(alpha_inv, dtype=np.intp)]
-    right = np.array(h_grp.mult, dtype=np.intp)
-    rows = (left[..., None] * ho + right[:, None, :]).reshape(total, total).tolist()
-    return FiniteGroup(rows, gens, labels, name=name)
+    left = np.array(n_grp.mult, dtype=np.int32)[:, np.asarray(alpha_inv, dtype=np.intp)]
+    right = np.array(h_grp.mult, dtype=np.int32)
+    table = (left[..., None] * ho + right[:, None, :]).reshape(total, total)
+    return FiniteGroup(table, gens, labels, name=name)
 
 
 @dataclass(frozen=True)
@@ -505,7 +501,8 @@ def group_from_dict(data: dict) -> FiniteGroup:
     flat = data.get("mult")
     if not isinstance(flat, list) or len(flat) != n * n:
         raise GroupError("mult must be a list of order^2 entries")
-    if set(map(type, flat)) - {int} or min(flat) < 0 or max(flat) >= n:
+    # numpy would take True and 0.0 as integers; FiniteGroup checks the range
+    if set(map(type, flat)) - {int}:
         raise GroupError(f"mult entries must be integers in 0..{n - 1}")
     gens = data.get("generators", [])
     if not isinstance(gens, list):

@@ -283,6 +283,46 @@ def test_validation_rejects_order_640_loop(loop640):
         ca.FiniteGroup(mult, gens, [str(i) for i in range(len(mult))])
 
 
+def test_validation_rejects_an_entry_beyond_int32():
+    with pytest.raises(GroupError, match=r"mult entries must be integers in 0\.\.2"):
+        ca.FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 2**70]], [1], list("exy"))
+
+
+def inverses_by_row_scan(mult) -> tuple[int, ...]:
+    """Reference inverses: the column of 0 in each row, found by a scan."""
+    return tuple(row.index(0) for row in mult)
+
+
+def relabeled(g, rng):
+    """An isomorphic copy of g with every element but 0 renamed at random."""
+    perm = np.array([0] + rng.sample(range(1, g.order), g.order - 1))
+    table = np.empty((g.order, g.order), dtype=np.int64)
+    table[perm[:, None], perm[None, :]] = perm[np.array(g.mult)]
+    labels = [""] * g.order
+    for i, label in enumerate(g.labels):
+        labels[perm[i]] = label
+    return ca.FiniteGroup(table.tolist(), [int(perm[s]) for s in g.generators], labels)
+
+
+def test_inverses_match_the_row_scan():
+    groups = [entry.build().group for entry in ca.catalog()]
+    groups.append(relabeled(ca.holomorph_cyclic(16).group, random.Random(16)))
+    for g in groups:
+        assert g.inv == inverses_by_row_scan(g.mult), g.name
+        assert all(type(i) is int for i in g.inv), g.name
+
+
+def test_array_and_rows_give_the_same_group():
+    for entry in ca.catalog():
+        g = entry.build().group
+        from_rows = ca.FiniteGroup([list(row) for row in g.mult], g.generators, g.labels)
+        from_array = ca.FiniteGroup(np.array(g.mult, dtype=np.int32), g.generators,
+                                    g.labels)
+        for h in (from_rows, from_array):
+            assert (h.mult, h.inv, h.generators) == (g.mult, g.inv, g.generators)
+            assert all(type(v) is int for v in h.mult[-1]), entry.name
+
+
 def exhaustive_associative(mult) -> bool:
     """Reference verdict: (a·b)·c == a·(b·c) over all n³ triples."""
     table = np.array(mult, dtype=np.int32)
