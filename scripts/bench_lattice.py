@@ -17,6 +17,15 @@ on S5 and A5, where it builds the whole lattice, and
 is built first, outside the timing).  It records the median seconds over
 ``REPEATS`` runs on fresh copies and the number of ``_join_bits`` calls.
 
+The complement section times, on each group of the lattice corpus,
+``is_completely_factorizable``, ``c_separating_subgroups`` and
+``is_supercomplemented`` from every subgroup.  Each run takes a fresh copy
+of the group and builds its lattice before the timing starts, so the
+complement scans and whatever they cache are inside it.  It records the
+median seconds over ``REPEATS`` runs and the answers (the factorizable
+verdict, the number of C-separating and of supercomplemented subgroups),
+which must agree between the two sides of a comparison.
+
 Calls are counted by a wrapper installed from outside the library.  Writes
 ``BENCH_<label>.json`` to ``--out-dir``.
 
@@ -157,6 +166,30 @@ def measure_joins(build, kind: str) -> dict:
     }
 
 
+COMPLEMENT_PREDICATES = {
+    "completely_factorizable": lambda g, lat: ca.is_completely_factorizable(g, g.order)[0],
+    "c_separating": lambda g, lat: len(ca.c_separating_subgroups(g, g.order)),
+    "supercomplemented": lambda g, lat: sum(
+        ca.is_supercomplemented(g, s, g.order)[0] for s in lat.subgroups),
+}
+
+
+def measure_complements(build) -> dict:
+    base = build()
+    row = {"order": base.order}
+    for key, predicate in COMPLEMENT_PREDICATES.items():
+        runs_s = []
+        for _ in range(REPEATS):
+            g = fresh(base)
+            lat = ca.all_subgroups(g, cap=g.order)
+            t0 = time.perf_counter()
+            answer = predicate(g, lat)
+            runs_s.append(time.perf_counter() - t0)
+        row[key] = {"seconds": statistics.median(runs_s), "answer": answer,
+                    "runs_s": runs_s}
+    return row
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -175,6 +208,12 @@ def main() -> int:
         joins[name] = row = measure_joins(build, kind)
         print(f"{name:>26} |G|={row['order']:>3} {row['timed']}: "
               f"{row['seconds']:8.3f}s join_calls={row['join_calls']}", flush=True)
+    complement = {}
+    for name, build in CORPUS:
+        complement[name] = row = measure_complements(build)
+        print(f"{name:>26} |G|={row['order']:>3} " + " ".join(
+            f"{key}={row[key]['seconds']:7.3f}s ({row[key]['answer']})"
+            for key in COMPLEMENT_PREDICATES), flush=True)
     report = {
         "label": args.label,
         "repeats": REPEATS,
@@ -183,6 +222,7 @@ def main() -> int:
                     "python": platform.python_version()},
         "groups": groups,
         "joins": joins,
+        "complement": complement,
     }
     path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .groups import CapExceededError, FiniteGroup, PreconditionError, quotient
 from .subgroups import (LATTICE_CAP, Subgroup, _subgroups_order_dividing,
-                        bit_indices, overgroups)
+                        all_subgroups, bit_indices, overgroups_by_joins)
 
 
 @dataclass(frozen=True)
@@ -52,29 +52,38 @@ def complements(g: FiniteGroup, h: Subgroup, mode: str = "all",
 
 
 def is_complemented(g: FiniteGroup, h: Subgroup, cap: int = LATTICE_CAP) -> bool:
-    _check_cap(g, cap)
-    return g.cached(("complemented", h.members),
-                    lambda: bool(complements(g, h, "first", cap).complements))
+    return bool(complements(g, h, "first", cap).complements)
+
+
+def _uncomplemented(g: FiniteGroup, cap: int):
+    """The lattice of G and the bitset of the indices of its uncomplemented
+    subgroups, computed once per group."""
+    lat = all_subgroups(g, cap)
+    return lat, g.cached("uncomplemented", lambda: sum(
+        1 << i for i, k in enumerate(lat.subgroups) if not is_complemented(g, k, cap)))
+
+
+def _lowest(lat, bits: int):
+    """The subgroup at the lowest set bit of bits, or None if there is none."""
+    return lat.subgroups[(bits & -bits).bit_length() - 1] if bits else None
 
 
 def is_supercomplemented(g: FiniteGroup, h: Subgroup, cap: int = LATTICE_CAP):
     """Whether every subgroup containing h is complemented in G.
 
     Returns (ok, witness); the witness is the first uncomplemented overgroup
-    in canonical order when the answer is False.
+    in canonical order when the answer is False.  With the full subgroup
+    list cached this is one AND of ``above(h)`` with the uncomplemented
+    bitset; otherwise the overgroups come from joins.
     """
     _check_cap(g, cap)
-    for k in overgroups(g, h):
-        if not is_complemented(g, k, cap):
-            return False, k
-    return True, None
-
-
-def _uncomplemented(g: FiniteGroup, cap: int):
-    """The uncomplemented subgroups of G, lazily, in canonical order."""
-    _check_cap(g, cap)
-    return (k for k in _subgroups_order_dividing(g, g.order)
-            if not is_complemented(g, k, cap))
+    if g.cached_value(("sub_div", g.order)) is None:
+        witness = next((k for k in overgroups_by_joins(g, h)
+                        if not is_complemented(g, k, cap)), None)
+    else:
+        lat, bits = _uncomplemented(g, cap)
+        witness = _lowest(lat, lat.above(h) & bits)
+    return witness is None, witness
 
 
 def is_completely_factorizable(g: FiniteGroup, cap: int = LATTICE_CAP):
@@ -84,19 +93,20 @@ def is_completely_factorizable(g: FiniteGroup, cap: int = LATTICE_CAP):
     This is the trivial subgroup being supercomplemented, which the
     ``factorizable-equivalence`` verification claim checks.
     """
-    witness = next(_uncomplemented(g, cap), None)
+    witness = _lowest(*_uncomplemented(g, cap))
     return witness is None, witness
 
 
 def uncomplemented_subgroups(g: FiniteGroup, cap: int = LATTICE_CAP) -> tuple[Subgroup, ...]:
-    return tuple(_uncomplemented(g, cap))
+    lat, bits = _uncomplemented(g, cap)
+    return tuple(lat.subgroups[i] for i in bit_indices(bits))
 
 
 def _uncomplemented_union(g: FiniteGroup, cap: int) -> int:
     """Union of the members of the uncomplemented subgroups: a proper H is
     C-separating exactly when this bitset lies inside H."""
     union = 0
-    for k in _uncomplemented(g, cap):
+    for k in uncomplemented_subgroups(g, cap):
         union |= k.members
     return union
 

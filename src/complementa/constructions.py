@@ -53,6 +53,10 @@ def cyclic_named(n: int) -> NamedGroup:
 @cache
 def dihedral(n: int) -> NamedGroup:
     """Dihedral group of order 2n: rotations by s-inversion."""
+    if n < 1:
+        raise PreconditionError("n must be >= 1")
+    if 2 * n > CONSTRUCTION_CAP:
+        raise CapExceededError("construction", CONSTRUCTION_CAP, 2 * n)
     rot = cyclic(n, "r")
     flip = cyclic(2, "s")
     action = ActionSpec(flip, rot, {1: tuple((-i) % n for i in range(n))})

@@ -319,6 +319,7 @@ class SubgroupLattice:
         self.subgroups = tuple(subgroups)
         self.index_of = {s.members: i for i, s in enumerate(self.subgroups)}
         self._by_order = None
+        self._holders = None
         self._inclusion = None
         self._classes = None
 
@@ -334,28 +335,35 @@ class SubgroupLattice:
         return self._by_order.get(order, ())
 
     @property
-    def inclusion(self) -> tuple[tuple[int, int], ...]:
-        if self._inclusion is None:
-            # holders[e] is the bitset of the indices of the subgroups that
-            # contain e.  Every subgroup's gens generate it, so the subgroups
-            # containing H are the AND of holders over H's gens; canonical
-            # order puts the strict ones at the indices above H's.  The
-            # covers of H are the minimal ones: the lowest index left is
-            # minimal, and accepting it clears it and everything above it,
-            # so the pairs come out sorted.
-            subs = self.subgroups
+    def holders(self) -> list[int]:
+        """holders[e] is the bitset of the indices of the subgroups that contain e."""
+        if self._holders is None:
             holders = [0] * self.group.order
-            for i, s in enumerate(subs):
+            for i, s in enumerate(self.subgroups):
                 bit = 1 << i
                 for e in s.elements():
                     holders[e] |= bit
-            everything = (1 << len(subs)) - 1
-            above = []
-            for i, s in enumerate(subs):
-                bits = everything
-                for x in s.gens:
-                    bits &= holders[x]
-                above.append(bits >> (i + 1) << (i + 1))
+            self._holders = holders
+        return self._holders
+
+    def above(self, h: Subgroup) -> int:
+        """Bitset of the indices of the subgroups that contain h: the AND of
+        ``holders`` over h's gens, which generate h."""
+        holders = self.holders
+        bits = (1 << len(self.subgroups)) - 1
+        for x in h.gens:
+            bits &= holders[x]
+        return bits
+
+    @property
+    def inclusion(self) -> tuple[tuple[int, int], ...]:
+        if self._inclusion is None:
+            # Canonical order puts the strict overgroups of H at the indices
+            # above H's.  The covers of H are the minimal ones: the lowest
+            # index left is minimal, and accepting it clears it and
+            # everything above it, so the pairs come out sorted.
+            above = [self.above(s) >> (i + 1) << (i + 1)
+                     for i, s in enumerate(self.subgroups)]
             pairs = []
             for i, bits in enumerate(above):
                 while bits:
@@ -367,6 +375,8 @@ class SubgroupLattice:
 
     @property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
+        if self._classes is None and is_abelian(self.group):  # all normal
+            self._classes = tuple((i,) for i in range(len(self.subgroups)))
         if self._classes is None:
             g = self.group
             assigned = [-1] * len(self.subgroups)
@@ -399,14 +409,15 @@ def all_subgroups(g: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
 
 
 def overgroups(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
-    """All subgroups K with H <= K <= G, by joins with cyclic subgroups.
+    """All subgroups K with H <= K <= G, canonically sorted.
 
-    Does not require the full lattice; reuses it when already built.
+    Read off the lattice index (``SubgroupLattice.above``) when the full
+    subgroup list is cached; otherwise found by joins with cyclic subgroups.
     """
-    full = g.cached_value(("sub_div", g.order))
-    if full is not None:
-        return tuple(s for s in full if s.contains(h))
-    return overgroups_by_joins(g, h)
+    if g.cached_value(("sub_div", g.order)) is None:
+        return overgroups_by_joins(g, h)
+    lat = all_subgroups(g, cap=g.order)
+    return tuple(lat.subgroups[i] for i in bit_indices(lat.above(h)))
 
 
 def overgroups_by_joins(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:

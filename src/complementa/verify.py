@@ -305,26 +305,6 @@ def verify_minimal_normal_bounds(g: FiniteGroup, x_sub: Subgroup,
     return suite.reports
 
 
-def _supercomplemented_class_map(g: FiniteGroup) -> dict[int, bool]:
-    """members-bits -> supercomplemented flag, for cyclic prime-power subgroups,
-    computed once per conjugacy class (the predicate is conjugation-invariant)."""
-
-    def build():
-        lat = all_subgroups(g)
-        flags: dict[int, bool] = {}
-        for cls in lat.conjugacy_classes:
-            rep = lat.subgroups[cls[0]]
-            ok, _ = _cyclic_prime_power_hypothesis(g, rep)
-            if not ok:
-                continue
-            sc, _ = is_supercomplemented(g, rep)
-            for i in cls:
-                flags[lat.subgroups[i].members] = sc
-        return flags
-
-    return g.cached("sc_class_map", build)
-
-
 def verify_c_separating_consequences(g: FiniteGroup, h_sub: Subgroup,
                                      prefix: str = "instance") -> list[VerificationReport]:
     """Given a verified C-separating subgroup H: solvability, and for some
@@ -342,14 +322,13 @@ def verify_c_separating_consequences(g: FiniteGroup, h_sub: Subgroup,
     suite.check(f"{prefix}.solvable", d is not None, [{"derived_length": d}])
 
     lat = all_subgroups(g)
-    sc_map = _supercomplemented_class_map(g)
     chosen = None
     for p in sorted(primes_of(g)):
         candidates = [s for s in lat.subgroups
                       if s.order > 1 and is_p_power(s.order, p)
-                      and sc_map.get(s.members)
                       and not h_sub.contains(s)
-                      and any(element_order(g, e) == s.order for e in s.elements())]
+                      and any(element_order(g, e) == s.order for e in s.elements())
+                      and is_supercomplemented(g, s)[0]]
         for cand in candidates:
             if _primary_structure_holds(g, lat, p, cand.order):
                 chosen = (p, cand)
@@ -661,14 +640,12 @@ def _frattini_spot_checks(suite, pre, g, lat):
 
 
 def _supercomplemented_cyclic_reps(g: FiniteGroup) -> list[Subgroup]:
+    """One subgroup per conjugacy class that is cyclic of prime-power order
+    and supercomplemented (both properties are conjugation-invariant)."""
     lat = all_subgroups(g)
-    sc_map = _supercomplemented_class_map(g)
-    reps = []
-    for cls in lat.conjugacy_classes:
-        rep = lat.subgroups[cls[0]]
-        if sc_map.get(rep.members):
-            reps.append(rep)
-    return reps
+    reps = (lat.subgroups[cls[0]] for cls in lat.conjugacy_classes)
+    return [s for s in reps if _cyclic_prime_power_hypothesis(g, s)[0]
+            and is_supercomplemented(g, s)[0]]
 
 
 def _instance_batteries(suite, pre, g):

@@ -266,6 +266,16 @@ def test_construction_cap_is_checked_before_primality(capsys, monkeypatch, argv)
     assert err.startswith("error: construction cap exceeded")
 
 
+@pytest.mark.parametrize("n, message", [
+    ("5000", "error: construction cap exceeded: 10000 > 4096\n"),
+    ("0", "error: n must be >= 1\n"),
+])
+def test_dihedral_reports_its_own_order_and_argument(capsys, n, message):
+    code, out, err = run_cli(capsys, "lattice", "--recipe", "dihedral", "--n", n)
+    assert code == 2 and out == ""
+    assert err == message
+
+
 def test_unknown_subgroup_handle(capsys):
     code, _, err = run_cli(capsys, "check", "normal", "--recipe", "s3",
                            "--subgroup", "nope")

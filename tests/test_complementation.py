@@ -174,6 +174,12 @@ def test_uncomplemented_sets():
     bad = ca.uncomplemented_subgroups(c4)
     assert [set(s.elements()) for s in bad] == [{0, 2}]
     assert ca.uncomplemented_subgroups(ca.symmetric3().group) == ()
+    for entry in ca.catalog():
+        if entry.order <= 64:
+            g = entry.build().group
+            lat = ca.all_subgroups(g)
+            assert ca.uncomplemented_subgroups(g) == tuple(
+                k for k in lat.subgroups if not ca.is_complemented(g, k)), entry.name
 
 
 @pytest.mark.parametrize("build", [

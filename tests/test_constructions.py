@@ -67,7 +67,7 @@ def test_split_p5_rejects_large_p():
 
 @pytest.mark.parametrize("build, requested", [
     (lambda: ca.cyclic(10**6), 10**6),
-    (lambda: ca.dihedral(2**70), 2**70),
+    (lambda: ca.dihedral(2**70), 2**71),  # the order 2n, not n
     (lambda: ca.holomorph_cyclic(4000), 4000 * 1600),
     (lambda: ca.holomorph_cyclic(2**70), 2**70),
     (lambda: ca.elementary_abelian(2, 2**70), 2**13),

@@ -381,18 +381,24 @@ def test_overgroups_by_joins_match_the_search_without_skips(build):
 
 
 def test_overgroups_of_subgroups_given_without_generators():
+    # is_supercomplemented reads the lattice index on g, whose lattice is
+    # built, and searches by joins on bare, whose lattice is not
     for entry in ca.catalog():
         if entry.order > 64:
             continue
         g = entry.build().group
         lat = ca.all_subgroups(g)
-        bare = _fresh(g)  # no full lattice, so overgroups come from joins
+        bare = _fresh(g)
         for s in lat.subgroups[1:]:
             above = tuple(k for k in lat.subgroups if k.contains(s))
-            assert overgroups_by_joins(g, Subgroup(g, s.members)) == above, entry.name
+            plain = Subgroup(g, s.members)
+            assert overgroups_by_joins(g, plain) == above, entry.name
+            assert ca.overgroups(g, plain) == above, entry.name
             bad = next((k for k in above if not ca.is_complemented(g, k)), None)
-            ok, wit = ca.is_supercomplemented(bare, Subgroup(bare, s.members))
-            assert (ok, wit and wit.members) == (bad is None, bad and bad.members)
+            for grp in (g, bare):
+                ok, wit = ca.is_supercomplemented(grp, Subgroup(grp, s.members))
+                assert (ok, wit and wit.members) == (bad is None, bad and bad.members), \
+                    (entry.name, grp is g)
         assert bare.cached_value(("sub_div", bare.order)) is None
 
 
