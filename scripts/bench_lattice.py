@@ -5,8 +5,11 @@ the join search on a fixed corpus.
 For each group of the lattice corpus it records the median seconds of
 ``all_subgroups``, of ``SubgroupLattice.inclusion`` and of the export over
 ``REPEATS`` runs, each on a fresh copy of the group (empty cache), the
-subgroup count, and the number of ``closure_bits`` calls made during
-enumeration.  The export is ``lattice_to_dict`` plus the JSON encoding that
+subgroup count, the number of ``closure_bits`` calls made during
+enumeration, and the number of subgroups the enumeration extended or joined.
+That last count is read off the enumeration's memo entry: when it records
+conjugacy classes, one representative per class was extended or joined;
+when it holds the subgroups alone, every subgroup found was.  The export is ``lattice_to_dict`` plus the JSON encoding that
 ``complementa lattice`` writes (``cli._emit_json``, into a string buffer);
 it runs after ``inclusion``, so it includes the conjugacy classes but not
 the covering relation.
@@ -126,9 +129,12 @@ def measure(build) -> dict:
         with contextlib.redirect_stdout(io.StringIO()):
             cli_module._emit_json(argparse.Namespace(out=None), ca.lattice_to_dict(lat))
         export_s.append(time.perf_counter() - t0)
+    memo = g.cached_value(("sub_div", g.order))
+    extended = len(memo[1]) if isinstance(memo[0], tuple) else len(lat)
     return {
         "order": base.order,
         "subgroups": len(lat),
+        "extended_or_joined": extended,
         "enumeration_s": statistics.median(enum_s),
         "inclusion_s": statistics.median(incl_s),
         "export_s": statistics.median(export_s),
@@ -201,6 +207,7 @@ def main() -> int:
     for name, build in CORPUS:
         groups[name] = row = measure(build)
         print(f"{name:>26} |G|={row['order']:>3} subgroups={row['subgroups']:>5} "
+              f"extended_or_joined={row['extended_or_joined']:>5} "
               f"enum={row['enumeration_s']:8.3f}s incl={row['inclusion_s']:7.3f}s "
               f"export={row['export_s']:7.3f}s closure_calls={row['closure_calls']}", flush=True)
     joins = {}

@@ -507,7 +507,9 @@ def group_from_dict(data: dict) -> FiniteGroup:
     gens = data.get("generators", [])
     if not isinstance(gens, list):
         raise GroupError("generators must be a list of element indices")
-    labels = data.get("labels") or [str(i) for i in range(n)]
+    labels = data.get("labels")
+    if labels is None:
+        labels = [str(i) for i in range(n)]
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise GroupError("labels must be a list of strings")
     mult = [flat[i * n:(i + 1) * n] for i in range(n)]

@@ -40,7 +40,10 @@ class Subgroup:
     ``gens`` always generates ``members``: closure_bits(parent.mult, gens)
     == members.  A routine that builds the subgroup from a generating tuple
     passes that tuple and it is kept; every other subgroup derives its tuple
-    on first read, greedily from its elements in ascending order.  User
+    on first read, greedily from its elements in ascending order.  The
+    lattice enumeration works by conjugacy class: a class representative
+    keeps the tuple its search built, and each other subgroup of the class
+    the conjugate of the tuple of the subgroup it was conjugated from.  User
     input reaches here only through ``generated_subgroup``.  ``gens`` is not
     part of the identity of the subgroup, which is (parent, members) only.
     """
@@ -145,20 +148,29 @@ def _subgroups_order_dividing(g: FiniteGroup, c: int) -> tuple[Subgroup, ...]:
     When ``_all_solvable`` cannot show that (c ≥ 60 with three or more
     prime factors, and G not solvable) it falls back to joins with cyclic
     subgroups of order dividing c, keeping the joins whose order divides c
-    (``_join_search``).  Derived from the full lattice when that is cached.
+    (``_join_search``).  Both run by conjugacy class, and the memo entry
+    ``("sub_div", c)`` keeps the classes they find beside the subgroups, each
+    class a tuple of member bitsets.  Derived from the full lattice when
+    that is cached.
     """
     c = math.gcd(g.order, c)
 
     def build():
         full = g.cached_value(("sub_div", g.order))
         if full is not None:
-            return tuple(s for s in full if c % s.order == 0)
+            subs, classes = full
+            return (tuple(s for s in subs if c % s.order == 0),
+                    tuple(k for k in classes if c % k[0].bit_count() == 0))
+        classes = []
         if _all_solvable(g, c):
-            return _cyclic_extension(g, c)
-        cyclics = [s for s in cyclic_subgroups(g) if c % s.order == 0]
-        return _join_search(g, [trivial_subgroup(g), *cyclics], cyclics, cap=c)
+            subs = _cyclic_extension(g, c, classes)
+        else:
+            cyclics = [s for s in cyclic_subgroups(g) if c % s.order == 0]
+            subs = _join_search(g, [trivial_subgroup(g), *cyclics], cyclics,
+                                cap=c, classes=classes)
+        return subs, tuple(classes)
 
-    return g.cached(("sub_div", c), build)
+    return g.cached(("sub_div", c), build)[0]
 
 
 def _all_solvable(g: FiniteGroup, c: int) -> bool:
@@ -176,15 +188,23 @@ def _all_solvable(g: FiniteGroup, c: int) -> bool:
     return derived_length(g) is not None
 
 
-def _cyclic_extension(g: FiniteGroup, c: int) -> tuple[Subgroup, ...]:
-    """Neubüser's cyclic-extension method, for c with solvable subgroups only.
+def _cyclic_extension(g: FiniteGroup, c: int, classes: list) -> tuple[Subgroup, ...]:
+    """Neubüser's cyclic-extension method, for c with solvable subgroups only,
+    run on one representative per conjugacy class.
 
-    For each found H and each cyclic subgroup <x> of prime-power order with
-    p·|H| dividing c, where p is the prime of |x|: if x is not in H, x^p is
-    in H and x normalizes H, then H·<x> = H ∪ Hx ∪ ... ∪ Hx^(p-1) is a
-    subgroup of order p·|H|.  Any valid y in that subgroup outside H gives
-    the same extension, so the bitset ``covered`` of the extensions already
-    built from H lets later candidates in it be skipped.
+    For each representative H and each cyclic subgroup <x> of prime-power
+    order with p·|H| dividing c, where p is the prime of |x|: if x is not in
+    H, x^p is in H and x normalizes H, then H·<x> = H ∪ Hx ∪ ... ∪ Hx^(p-1)
+    is a subgroup of order p·|H|.  Any valid y in that subgroup outside H
+    gives the same extension, so the bitset ``covered`` of the extensions
+    already built from H lets later candidates in it be skipped.
+
+    A new subgroup L = H·<x> records H's gens plus x, and its whole class
+    goes into the found set (``_class_of``, appended to ``classes``); L is
+    the next layer's representative of that class.  This misses nothing:
+    a subgroup with a normal subgroup M of prime index, M = H^g for a
+    representative H, is the conjugate by g of an extension of H.  Only the
+    representatives record the gens the extension of every subgroup would.
     """
     mult, inv = g.mult, g.inv
     zuppos = []
@@ -195,6 +215,7 @@ def _cyclic_extension(g: FiniteGroup, c: int) -> tuple[Subgroup, ...]:
             zuppos.append((x, inv[x], primes[0], g.power(x, primes[0])))
     layer = [trivial_subgroup(g)]
     found = {1: layer[0]}
+    classes.append((1,))
     while layer:
         nxt = []
         for h in layer:
@@ -212,7 +233,9 @@ def _cyclic_extension(g: FiniteGroup, c: int) -> tuple[Subgroup, ...]:
                 covered |= bits
                 if bits not in found:
                     new = Subgroup(g, bits, hgens + (x,))
-                    found[bits] = new
+                    cls = _class_of(g, new)
+                    found.update(cls)
+                    classes.append(tuple(cls))
                     nxt.append(new)
         layer = nxt
     return tuple(sorted(found.values(), key=Subgroup.sort_key))
@@ -251,13 +274,24 @@ def _join_bits(g: FiniteGroup, h: Subgroup, x: int, cap: int | None = None) -> i
     return bits
 
 
-def _join_search(g: FiniteGroup, seeds, cyclics, cap: int | None = None) -> tuple[Subgroup, ...]:
+def _join_search(g: FiniteGroup, seeds, cyclics, cap: int | None = None,
+                 classes: list | None = None) -> tuple[Subgroup, ...]:
     """Close ``seeds`` under joins with ``cyclics``, canonically sorted.
 
     With ``cap`` set, only joins whose order divides cap are kept; any
     subgroup of such order is reachable through joins that stay inside it.
 
-    Each found K is joined with the generator x of each cyclic subgroup
+    With ``classes`` a list, the search runs by conjugacy class, for seeds
+    and cyclics closed under conjugation: each seed or join not found before
+    brings its whole class into the found set (``_class_of``, appended to
+    ``classes``) and is the one subgroup of that class that is joined in
+    turn.  Since ⟨K, x⟩^g = ⟨K^g, x^g⟩, the joins of the conjugates of K
+    are the conjugates of joins of K.  Only the subgroups joined record the
+    gens the search without classes would.  With ``classes`` None (the
+    overgroup search, whose seed is one subgroup) every found subgroup is
+    joined.
+
+    Each joined K is joined with the generator x of each cyclic subgroup
     unless x lies in ``skip``, a bitset of elements y already known to give
     a join ⟨K, y⟩ computed before for K.  After joining K with x:
     - if |⟨K, x⟩ : K| is prime, all of ⟨K, x⟩ goes into ``skip``: no
@@ -271,8 +305,20 @@ def _join_search(g: FiniteGroup, seeds, cyclics, cap: int | None = None) -> tupl
     their order are those of the search without skips.
     """
     mult = g.mult
-    found = {s.members: s for s in seeds}
-    frontier = list(found.values())
+
+    def orbit(sub):
+        if classes is None:
+            return {sub.members: sub}
+        cls = _class_of(g, sub)
+        classes.append(tuple(cls))
+        return cls
+
+    found: dict[int, Subgroup] = {}
+    frontier = []
+    for s in seeds:
+        if s.members not in found:
+            found.update(orbit(s))
+            frontier.append(s)
     while frontier:
         nxt = []
         for sub in frontier:
@@ -301,7 +347,7 @@ def _join_search(g: FiniteGroup, seeds, cyclics, cap: int | None = None) -> tupl
                 if cap is not None and cap % bits.bit_count():
                     continue
                 new = Subgroup(g, bits, hgens + (x,))
-                found[bits] = new
+                found.update(orbit(new))
                 nxt.append(new)
         frontier = nxt
     return tuple(sorted(found.values(), key=Subgroup.sort_key))
@@ -322,6 +368,7 @@ class SubgroupLattice:
         self._holders = None
         self._inclusion = None
         self._classes = None
+        self._class_bits = None  # set by all_subgroups
 
     def __len__(self):
         return len(self.subgroups)
@@ -375,20 +422,18 @@ class SubgroupLattice:
 
     @property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        if self._classes is None and is_abelian(self.group):  # all normal
-            self._classes = tuple((i,) for i in range(len(self.subgroups)))
+        """The partition of subgroup indices into conjugacy classes, each
+        class sorted, classes ordered by their lowest index.  Read off the
+        classes that the enumeration recorded, so it is known only for a
+        lattice built by ``all_subgroups``."""
         if self._classes is None:
-            g = self.group
-            assigned = [-1] * len(self.subgroups)
-            classes = []
-            for i, sub in enumerate(self.subgroups):
-                if assigned[i] >= 0:
-                    continue
-                orbit = sorted(self.index_of[c.members] for c in conjugates(g, sub))
-                for k in orbit:
-                    assigned[k] = len(classes)
-                classes.append(tuple(orbit))
-            self._classes = tuple(classes)
+            if self._class_bits is None:
+                raise PreconditionError(
+                    "conjugacy classes are recorded only by all_subgroups")
+            index_of = self.index_of
+            self._classes = tuple(sorted(
+                tuple(sorted(index_of[bits] for bits in cls))
+                for cls in self._class_bits))
         return self._classes
 
     def maximal_subgroups(self) -> tuple[Subgroup, ...]:
@@ -403,7 +448,9 @@ def all_subgroups(g: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
         raise CapExceededError("lattice", cap, g.order)
 
     def build():
-        return SubgroupLattice(g, _subgroups_order_dividing(g, g.order))
+        lat = SubgroupLattice(g, _subgroups_order_dividing(g, g.order))
+        lat._class_bits = g.cached_value(("sub_div", g.order))[1]
+        return lat
 
     return g.cached("lattice", build)
 
@@ -454,9 +501,14 @@ def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
     return normalizes(g, h.members, h.gens, g.generators)
 
 
-def conjugates(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
-    """The conjugacy class of h, canonically sorted."""
+def _class_of(g: FiniteGroup, h: Subgroup) -> dict[int, Subgroup]:
+    """The conjugacy class of h as {members: subgroup}, h itself first: the
+    closure of {h} under the generator permutations, each conjugate with the
+    conjugated gens of the subgroup it was reached from.  In an abelian G,
+    h alone."""
     seen = {h.members: h}
+    if is_abelian(g):
+        return seen
     frontier = [h]
     perms = _conj_perms(g)
     while frontier:
@@ -471,7 +523,12 @@ def conjugates(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
                     seen[bits] = new
                     nxt.append(new)
         frontier = nxt
-    return tuple(sorted(seen.values(), key=Subgroup.sort_key))
+    return seen
+
+
+def conjugates(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
+    """The conjugacy class of h, canonically sorted."""
+    return tuple(sorted(_class_of(g, h).values(), key=Subgroup.sort_key))
 
 
 def _normal_closure(g: FiniteGroup, seed, by) -> Subgroup:
@@ -502,8 +559,8 @@ def normal_closure(g: FiniteGroup, h: Subgroup) -> Subgroup:
 def core(g: FiniteGroup, h: Subgroup) -> Subgroup:
     """Intersection of all conjugates of h (the largest normal subgroup inside)."""
     bits = h.members
-    for c in conjugates(g, h):
-        bits &= c.members
+    for c in _class_of(g, h):
+        bits &= c
     return Subgroup(g, bits)
 
 

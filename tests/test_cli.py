@@ -306,6 +306,28 @@ def test_negative_generator_index_is_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and "[-1]" in err
 
 
+@pytest.mark.parametrize("labels", [0, False, "", {}, []],
+                         ids=["zero", "false", "empty-string", "empty-object", "empty-list"])
+def test_empty_or_false_labels_are_usage_errors(tmp_path, capsys, labels):
+    doc = {"version": "cayley-v1", "order": 3, "mult": C3_MULT, "generators": [1],
+           "labels": labels}
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "build", "--recipe", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "labels" in err
+
+
+@pytest.mark.parametrize("extra", [{}, {"labels": None}], ids=["missing", "null"])
+def test_missing_or_null_labels_default_to_indices(tmp_path, capsys, extra):
+    doc = {"version": "cayley-v1", "order": 3, "mult": C3_MULT, "generators": [1],
+           **extra}
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "build", "--recipe", str(path))
+    assert code == 0 and json.loads(out)["labels"] == ["0", "1", "2"]
+
+
 def test_top_level_array_is_usage_error(tmp_path, capsys):
     code, out, err = run_on_document(tmp_path, capsys, [C3_MULT])
     assert code == 2 and out == ""

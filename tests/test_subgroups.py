@@ -4,11 +4,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import complementa as ca
-from complementa._primes import divisors
+from complementa._primes import divisors, prime_factors
 from complementa.groups import CapExceededError, PreconditionError
 from complementa.subgroups import (Subgroup, SubgroupLattice, _all_solvable,
-                                   _cyclic_extension, _join_bits, _join_search,
-                                   _subgroups_order_dividing, bit_indices,
+                                   _coset_bits, _cyclic_extension, _join_bits,
+                                   _join_search, _subgroups_order_dividing,
+                                   bit_indices,
                                    bits_of, closure_bits, cyclic_subgroups,
                                    overgroups_by_joins, product_bits)
 from complementa.verify import subset_closure_subgroups
@@ -305,7 +306,7 @@ def test_cyclic_extension_matches_join_search(build):
     for c in divisors(g.order):
         cyclics = [s for s in cyclic_subgroups(g) if c % s.order == 0]
         joins = _join_search(g, [ca.trivial_subgroup(g), *cyclics], cyclics, cap=c)
-        extended = _cyclic_extension(g, c)
+        extended = _cyclic_extension(g, c, [])
         assert [s.members for s in extended] == [s.members for s in joins], c
         for s in extended:
             assert closure_bits(g.mult, s.gens) == s.members
@@ -378,6 +379,122 @@ def test_overgroups_by_joins_match_the_search_without_skips(build):
     for s in ca.all_subgroups(g).subgroups:
         assert _members_and_gens(overgroups_by_joins(g, s)) == \
             _members_and_gens(reference_join_search(g, [s], cyclics)), s
+
+
+def reference_cyclic_extension(g, c):
+    """Cyclic extension of every found subgroup, conjugates included: the
+    enumeration before it ran by conjugacy class."""
+    mult, inv = g.mult, g.inv
+    zuppos = []
+    for cyc in cyclic_subgroups(g):
+        primes = prime_factors(cyc.order)
+        if len(primes) == 1 and c % cyc.order == 0:
+            x = cyc.gens[0]
+            zuppos.append((x, inv[x], primes[0], g.power(x, primes[0])))
+    layer = [ca.trivial_subgroup(g)]
+    found = {1: layer[0]}
+    while layer:
+        nxt = []
+        for h in layer:
+            hm, hgens, room = h.members, h.gens, c // h.order
+            covered = hm
+            for x, x_inv, p, xp in zuppos:
+                if covered >> x & 1 or room % p or not hm >> xp & 1:
+                    continue
+                if not all(hm >> mult[mult[x_inv][s]][x] & 1 for s in hgens):
+                    continue
+                bits, y = hm, x
+                for _ in range(p - 1):
+                    bits |= _coset_bits(mult, h.elements(), y)
+                    y = mult[y][x]
+                covered |= bits
+                if bits not in found:
+                    new = Subgroup(g, bits, hgens + (x,))
+                    found[bits] = new
+                    nxt.append(new)
+        layer = nxt
+    return tuple(sorted(found.values(), key=Subgroup.sort_key))
+
+
+def reference_subgroups_order_dividing(g, c):
+    """The subgroups of order dividing c with every found subgroup extended
+    or joined."""
+    if _all_solvable(g, c):
+        return reference_cyclic_extension(g, c)
+    cyclics = [s for s in cyclic_subgroups(g) if c % s.order == 0]
+    return reference_join_search(g, [ca.trivial_subgroup(g), *cyclics], cyclics, cap=c)
+
+
+def reference_conjugacy_classes(g, subs):
+    """The class partition by one orbit per subgroup not yet in a class: the
+    closure of its member set under conjugation by the generators of G."""
+    index_of = {s.members: i for i, s in enumerate(subs)}
+    assigned = [False] * len(subs)
+    classes = []
+    for i, sub in enumerate(subs):
+        if assigned[i]:
+            continue
+        orbit = {sub.members}
+        frontier = [sub.members]
+        while frontier:
+            elems = bit_indices(frontier.pop())
+            for x in g.generators:
+                bits = bits_of(g.conj(e, x) for e in elems)
+                if bits not in orbit:
+                    orbit.add(bits)
+                    frontier.append(bits)
+        cls = tuple(sorted(index_of[b] for b in orbit))
+        for k in cls:
+            assigned[k] = True
+        classes.append(cls)
+    return tuple(classes)
+
+
+BY_CLASS_CASES = {
+    **{e.name: (lambda e=e: e.build().group) for e in ca.catalog()},
+    "C2^6": lambda: ca.elementary_abelian(2, 6).group,
+    "C3^5": lambda: ca.elementary_abelian(3, 5).group,
+    "hol32": lambda: ca.holomorph_cyclic(32).group,
+    "dih256": lambda: ca.dihedral(128).group,
+    "split-p5-3": lambda: ca.split_p5_group(3).group,
+    "S5": _s5,
+    "A5": _a5,
+}
+
+
+@pytest.mark.parametrize("name", list(BY_CLASS_CASES))
+def test_enumeration_by_class_matches_the_enumeration_of_every_subgroup(name):
+    """Same subgroups in the same order, and the classes the enumeration
+    records are the orbits, for the full lattice and every partial one.
+    Each class's representative, recorded first, has the gens the reference
+    records."""
+    base = BY_CLASS_CASES[name]()
+    g = _fresh(base)
+    # ascending divisors: every partial lattice is built before the full one
+    for c in divisors(g.order):
+        subs = _subgroups_order_dividing(g, c)
+        ref = reference_subgroups_order_dividing(_fresh(base), c)
+        assert [s.members for s in subs] == [s.members for s in ref], c
+        classes = g.cached_value(("sub_div", c))[1]
+        index_of = {s.members: i for i, s in enumerate(subs)}
+        recorded = tuple(sorted(tuple(sorted(index_of[b] for b in cls))
+                                for cls in classes))
+        assert recorded == reference_conjugacy_classes(g, ref), c
+        for cls in classes:
+            i = index_of[cls[0]]
+            assert subs[i].gens == ref[i].gens, (c, subs[i])
+        for s in subs:
+            assert closure_bits(g.mult, s.gens) == s.members, (c, s)
+    lat = ca.all_subgroups(g, cap=g.order)
+    assert lat.subgroups == subs
+    assert lat.conjugacy_classes == reference_conjugacy_classes(g, ref)
+
+
+def test_conjugacy_classes_are_recorded_only_by_the_enumeration():
+    g = _fresh(ca.symmetric3().group)
+    lat = SubgroupLattice(g, ca.all_subgroups(g).subgroups)
+    with pytest.raises(PreconditionError):
+        lat.conjugacy_classes
 
 
 def test_overgroups_of_subgroups_given_without_generators():
