@@ -6,13 +6,12 @@ For each group of the lattice corpus it records the median seconds of
 ``all_subgroups``, of ``SubgroupLattice.inclusion`` and of the export over
 ``REPEATS`` runs, each on a fresh copy of the group (empty cache), the
 subgroup count, the number of ``closure_bits`` calls made during
-enumeration, and the number of subgroups the enumeration extended or joined.
-That last count is read off the enumeration's memo entry: when it records
-conjugacy classes, one representative per class was extended or joined;
-when it holds the subgroups alone, every subgroup found was.  The export is ``lattice_to_dict`` plus the JSON encoding that
-``complementa lattice`` writes (``cli._emit_json``, into a string buffer);
-it runs after ``inclusion``, so it includes the conjugacy classes but not
-the covering relation.
+enumeration, and the number of subgroups the enumeration extended or joined,
+which is the number of conjugacy classes it records (one representative per
+class is extended or joined).  The export is ``lattice_to_dict`` plus the
+JSON encoding that ``complementa lattice`` writes (``cli._emit_json``, into
+a string buffer); it runs after ``inclusion``, so it includes the conjugacy
+classes but not the covering relation.
 
 The join section times the two uses of the join search: ``all_subgroups``
 on S5 and A5, where it builds the whole lattice, and
@@ -129,12 +128,10 @@ def measure(build) -> dict:
         with contextlib.redirect_stdout(io.StringIO()):
             cli_module._emit_json(argparse.Namespace(out=None), ca.lattice_to_dict(lat))
         export_s.append(time.perf_counter() - t0)
-    memo = g.cached_value(("sub_div", g.order))
-    extended = len(memo[1]) if isinstance(memo[0], tuple) else len(lat)
     return {
         "order": base.order,
         "subgroups": len(lat),
-        "extended_or_joined": extended,
+        "extended_or_joined": len(lat.conjugacy_classes),
         "enumeration_s": statistics.median(enum_s),
         "inclusion_s": statistics.median(incl_s),
         "export_s": statistics.median(export_s),

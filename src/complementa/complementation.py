@@ -124,7 +124,7 @@ def c_separating_subgroups(g: FiniteGroup, cap: int = LATTICE_CAP,
     if g.order == 1:
         raise PreconditionError("C-separating subgroups are defined for nontrivial groups")
     union = _uncomplemented_union(g, cap)
-    return tuple(h for h in _subgroups_order_dividing(g, g.order)
+    return tuple(h for h in all_subgroups(g, cap).subgroups
                  if h.order < g.order and not union & ~h.members
                  and (max_index is None or g.order // h.order <= max_index))
 

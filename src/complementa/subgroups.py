@@ -357,10 +357,11 @@ class SubgroupLattice:
     """The complete subgroup lattice, canonically ordered.
 
     ``inclusion`` is the covering relation of the Hasse diagram;
-    ``conjugacy_classes`` partitions subgroup indices.
+    ``conjugacy_classes`` partitions subgroup indices, read off ``classes``,
+    the classes as tuples of member bitsets that the enumeration records.
     """
 
-    def __init__(self, group: FiniteGroup, subgroups):
+    def __init__(self, group: FiniteGroup, subgroups, classes=None):
         self.group = group
         self.subgroups = tuple(subgroups)
         self.index_of = {s.members: i for i, s in enumerate(self.subgroups)}
@@ -368,7 +369,7 @@ class SubgroupLattice:
         self._holders = None
         self._inclusion = None
         self._classes = None
-        self._class_bits = None  # set by all_subgroups
+        self._class_bits = classes
 
     def __len__(self):
         return len(self.subgroups)
@@ -424,8 +425,8 @@ class SubgroupLattice:
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """The partition of subgroup indices into conjugacy classes, each
         class sorted, classes ordered by their lowest index.  Read off the
-        classes that the enumeration recorded, so it is known only for a
-        lattice built by ``all_subgroups``."""
+        classes given to the constructor, so it is known only for a lattice
+        built by ``all_subgroups``."""
         if self._classes is None:
             if self._class_bits is None:
                 raise PreconditionError(
@@ -448,9 +449,8 @@ def all_subgroups(g: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
         raise CapExceededError("lattice", cap, g.order)
 
     def build():
-        lat = SubgroupLattice(g, _subgroups_order_dividing(g, g.order))
-        lat._class_bits = g.cached_value(("sub_div", g.order))[1]
-        return lat
+        subs = _subgroups_order_dividing(g, g.order)
+        return SubgroupLattice(g, subs, g.cached_value(("sub_div", g.order))[1])
 
     return g.cached("lattice", build)
 

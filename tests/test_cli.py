@@ -243,6 +243,7 @@ def _refuse(*args, **kwargs):
     ("supercomplemented", ["--subgroup", "a"]),
     ("completely-factorizable", []),
     ("c-separating", ["--subgroup", "a"]),
+    ("c-separating", ["--subgroup", "1,3,9,27,81"]),  # H = G
 ])
 def test_check_refuses_over_the_lattice_cap_before_any_scan(capsys, monkeypatch,
                                                             predicate, subgroup):

@@ -219,6 +219,37 @@ def test_c_separating_union_bitset_matches_definition(name):
         [h in seps for h in lat.subgroups]
 
 
+def _no_full_lattice(*args, **kwargs):
+    raise AssertionError("full lattice built for a subject-level predicate")
+
+
+@pytest.mark.parametrize("p, rank", [(2, 9), (3, 5)])
+def test_subject_predicates_do_not_build_the_full_lattice(monkeypatch, p, rank):
+    """C2^9 is within the default cap but has 8,283,458 subgroups.  The
+    complements of an index-p subgroup H have order p and its overgroups are
+    H and G, so the complement scan and the supercomplemented check on H
+    stay small: they read the subgroups of order dividing p and the joins
+    above H, never the full lattice."""
+    base = ca.elementary_abelian(p, rank).group
+    g = ca.FiniteGroup(base.mult, base.generators, base.labels, name=base.name)
+    h = ca.generated_subgroup(g, [p ** k for k in range(1, rank)])
+    assert h.order == g.order // p
+    full = ca.subgroups._subgroups_order_dividing
+
+    def partial_only(grp, c):
+        assert c < grp.order, "full lattice built for a subject-level predicate"
+        return full(grp, c)
+
+    for module in (ca.subgroups, ca.complementation):
+        monkeypatch.setattr(module, "_subgroups_order_dividing", partial_only)
+        monkeypatch.setattr(module, "all_subgroups", _no_full_lattice)
+    res = ca.complements(g, h)
+    assert len(res.complements) == p ** (rank - 1) and res.exhaustive
+    assert all(t.order == p and not h.contains(t) for t in res.complements)
+    assert ca.is_supercomplemented(g, h) == (True, None)
+    assert [k.order for k in ca.overgroups(g, h)] == [g.order // p, g.order]
+
+
 def test_cap_is_checked_before_the_memo():
     c4 = ca.cyclic(4)
     half = ca.generated_subgroup(c4, (2,))

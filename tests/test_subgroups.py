@@ -495,6 +495,9 @@ def test_conjugacy_classes_are_recorded_only_by_the_enumeration():
     lat = SubgroupLattice(g, ca.all_subgroups(g).subgroups)
     with pytest.raises(PreconditionError):
         lat.conjugacy_classes
+    subs, classes = g.cached_value(("sub_div", g.order))
+    assert SubgroupLattice(g, subs, classes).conjugacy_classes == \
+        reference_conjugacy_classes(g, subs)
 
 
 def test_overgroups_of_subgroups_given_without_generators():
