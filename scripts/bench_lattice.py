@@ -18,6 +18,9 @@ on S5 and A5, where it builds the whole lattice, and
 ``overgroups_by_joins`` from every subgroup of C3^4 and C5^3 (the lattice
 is built first, outside the timing).  It records the median seconds over
 ``REPEATS`` runs on fresh copies and the number of ``_join_bits`` calls.
+That count leaves out each join ⟨K, x⟩ of prime index with x normalizing
+K and order dividing the cap, which the search builds as a cyclic
+extension instead.
 
 The complement section times, on each group of the lattice corpus,
 ``is_completely_factorizable``, ``c_separating_subgroups`` and

@@ -6,7 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._primes import is_p_power, is_prime, lcm, p_part, prime_factors
-from .groups import FiniteGroup, PreconditionError, cached_quotient
+from .groups import (FiniteGroup, PreconditionError, cached_quotient,
+                     element_orders)
 from .subgroups import (Subgroup, all_subgroups, as_subgroup, is_abelian,
                         is_elementary_abelian, _normal_closure,
                         trivial_subgroup)
@@ -163,18 +164,23 @@ def p_subgroups(g: FiniteGroup, p: int) -> tuple[Subgroup, ...]:
 
 
 def minimal_normal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
-    """Minimal nontrivial normal subgroups, via normal closures of single elements.
+    """Minimal nontrivial normal subgroups, via normal closures of elements
+    of prime order.
 
-    Every  minimal normal subgroup is the normal closure of any of its
-    nonidentity elements, so the minimal elements among those closures are
-    exactly the minimal normal subgroups.  Avoids needing the full lattice.
+    Every minimal normal subgroup N contains an element e of prime order, and
+    then ncl(e) = N; every ncl(e) contains some minimal normal subgroup.  So
+    the minimal elements among those closures are exactly the minimal normal
+    subgroups.  Avoids needing the full lattice.
     """
 
     def build():
+        orders = element_orders(g)
+        prime = {k: is_prime(k) for k in set(orders)}
         closures: dict[int, Subgroup] = {}
         for e in range(1, g.order):
-            sub = _normal_closure(g, (e,), g.generators)
-            closures.setdefault(sub.members, sub)
+            if prime[orders[e]]:
+                sub = _normal_closure(g, (e,), g.generators)
+                closures.setdefault(sub.members, sub)
         subs = list(closures.values())
         minimal = [s for s in subs
                    if not any(t.members != s.members and s.contains(t) for t in subs)]

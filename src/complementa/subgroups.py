@@ -41,9 +41,10 @@ class Subgroup:
     == members.  A routine that builds the subgroup from a generating tuple
     passes that tuple and it is kept; every other subgroup derives its tuple
     on first read, greedily from its elements in ascending order.  The
-    lattice enumeration works by conjugacy class: a class representative
-    keeps the tuple its search built, and each other subgroup of the class
-    the conjugate of the tuple of the subgroup it was conjugated from.  User
+    subgroup search (``_join_search``) gives each ⟨K, x⟩ it builds K's gens
+    plus x.  For a lattice it builds one subgroup per conjugacy class; each
+    other subgroup of the class records the conjugate of the tuple of the
+    subgroup it was conjugated from.  User
     input reaches here only through ``generated_subgroup``.  ``gens`` is not
     part of the identity of the subgroup, which is (parent, members) only.
     """
@@ -141,17 +142,12 @@ def cyclic_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
 def _subgroups_order_dividing(g: FiniteGroup, c: int) -> tuple[Subgroup, ...]:
     """All subgroups whose order divides c, canonically sorted.
 
-    When every such subgroup is solvable, each nontrivial one, L, has a normal
-    subgroup M of prime index p, and L = M·<x> for any element x of L outside
-    M of p-power order.  The search therefore builds layer k+1 from layer k
-    by cyclic extension with such elements (see ``_cyclic_extension``).
-    When ``_all_solvable`` cannot show that (c ≥ 60 with three or more
-    prime factors, and G not solvable) it falls back to joins with cyclic
-    subgroups of order dividing c, keeping the joins whose order divides c
-    (``_join_search``).  Both run by conjugacy class, and the memo entry
-    ``("sub_div", c)`` keeps the classes they find beside the subgroups, each
-    class a tuple of member bitsets.  Derived from the full lattice when
-    that is cached.
+    Found by ``_join_search`` from the trivial subgroup, with join steps only
+    when ``_all_solvable`` cannot show that every such subgroup is solvable;
+    otherwise extension steps alone find them all.  The memo entry
+    ``("sub_div", c)`` keeps the conjugacy classes the search records beside
+    the subgroups, each class a tuple of member bitsets.  Derived from the
+    full lattice when that is cached.
     """
     c = math.gcd(g.order, c)
 
@@ -162,12 +158,8 @@ def _subgroups_order_dividing(g: FiniteGroup, c: int) -> tuple[Subgroup, ...]:
             return (tuple(s for s in subs if c % s.order == 0),
                     tuple(k for k in classes if c % k[0].bit_count() == 0))
         classes = []
-        if _all_solvable(g, c):
-            subs = _cyclic_extension(g, c, classes)
-        else:
-            cyclics = [s for s in cyclic_subgroups(g) if c % s.order == 0]
-            subs = _join_search(g, [trivial_subgroup(g), *cyclics], cyclics,
-                                cap=c, classes=classes)
+        subs = _join_search(g, trivial_subgroup(g), c, not _all_solvable(g, c),
+                            classes)
         return subs, tuple(classes)
 
     return g.cached(("sub_div", c), build)[0]
@@ -188,57 +180,20 @@ def _all_solvable(g: FiniteGroup, c: int) -> bool:
     return derived_length(g) is not None
 
 
-def _cyclic_extension(g: FiniteGroup, c: int, classes: list) -> tuple[Subgroup, ...]:
-    """Neubüser's cyclic-extension method, for c with solvable subgroups only,
-    run on one representative per conjugacy class.
+def _prime_power_cyclics(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """(order, x, x⁻¹, p, xᵖ) for the generator x of each cyclic subgroup of
+    prime-power order, p the prime, in canonical order; cached."""
 
-    For each representative H and each cyclic subgroup <x> of prime-power
-    order with p·|H| dividing c, where p is the prime of |x|: if x is not in
-    H, x^p is in H and x normalizes H, then H·<x> = H ∪ Hx ∪ ... ∪ Hx^(p-1)
-    is a subgroup of order p·|H|.  Any valid y in that subgroup outside H
-    gives the same extension, so the bitset ``covered`` of the extensions
-    already built from H lets later candidates in it be skipped.
+    def build():
+        out = []
+        for cyc in cyclic_subgroups(g):
+            primes = prime_factors(cyc.order)
+            if len(primes) == 1:
+                x = cyc.gens[0]
+                out.append((cyc.order, x, g.inv[x], primes[0], g.power(x, primes[0])))
+        return tuple(out)
 
-    A new subgroup L = H·<x> records H's gens plus x, and its whole class
-    goes into the found set (``_class_of``, appended to ``classes``); L is
-    the next layer's representative of that class.  This misses nothing:
-    a subgroup with a normal subgroup M of prime index, M = H^g for a
-    representative H, is the conjugate by g of an extension of H.  Only the
-    representatives record the gens the extension of every subgroup would.
-    """
-    mult, inv = g.mult, g.inv
-    zuppos = []
-    for cyc in cyclic_subgroups(g):
-        primes = prime_factors(cyc.order)
-        if len(primes) == 1 and c % cyc.order == 0:
-            x = cyc.gens[0]
-            zuppos.append((x, inv[x], primes[0], g.power(x, primes[0])))
-    layer = [trivial_subgroup(g)]
-    found = {1: layer[0]}
-    classes.append((1,))
-    while layer:
-        nxt = []
-        for h in layer:
-            hm, hgens, room = h.members, h.gens, c // h.order
-            covered = hm
-            for x, x_inv, p, xp in zuppos:
-                if covered >> x & 1 or room % p or not hm >> xp & 1:
-                    continue
-                if not all(hm >> mult[mult[x_inv][s]][x] & 1 for s in hgens):
-                    continue
-                bits, y = hm, x
-                for _ in range(p - 1):
-                    bits |= _coset_bits(mult, h.elements(), y)
-                    y = mult[y][x]
-                covered |= bits
-                if bits not in found:
-                    new = Subgroup(g, bits, hgens + (x,))
-                    cls = _class_of(g, new)
-                    found.update(cls)
-                    classes.append(tuple(cls))
-                    nxt.append(new)
-        layer = nxt
-    return tuple(sorted(found.values(), key=Subgroup.sort_key))
+    return g.cached("prime_power_cyclics", build)
 
 
 def _coset_bits(mult, elems, y: int) -> int:
@@ -249,12 +204,12 @@ def _coset_bits(mult, elems, y: int) -> int:
     return bits
 
 
-def _join_bits(g: FiniteGroup, h: Subgroup, x: int, cap: int | None = None) -> int | None:
+def _join_bits(g: FiniteGroup, h: Subgroup, x: int, cap: int) -> int | None:
     """Bitset of <H, x>, grown from H one right coset H·t at a time.
 
     The union K of the cosets H·t over the transversal found so far is closed
-    once every t·s, s a generator of H or x, lies in K.  With ``cap`` set,
-    returns None as soon as K exceeds cap elements.
+    once every t·s, s a generator of H or x, lies in K.  Returns None as soon
+    as K exceeds cap elements.
     """
     mult = g.mult
     elems = h.elements()
@@ -268,43 +223,54 @@ def _join_bits(g: FiniteGroup, h: Subgroup, x: int, cap: int | None = None) -> i
             if not bits >> y & 1:
                 bits |= _coset_bits(mult, elems, y)
                 count += h.order
-                if cap is not None and count > cap:
+                if count > cap:
                     return None
                 reps.append(y)
     return bits
 
 
-def _join_search(g: FiniteGroup, seeds, cyclics, cap: int | None = None,
+def _join_search(g: FiniteGroup, seed: Subgroup, cap: int, joins: bool,
                  classes: list | None = None) -> tuple[Subgroup, ...]:
-    """Close ``seeds`` under joins with ``cyclics``, canonically sorted.
+    """The subgroups that contain ``seed`` and have order dividing ``cap``,
+    canonically sorted.
 
-    With ``cap`` set, only joins whose order divides cap are kept; any
-    subgroup of such order is reachable through joins that stay inside it.
+    Each found K is joined with the generator x of each cyclic subgroup of
+    prime-power order dividing cap (``_prime_power_cyclics``), which finds
+    them all.  A subgroup L ≠ seed above the seed has a subgroup M with
+    seed ≤ M < L, maximal in L.  L is generated by its elements of
+    prime-power order (each element is a product of powers of itself of
+    prime-power order), so one of them, x, lies in L outside M, and then
+    ⟨M, x⟩ = L.  |M| and |x| divide |L|, so by induction on |L| the search
+    reaches L.
 
-    With ``classes`` a list, the search runs by conjugacy class, for seeds
-    and cyclics closed under conjugation: each seed or join not found before
-    brings its whole class into the found set (``_class_of``, appended to
-    ``classes``) and is the one subgroup of that class that is joined in
-    turn.  Since ⟨K, x⟩^g = ⟨K^g, x^g⟩, the joins of the conjugates of K
-    are the conjugates of joins of K.  Only the subgroups joined record the
-    gens the search without classes would.  With ``classes`` None (the
-    overgroup search, whose seed is one subgroup) every found subgroup is
-    joined.
+    For each x not in ``skip``, a bitset of elements y known to give a join
+    ⟨K, y⟩ already made for K:
+    - extension step: if p·|K| divides cap (p the prime of |x|), xᵖ ∈ K and
+      x normalizes K, then ⟨K, x⟩ = K ∪ Kx ∪ … ∪ Kxᵖ⁻¹, built from cosets
+      (Neubüser's cyclic extension).  The cheap tests run first;
+    - join step: otherwise, with ``joins`` set, ⟨K, x⟩ is grown from K by
+      ``_join_bits`` and kept if its order divides cap.
+    When |⟨K, x⟩ : K| is prime, all of ⟨K, x⟩ goes into ``skip``, since any
+    y in it outside K gives the same join; otherwise, or past the cap, the
+    double coset KxK does, since ⟨K, k₁·x·k₂⟩ = ⟨K, x⟩.  So every skipped
+    join repeats an earlier one, and the found subgroups, the ``gens`` each
+    records (K's gens plus the x of the first join that finds it) and their
+    order are those of the search without skips.
 
-    Each joined K is joined with the generator x of each cyclic subgroup
-    unless x lies in ``skip``, a bitset of elements y already known to give
-    a join ⟨K, y⟩ computed before for K.  After joining K with x:
-    - if |⟨K, x⟩ : K| is prime, all of ⟨K, x⟩ goes into ``skip``: no
-      subgroup lies strictly between K and ⟨K, x⟩, so any y in ⟨K, x⟩
-      outside K gives ⟨K, y⟩ = ⟨K, x⟩;
-    - otherwise the double coset KxK goes into ``skip``: for y = k₁·x·k₂,
-      ⟨K, y⟩ contains x = k₁⁻¹·y·k₂⁻¹ and ⟨K, x⟩ contains y.
-    The same holds for a join that exceeds ``cap``.  So every skipped join
-    repeats an earlier one, and the found subgroups, the ``gens`` each
-    records (K's gens plus the x of the first join that finds it) and
-    their order are those of the search without skips.
+    Without ``joins``, extension steps alone find every subgroup above the
+    trivial seed when all of order dividing cap are solvable: a solvable
+    L ≠ 1 has a normal subgroup M of prime index p, and L = M·⟨x⟩ for any x
+    of p-power order in L outside M.
+
+    With ``classes`` a list, the search runs by conjugacy class, for a seed
+    normal in G: each subgroup not found before brings its whole class into
+    the found set (``_class_of``, appended to ``classes``) and is the one
+    subgroup of that class joined in turn.  Since ⟨K, x⟩ᵍ = ⟨Kᵍ, xᵍ⟩, the
+    joins of the conjugates of K are the conjugates of joins of K.  Only the
+    subgroups joined record the gens the search without classes would.
     """
     mult = g.mult
+    cands = [t for t in _prime_power_cyclics(g) if cap % t[0] == 0]
 
     def orbit(sub):
         if classes is None:
@@ -313,42 +279,47 @@ def _join_search(g: FiniteGroup, seeds, cyclics, cap: int | None = None,
         classes.append(tuple(cls))
         return cls
 
-    found: dict[int, Subgroup] = {}
-    frontier = []
-    for s in seeds:
-        if s.members not in found:
-            found.update(orbit(s))
-            frontier.append(s)
+    found = orbit(seed)
+    frontier = [seed]
     while frontier:
         nxt = []
-        for sub in frontier:
-            skip, elems, hgens = sub.members, sub.elements(), sub.gens
-            for cyc in cyclics:
-                x = cyc.gens[0]
+        for k in frontier:
+            km, kgens, elems, room = k.members, k.gens, k.elements(), cap // k.order
+            skip = km
+            for _, x, x_inv, p, xp in cands:
                 if skip >> x & 1:
                     continue
-                bits = _join_bits(g, sub, x, cap)
-                if bits is not None and is_prime(bits.bit_count() // sub.order):
+                if (not room % p and km >> xp & 1
+                        and all(km >> mult[mult[x_inv][s]][x] & 1 for s in kgens)):
+                    bits, y = km, x
+                    for _ in range(p - 1):
+                        bits |= _coset_bits(mult, elems, y)
+                        y = mult[y][x]
                     skip |= bits
+                elif not joins:
+                    continue
                 else:
-                    # KxK, grown from Kx one right coset K·t·s at a time
-                    double = _coset_bits(mult, elems, x)
-                    reps = [x]
-                    for t in reps:
-                        row = mult[t]
-                        for s in hgens:
-                            y = row[s]
-                            if not double >> y & 1:
-                                double |= _coset_bits(mult, elems, y)
-                                reps.append(y)
-                    skip |= double
-                if bits is None or bits in found:
-                    continue
-                if cap is not None and cap % bits.bit_count():
-                    continue
-                new = Subgroup(g, bits, hgens + (x,))
-                found.update(orbit(new))
-                nxt.append(new)
+                    bits = _join_bits(g, k, x, cap)
+                    if bits is not None and is_prime(bits.bit_count() // k.order):
+                        skip |= bits
+                    else:
+                        # KxK, grown from Kx one right coset K·t·s at a time
+                        double = _coset_bits(mult, elems, x)
+                        reps = [x]
+                        for t in reps:
+                            row = mult[t]
+                            for s in kgens:
+                                y = row[s]
+                                if not double >> y & 1:
+                                    double |= _coset_bits(mult, elems, y)
+                                    reps.append(y)
+                        skip |= double
+                    if bits is None or cap % bits.bit_count():
+                        continue
+                if bits not in found:
+                    new = Subgroup(g, bits, kgens + (x,))
+                    found.update(orbit(new))
+                    nxt.append(new)
         frontier = nxt
     return tuple(sorted(found.values(), key=Subgroup.sort_key))
 
@@ -459,7 +430,7 @@ def overgroups(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
     """All subgroups K with H <= K <= G, canonically sorted.
 
     Read off the lattice index (``SubgroupLattice.above``) when the full
-    subgroup list is cached; otherwise found by joins with cyclic subgroups.
+    subgroup list is cached; otherwise found by ``overgroups_by_joins``.
     """
     if g.cached_value(("sub_div", g.order)) is None:
         return overgroups_by_joins(g, h)
@@ -468,15 +439,11 @@ def overgroups(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
 
 
 def overgroups_by_joins(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
-    """The join-based overgroup enumeration, independent of the lattice.
-
-    Each found K is joined with generators x of cyclic subgroups, except
-    those that ``_join_search`` knows to repeat an earlier join of K (x in
-    a double coset K·y·K already joined, or in a join of prime index).  A
-    new ⟨K, x⟩ is grown from K's generators and records them plus x as its
-    own.
+    """The overgroups of h found by ``_join_search`` from h, with join steps,
+    independent of the lattice.  Each new ⟨K, x⟩, x of prime-power order,
+    records K's generators plus x as its own.
     """
-    return _join_search(g, [h], cyclic_subgroups(g))
+    return _join_search(g, h, g.order, True)
 
 
 # -- conjugation and normality ----------------------------------------------

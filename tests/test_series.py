@@ -104,6 +104,27 @@ def test_minimal_normals_match_lattice_scan(hol8):
         [m.members for m in minimal]
 
 
+def reference_minimal_normals(g):
+    """The minimal elements among the normal closures of every element."""
+    closures = {}
+    for e in range(1, g.order):
+        sub = ca.normal_closure(g, ca.generated_subgroup(g, (e,)))
+        closures.setdefault(sub.members, sub)
+    subs = list(closures.values())
+    return sorted(s.members for s in subs
+                  if not any(t.members != s.members and s.contains(t) for t in subs))
+
+
+@pytest.mark.parametrize("build", [
+    *[(lambda e=e: e.build().group) for e in ca.catalog()],
+    lambda: ca.holomorph_cyclic(27).group,
+], ids=[*[e.name for e in ca.catalog()], "hol27"])
+def test_minimal_normals_match_the_scan_of_every_element(build):
+    g = build()
+    assert sorted(m.members for m in ca.minimal_normal_subgroups(g)) == \
+        reference_minimal_normals(g)
+
+
 def test_chief_series_structure(hol8):
     g = hol8.group
     report = ca.chief_series(g)

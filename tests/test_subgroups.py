@@ -7,7 +7,7 @@ import complementa as ca
 from complementa._primes import divisors, prime_factors
 from complementa.groups import CapExceededError, PreconditionError
 from complementa.subgroups import (Subgroup, SubgroupLattice, _all_solvable,
-                                   _coset_bits, _cyclic_extension, _join_bits,
+                                   _coset_bits, _join_bits,
                                    _join_search, _subgroups_order_dividing,
                                    bit_indices,
                                    bits_of, closure_bits, cyclic_subgroups,
@@ -302,11 +302,12 @@ def test_burnside_shortcut_and_fallback_on_s5():
     lambda: ca.split_p5_group(2).group,
 ], ids=["holomorph8", "split-p5-2"])
 def test_cyclic_extension_matches_join_search(build):
+    """In a solvable group the extension steps alone find what the search
+    with join steps finds."""
     g = _fresh(build())
     for c in divisors(g.order):
-        cyclics = [s for s in cyclic_subgroups(g) if c % s.order == 0]
-        joins = _join_search(g, [ca.trivial_subgroup(g), *cyclics], cyclics, cap=c)
-        extended = _cyclic_extension(g, c, [])
+        joins = _join_search(g, ca.trivial_subgroup(g), c, True)
+        extended = _join_search(g, ca.trivial_subgroup(g), c, False)
         assert [s.members for s in extended] == [s.members for s in joins], c
         for s in extended:
             assert closure_bits(g.mult, s.gens) == s.members
@@ -320,9 +321,15 @@ def test_overgroups_by_joins_match_filtered_lattice():
                                                   if k.contains(s))
 
 
-def reference_join_search(g, seeds, cyclics, cap=None):
+def prime_power_cyclics(g, cap):
+    """The cyclic subgroups of prime-power order dividing cap."""
+    return [s for s in cyclic_subgroups(g)
+            if len(prime_factors(s.order)) == 1 and cap % s.order == 0]
+
+
+def reference_join_search(g, seeds, cyclics, cap):
     """The join search with no skipped joins: every found K is joined with
-    the generator of every cyclic subgroup outside K."""
+    the generator of every given cyclic subgroup outside K."""
     found = {s.members: s for s in seeds}
     frontier = list(found.values())
     while frontier:
@@ -335,7 +342,7 @@ def reference_join_search(g, seeds, cyclics, cap=None):
                 bits = _join_bits(g, sub, x, cap)
                 if bits is None or bits in found:
                     continue
-                if cap is not None and cap % bits.bit_count():
+                if cap % bits.bit_count():
                     continue
                 new = Subgroup(g, bits, sub.gens + (x,))
                 found[bits] = new
@@ -355,18 +362,14 @@ def _members_and_gens(subs):
     lambda: ca.catalog_entry("c2xa4").build().group,
 ], ids=["s5", "a5", "holomorph8", "split-p5-2", "c2xa4"])
 def test_join_search_matches_the_search_without_skips(build):
-    """Same subgroups, same recorded gens, same order, uncapped and capped
-    at every divisor of |G|."""
+    """Same subgroups, same recorded gens, same order, capped at every
+    divisor of |G|, from the trivial subgroup."""
     g = _fresh(build())
-    cyclics = cyclic_subgroups(g)
-    seeds = [ca.trivial_subgroup(g), *cyclics]
-    assert _members_and_gens(_join_search(g, seeds, cyclics)) == \
-        _members_and_gens(reference_join_search(g, seeds, cyclics))
+    trivial = ca.trivial_subgroup(g)
     for c in divisors(g.order):
-        cs = [s for s in cyclics if c % s.order == 0]
-        seeds = [ca.trivial_subgroup(g), *cs]
-        assert _members_and_gens(_join_search(g, seeds, cs, cap=c)) == \
-            _members_and_gens(reference_join_search(g, seeds, cs, cap=c)), c
+        assert _members_and_gens(_join_search(g, trivial, c, True)) == \
+            _members_and_gens(reference_join_search(
+                g, [trivial], prime_power_cyclics(g, c), c)), c
 
 
 @pytest.mark.parametrize("build", [
@@ -375,10 +378,37 @@ def test_join_search_matches_the_search_without_skips(build):
 ], ids=["s5", "ea3r4"])
 def test_overgroups_by_joins_match_the_search_without_skips(build):
     g = build()
-    cyclics = cyclic_subgroups(g)
+    cyclics = prime_power_cyclics(g, g.order)
     for s in ca.all_subgroups(g).subgroups:
         assert _members_and_gens(overgroups_by_joins(g, s)) == \
-            _members_and_gens(reference_join_search(g, [s], cyclics)), s
+            _members_and_gens(reference_join_search(g, [s], cyclics, g.order)), s
+
+
+@pytest.mark.parametrize("build", [
+    _s5, _a5, lambda: ca.direct_product(_a5(), ca.cyclic(2)),
+], ids=["s5", "a5", "a5xc2"])
+def test_prime_power_generators_find_what_joins_with_every_cyclic_find(build):
+    """The subgroups of order dividing each c are those the join search
+    over every cyclic subgroup, seeded with all of them, finds."""
+    g = _fresh(build())
+    for c in divisors(g.order):
+        cyclics = [s for s in cyclic_subgroups(g) if c % s.order == 0]
+        every = reference_join_search(g, [ca.trivial_subgroup(g), *cyclics],
+                                      cyclics, cap=c)
+        assert [s.members for s in _subgroups_order_dividing(g, c)] == \
+            [s.members for s in every], c
+
+
+@pytest.mark.parametrize("build", [
+    _s5,
+    lambda: ca.elementary_abelian(3, 4).group,
+], ids=["s5", "ea3r4"])
+def test_overgroups_by_joins_find_what_joins_with_every_cyclic_find(build):
+    g = build()
+    cyclics = cyclic_subgroups(g)
+    for s in ca.all_subgroups(g).subgroups:
+        assert [k.members for k in overgroups_by_joins(g, s)] == \
+            [k.members for k in reference_join_search(g, [s], cyclics, g.order)], s
 
 
 def reference_cyclic_extension(g, c):
@@ -421,8 +451,8 @@ def reference_subgroups_order_dividing(g, c):
     or joined."""
     if _all_solvable(g, c):
         return reference_cyclic_extension(g, c)
-    cyclics = [s for s in cyclic_subgroups(g) if c % s.order == 0]
-    return reference_join_search(g, [ca.trivial_subgroup(g), *cyclics], cyclics, cap=c)
+    return reference_join_search(g, [ca.trivial_subgroup(g)],
+                                 prime_power_cyclics(g, c), cap=c)
 
 
 def reference_conjugacy_classes(g, subs):
