@@ -47,7 +47,9 @@ def _resolve_group(args) -> NamedGroup:
                 doc = json.load(fh)
             except RecursionError:
                 raise GroupError("cayley-v1 document is nested too deeply to decode") from None
-        return NamedGroup(group_from_dict(doc))
+        nm = NamedGroup(group_from_dict(doc))
+        args.loaded = nm.group  # this request's own: ``run`` drops its memo
+        return nm
     if recipe in _catalog_names():
         return catalog_entry(recipe).build()
     if recipe in RECIPES:
@@ -333,6 +335,11 @@ def run(argv) -> int:
     except (GroupError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        # With its memo gone, a group read from a file is freed on return
+        # rather than left to the cycle collector.
+        if getattr(args, "loaded", None) is not None:
+            args.loaded.clear_cache()
 
 
 def main():

@@ -153,6 +153,15 @@ class FiniteGroup:
         """The value memoized under ``key``, or None when none is built yet."""
         return self._cache.get(key)
 
+    def clear_cache(self) -> None:
+        """Drop every memoized value.
+
+        Memoized subgroups refer back to their group, so a group with a memo
+        is freed only by the cycle collector; once the memo is dropped,
+        reference counting frees it with its last outside reference.
+        """
+        self._cache = {}
+
     def __repr__(self):
         return f"<FiniteGroup {self.name} of order {self.order}>"
 

@@ -1,6 +1,7 @@
 """CLI grammar, JSON determinism, exit codes."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import re
 import sys
 import tempfile
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,6 +172,34 @@ def test_export_and_reload(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "check", "nilpotent", "--recipe", str(path))
     assert code == 0
     assert json.loads(out)["result"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "supercomplemented", "--subgroup", "1"),
+    ("lattice",),
+    ("check", "complemented", "--subgroup", "99"),  # out of range: exit 2
+])
+def test_group_read_from_a_file_is_freed_when_the_request_ends(tmp_path, capsys,
+                                                               monkeypatch, argv):
+    path = tmp_path / "group.json"
+    assert run_cli(capsys, "export", "--recipe", "holomorph8",
+                   "--format", "cayley", "--out", str(path))[0] == 0
+    loaded = []
+
+    def load(doc):
+        g = ca.group_from_dict(doc)
+        loaded.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(cli, "group_from_dict", load)
+    gc.collect()
+    gc.disable()
+    try:
+        code, out, _ = run_cli(capsys, *argv[:2], "--recipe", str(path), *argv[2:])
+        assert [ref() for ref in loaded] == [None]
+    finally:
+        gc.enable()
+    assert code == (2 if "99" in argv else 0)
 
 
 def test_export_dot(tmp_path, capsys):
