@@ -7,11 +7,15 @@ For each group of the lattice corpus it records the median seconds of
 ``REPEATS`` runs, each on a fresh copy of the group (empty cache), the
 subgroup count, the number of ``closure_bits`` calls made during
 enumeration, and the number of subgroups the enumeration extended or joined,
-which is the number of conjugacy classes it records (one representative per
-class is extended or joined).  The export is ``lattice_to_dict`` plus the
-JSON encoding that ``complementa lattice`` writes (``cli._emit_json``, into
-a string buffer); it runs after ``inclusion``, so it includes the conjugacy
-classes but not the covering relation.
+which is the number of orbits it records (one representative per orbit is
+extended or joined): automorphism orbits in an abelian group, conjugacy
+classes otherwise.  It is read off the last item of the memo entry of the
+full lattice, which is the orbits in (subgroups, classes, orbits) and, in
+trees that kept only (subgroups, classes), the classes those searched by.
+The export is ``lattice_to_dict`` plus the JSON encoding that ``complementa
+lattice`` writes (``cli._emit_json``, into a string buffer); it runs after
+``inclusion``, so it includes the conjugacy classes but not the covering
+relation.
 
 The join section times the two uses of the join search: ``all_subgroups``
 on S5 and A5, where it builds the whole lattice, and
@@ -22,7 +26,8 @@ That count leaves out each join ⟨K, x⟩ of prime index with x normalizing
 K and order dividing the cap, which the search builds as a cyclic
 extension instead.
 
-The complement section times, on each group of the lattice corpus,
+The complement section times, on each group of the lattice corpus but C2^7
+(whose completely-factorizable scan alone takes about 11 s),
 ``is_completely_factorizable``, ``c_separating_subgroups`` and
 ``is_supercomplemented`` from every subgroup.  Each run takes a fresh copy
 of the group and builds its lattice before the timing starts, so the
@@ -34,12 +39,21 @@ which must agree between the two sides of a comparison.
 Calls are counted by a wrapper installed from outside the library.  Writes
 ``BENCH_<label>.json`` to ``--out-dir``.
 
+With ``--baseline SRC``, a second source tree (SRC is its ``src`` directory)
+is imported in the same process as the package ``complementa_baseline``,
+and every timed run alternates between the two trees, each tree going first
+in every other repeat.  So the two trees see the same machine state, and
+drift of the machine's speed between processes, which reached 30–50%,
+cancels out.  The baseline's results go to ``BENCH_<label>-parent.json``.
+
 Usage: PYTHONPATH=src python scripts/bench_lattice.py --label NAME
-       [--out-dir .]
+       [--out-dir .] [--baseline SRC]
 """
 
 import argparse
 import contextlib
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -47,48 +61,78 @@ import platform
 import statistics
 import sys
 import time
+from typing import NamedTuple
 
 import complementa as ca
 import complementa.cli as cli_module
 import complementa.subgroups as subgroups_module
-from complementa.groups import FiniteGroup
 
 REPEATS = 9
 
 
-def s5() -> FiniteGroup:
+class Tree(NamedTuple):
+    """One imported copy of the library: the modules the benchmark calls."""
+    ca: object
+    cli_module: object
+    subgroups_module: object
+
+
+def load_tree(src: str, package: str) -> Tree:
+    """Import the library in ``src`` under the package name ``package``."""
+    root = os.path.join(os.path.abspath(src), "complementa")
+    spec = importlib.util.spec_from_file_location(
+        package, os.path.join(root, "__init__.py"),
+        submodule_search_locations=[root])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[package] = module
+    spec.loader.exec_module(module)
+    return Tree(module, importlib.import_module(package + ".cli"),
+                importlib.import_module(package + ".subgroups"))
+
+
+def fresh(ca, g):
+    """A copy of g with an empty cache."""
+    return ca.FiniteGroup(g.mult, g.generators, g.labels, name=g.name)
+
+
+def s5(ca):
     return ca.from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], name="S5")
 
 
-def a5() -> FiniteGroup:
+def a5(ca):
     return ca.from_generators([(1, 2, 3, 4, 0), (0, 2, 3, 1, 4)], name="A5")
 
 
 CORPUS = [
-    ("holomorph_cyclic(32)", lambda: ca.holomorph_cyclic(32).group),
-    ("split_p5_group(3)", lambda: ca.split_p5_group(3).group),
-    ("elementary_abelian(3, 5)", lambda: ca.elementary_abelian(3, 5).group),
-    ("elementary_abelian(2, 6)", lambda: ca.elementary_abelian(2, 6).group),
-    ("dihedral(128)", lambda: ca.dihedral(128).group),
+    ("holomorph_cyclic(32)", lambda ca: ca.holomorph_cyclic(32).group),
+    ("split_p5_group(3)", lambda ca: ca.split_p5_group(3).group),
+    ("elementary_abelian(3, 5)", lambda ca: ca.elementary_abelian(3, 5).group),
+    ("elementary_abelian(2, 6)", lambda ca: ca.elementary_abelian(2, 6).group),
+    ("elementary_abelian(2, 7)", lambda ca: ca.elementary_abelian(2, 7).group),
+    ("C2^3 x C3^2", lambda ca: ca.direct_product(
+        ca.elementary_abelian(2, 3).group, ca.elementary_abelian(3, 2).group)),
+    ("dihedral(128)", lambda ca: ca.dihedral(128).group),
     ("S5", s5),
     ("A5", a5),
 ]
+
+COMPLEMENT_CORPUS = [row for row in CORPUS if row[0] != "elementary_abelian(2, 7)"]
 
 # (name, build, what is timed): "lattice" for all_subgroups, "overgroups"
 # for overgroups_by_joins from every subgroup.
 JOIN_CORPUS = [
     ("S5", s5, "lattice"),
     ("A5", a5, "lattice"),
-    ("elementary_abelian(3, 4)", lambda: ca.elementary_abelian(3, 4).group, "overgroups"),
-    ("elementary_abelian(5, 3)", lambda: ca.elementary_abelian(5, 3).group, "overgroups"),
+    ("elementary_abelian(3, 4)", lambda ca: ca.elementary_abelian(3, 4).group, "overgroups"),
+    ("elementary_abelian(5, 3)", lambda ca: ca.elementary_abelian(5, 3).group, "overgroups"),
 ]
 
 
 class CallCounter:
     """Counts the calls of a library function by replacing it in every
-    library module that holds a reference to it."""
+    module of the tree that holds a reference to it."""
 
-    def __init__(self, original):
+    def __init__(self, ca, original):
         self.calls = 0
         self.original = original
         self.name = original.__name__
@@ -97,8 +141,8 @@ class CallCounter:
             self.calls += 1
             return self.original(*args, **kwargs)
 
-        self.modules = [m for mod_name, m in sys.modules.items()
-                        if mod_name.startswith("complementa")
+        self.modules = [m for mod_name, m in list(sys.modules.items())
+                        if mod_name.split(".")[0] == ca.__name__
                         and getattr(m, self.name, None) is original]
         for m in self.modules:
             setattr(m, self.name, counted)
@@ -108,50 +152,69 @@ class CallCounter:
             setattr(m, self.name, self.original)
 
 
-def fresh(g: FiniteGroup) -> FiniteGroup:
-    return FiniteGroup(g.mult, g.generators, g.labels, name=g.name)
+def interleaved(trees, run):
+    """``run(tree, i)`` for each tree in each of the ``REPEATS`` rounds, the
+    first tree first in even rounds and last in odd ones; the results per
+    tree, in round order."""
+    out = [[] for _ in trees]
+    for i in range(REPEATS):
+        order = list(enumerate(trees))
+        for k, tree in (order if i % 2 == 0 else order[::-1]):
+            out[k].append(run(tree, i))
+    return out
 
 
-def measure(build) -> dict:
-    base = build()
-    enum_s, incl_s, export_s = [], [], []
-    for _ in range(REPEATS):
-        g = fresh(base)
-        counter = CallCounter(subgroups_module.closure_bits)
+def measure(trees, build) -> list[dict]:
+    bases = [build(tree.ca) for tree in trees]
+
+    def run(tree, i):
+        ca, cli_module, subgroups_module = tree
+        g = fresh(ca, bases[trees.index(tree)])
+        counter = CallCounter(ca, subgroups_module.closure_bits)
         try:
             t0 = time.perf_counter()
             lat = ca.all_subgroups(g, cap=g.order)
-            enum_s.append(time.perf_counter() - t0)
+            enum_s = time.perf_counter() - t0
         finally:
             counter.restore()
         t0 = time.perf_counter()
         lat.inclusion
-        incl_s.append(time.perf_counter() - t0)
+        incl_s = time.perf_counter() - t0
         t0 = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
             cli_module._emit_json(argparse.Namespace(out=None), ca.lattice_to_dict(lat))
-        export_s.append(time.perf_counter() - t0)
-    return {
-        "order": base.order,
-        "subgroups": len(lat),
-        "extended_or_joined": len(lat.conjugacy_classes),
-        "enumeration_s": statistics.median(enum_s),
-        "inclusion_s": statistics.median(incl_s),
-        "export_s": statistics.median(export_s),
-        "closure_calls": counter.calls,
-        "enumeration_runs_s": enum_s,
-        "inclusion_runs_s": incl_s,
-        "export_runs_s": export_s,
-    }
+        export_s = time.perf_counter() - t0
+        return {"subgroups": len(lat),
+                "orbits": len(g.cached_value(("sub_div", g.order))[-1]),
+                "closure_calls": counter.calls,
+                "s": (enum_s, incl_s, export_s)}
+
+    rows = []
+    for base, runs in zip(bases, interleaved(trees, run)):
+        enum_s, incl_s, export_s = (list(r) for r in zip(*(run["s"] for run in runs)))
+        rows.append({
+            "order": base.order,
+            "subgroups": runs[-1]["subgroups"],
+            "extended_or_joined": runs[-1]["orbits"],
+            "enumeration_s": statistics.median(enum_s),
+            "inclusion_s": statistics.median(incl_s),
+            "export_s": statistics.median(export_s),
+            "closure_calls": runs[-1]["closure_calls"],
+            "enumeration_runs_s": enum_s,
+            "inclusion_runs_s": incl_s,
+            "export_runs_s": export_s,
+        })
+    return rows
 
 
-def measure_joins(build, kind: str) -> dict:
-    base = build()
-    runs_s = []
-    for _ in range(REPEATS):
-        g = fresh(base)
+def measure_joins(trees, build, kind: str) -> list[dict]:
+    bases = [build(tree.ca) for tree in trees]
+
+    def run(tree, i):
+        ca, _, subgroups_module = tree
+        g = fresh(ca, bases[trees.index(tree)])
         subs = ca.all_subgroups(g, cap=g.order).subgroups if kind == "overgroups" else ()
-        counter = CallCounter(subgroups_module._join_bits)
+        counter = CallCounter(ca, subgroups_module._join_bits)
         try:
             t0 = time.perf_counter()
             if kind == "lattice":
@@ -159,41 +222,51 @@ def measure_joins(build, kind: str) -> dict:
             else:
                 for s in subs:
                     subgroups_module.overgroups_by_joins(g, s)
-            runs_s.append(time.perf_counter() - t0)
+            seconds = time.perf_counter() - t0
         finally:
             counter.restore()
-    return {
-        "order": base.order,
-        "timed": ("all_subgroups" if kind == "lattice"
-                  else f"overgroups_by_joins from each of {len(subs)} subgroups"),
-        "seconds": statistics.median(runs_s),
-        "join_calls": counter.calls,
-        "runs_s": runs_s,
-    }
+        return seconds, counter.calls, len(subs)
+
+    rows = []
+    for base, runs in zip(bases, interleaved(trees, run)):
+        runs_s = [r[0] for r in runs]
+        rows.append({
+            "order": base.order,
+            "timed": ("all_subgroups" if kind == "lattice"
+                      else f"overgroups_by_joins from each of {runs[-1][2]} subgroups"),
+            "seconds": statistics.median(runs_s),
+            "join_calls": runs[-1][1],
+            "runs_s": runs_s,
+        })
+    return rows
 
 
 COMPLEMENT_PREDICATES = {
-    "completely_factorizable": lambda g, lat: ca.is_completely_factorizable(g, g.order)[0],
-    "c_separating": lambda g, lat: len(ca.c_separating_subgroups(g, g.order)),
-    "supercomplemented": lambda g, lat: sum(
+    "completely_factorizable": lambda ca, g, lat: ca.is_completely_factorizable(g, g.order)[0],
+    "c_separating": lambda ca, g, lat: len(ca.c_separating_subgroups(g, g.order)),
+    "supercomplemented": lambda ca, g, lat: sum(
         ca.is_supercomplemented(g, s, g.order)[0] for s in lat.subgroups),
 }
 
 
-def measure_complements(build) -> dict:
-    base = build()
-    row = {"order": base.order}
+def measure_complements(trees, build) -> list[dict]:
+    bases = [build(tree.ca) for tree in trees]
+    rows = [{"order": base.order} for base in bases]
     for key, predicate in COMPLEMENT_PREDICATES.items():
-        runs_s = []
-        for _ in range(REPEATS):
-            g = fresh(base)
+
+        def run(tree, i):
+            ca = tree.ca
+            g = fresh(ca, bases[trees.index(tree)])
             lat = ca.all_subgroups(g, cap=g.order)
             t0 = time.perf_counter()
-            answer = predicate(g, lat)
-            runs_s.append(time.perf_counter() - t0)
-        row[key] = {"seconds": statistics.median(runs_s), "answer": answer,
-                    "runs_s": runs_s}
-    return row
+            answer = predicate(ca, g, lat)
+            return time.perf_counter() - t0, answer
+
+        for row, runs in zip(rows, interleaved(trees, run)):
+            runs_s = [r[0] for r in runs]
+            row[key] = {"seconds": statistics.median(runs_s),
+                        "answer": runs[-1][1], "runs_s": runs_s}
+    return rows
 
 
 def main() -> int:
@@ -201,41 +274,52 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", required=True)
     parser.add_argument("--out-dir", default=".")
+    parser.add_argument("--baseline", metavar="SRC",
+                        help="src directory of a second tree, timed interleaved")
     args = parser.parse_args()
 
-    groups = {}
+    trees = [Tree(ca, cli_module, subgroups_module)]
+    labels = [args.label]
+    if args.baseline:
+        trees.append(load_tree(args.baseline, "complementa_baseline"))
+        labels.append(f"{args.label}-parent")
+    reports = [{"groups": {}, "joins": {}, "complement": {}} for _ in trees]
+
+    def show(label, name, text):
+        prefix = f"[{label}] " if len(trees) > 1 else ""
+        print(f"{prefix}{name:>26} {text}", flush=True)
+
     for name, build in CORPUS:
-        groups[name] = row = measure(build)
-        print(f"{name:>26} |G|={row['order']:>3} subgroups={row['subgroups']:>5} "
-              f"extended_or_joined={row['extended_or_joined']:>5} "
-              f"enum={row['enumeration_s']:8.3f}s incl={row['inclusion_s']:7.3f}s "
-              f"export={row['export_s']:7.3f}s closure_calls={row['closure_calls']}", flush=True)
-    joins = {}
+        for label, report, row in zip(labels, reports, measure(trees, build)):
+            report["groups"][name] = row
+            show(label, name,
+                 f"|G|={row['order']:>3} subgroups={row['subgroups']:>5} "
+                 f"extended_or_joined={row['extended_or_joined']:>5} "
+                 f"enum={row['enumeration_s']:8.3f}s incl={row['inclusion_s']:7.3f}s "
+                 f"export={row['export_s']:7.3f}s closure_calls={row['closure_calls']}")
     for name, build, kind in JOIN_CORPUS:
-        joins[name] = row = measure_joins(build, kind)
-        print(f"{name:>26} |G|={row['order']:>3} {row['timed']}: "
-              f"{row['seconds']:8.3f}s join_calls={row['join_calls']}", flush=True)
-    complement = {}
-    for name, build in CORPUS:
-        complement[name] = row = measure_complements(build)
-        print(f"{name:>26} |G|={row['order']:>3} " + " ".join(
-            f"{key}={row[key]['seconds']:7.3f}s ({row[key]['answer']})"
-            for key in COMPLEMENT_PREDICATES), flush=True)
-    report = {
-        "label": args.label,
-        "repeats": REPEATS,
-        "machine": {"cpu": platform.processor() or platform.machine(),
-                    "cpus": os.cpu_count(),
-                    "python": platform.python_version()},
-        "groups": groups,
-        "joins": joins,
-        "complement": complement,
-    }
-    path = os.path.join(args.out_dir, f"BENCH_{args.label}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {path}")
+        for label, report, row in zip(labels, reports, measure_joins(trees, build, kind)):
+            report["joins"][name] = row
+            show(label, name, f"|G|={row['order']:>3} {row['timed']}: "
+                 f"{row['seconds']:8.3f}s join_calls={row['join_calls']}")
+    for name, build in COMPLEMENT_CORPUS:
+        for label, report, row in zip(labels, reports, measure_complements(trees, build)):
+            report["complement"][name] = row
+            show(label, name, f"|G|={row['order']:>3} " + " ".join(
+                f"{key}={row[key]['seconds']:7.3f}s ({row[key]['answer']})"
+                for key in COMPLEMENT_PREDICATES))
+    machine = {"cpu": platform.processor() or platform.machine(),
+               "cpus": os.cpu_count(),
+               "python": platform.python_version()}
+    for k, (label, report) in enumerate(zip(labels, reports)):
+        report = {"label": label, "repeats": REPEATS, "machine": machine,
+                  **({"interleaved_with": labels[1 - k]} if len(labels) > 1 else {}),
+                  **report}
+        path = os.path.join(args.out_dir, f"BENCH_{label}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {path}")
     return 0
 
 

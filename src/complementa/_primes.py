@@ -85,3 +85,11 @@ def lcm(values) -> int:
     for v in values:
         out = math.lcm(out, v)
     return out
+
+
+def primitive_root(p: int) -> int:
+    """The least generator of the multiplicative group mod the prime p: the
+    least r with r^((p-1)/q) ≠ 1 mod p for every prime q dividing p − 1."""
+    qs = prime_factors(p - 1)
+    return next(r for r in range(1, p)
+                if all(pow(r, (p - 1) // q, p) != 1 for q in qs))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from itertools import compress
 
-from ._primes import is_prime, lcm, prime_factors
+from ._primes import is_prime, lcm, prime_factors, primitive_root
 from .groups import (CapExceededError, FiniteGroup, PreconditionError,
                      closure_bits, element_order, greedy_generators, normalizes)
 
@@ -42,9 +42,10 @@ class Subgroup:
     passes that tuple and it is kept; every other subgroup derives its tuple
     on first read, greedily from its elements in ascending order.  The
     subgroup search (``_join_search``) gives each ⟨K, x⟩ it builds K's gens
-    plus x.  For a lattice it builds one subgroup per conjugacy class; each
-    other subgroup of the class records the conjugate of the tuple of the
-    subgroup it was conjugated from.  User
+    plus x.  For a lattice it builds one subgroup per orbit: per
+    automorphism orbit (``_automorphisms``) when the parent is abelian, per
+    conjugacy class otherwise.  Each other subgroup of the orbit records the
+    image of the tuple of the subgroup it was mapped from.  User
     input reaches here only through ``generated_subgroup``.  ``gens`` is not
     part of the identity of the subgroup, which is (parent, members) only.
     """
@@ -145,22 +146,27 @@ def _subgroups_order_dividing(g: FiniteGroup, c: int) -> tuple[Subgroup, ...]:
     Found by ``_join_search`` from the trivial subgroup, with join steps only
     when ``_all_solvable`` cannot show that every such subgroup is solvable;
     otherwise extension steps alone find them all.  The memo entry
-    ``("sub_div", c)`` keeps the conjugacy classes the search records beside
-    the subgroups, each class a tuple of member bitsets.  Derived from the
-    full lattice when that is cached.
+    ``("sub_div", c)`` is (subgroups, classes, orbits): the conjugacy classes
+    and the orbits the search ran on, each a tuple of member bitsets with
+    the subgroup the search extended or joined first.  The orbits are the
+    classes, except in an abelian G, where the classes are singletons and
+    the orbits are automorphism orbits.  Derived from the full lattice when
+    that is cached.
     """
     c = math.gcd(g.order, c)
 
     def build():
         full = g.cached_value(("sub_div", g.order))
         if full is not None:
-            subs, classes = full
-            return (tuple(s for s in subs if c % s.order == 0),
-                    tuple(k for k in classes if c % k[0].bit_count() == 0))
-        classes = []
+            return (tuple(s for s in full[0] if c % s.order == 0),
+                    *(tuple(k for k in part if c % k[0].bit_count() == 0)
+                      for part in full[1:]))
+        orbits = []
         subs = _join_search(g, trivial_subgroup(g), c, not _all_solvable(g, c),
-                            classes)
-        return subs, tuple(classes)
+                            orbits)
+        orbits = tuple(orbits)
+        classes = tuple((s.members,) for s in subs) if is_abelian(g) else orbits
+        return subs, classes, orbits
 
     return g.cached(("sub_div", c), build)[0]
 
@@ -230,7 +236,7 @@ def _join_bits(g: FiniteGroup, h: Subgroup, x: int, cap: int) -> int | None:
 
 
 def _join_search(g: FiniteGroup, seed: Subgroup, cap: int, joins: bool,
-                 classes: list | None = None) -> tuple[Subgroup, ...]:
+                 orbits: list | None = None) -> tuple[Subgroup, ...]:
     """The subgroups that contain ``seed`` and have order dividing ``cap``,
     canonically sorted.
 
@@ -262,22 +268,26 @@ def _join_search(g: FiniteGroup, seed: Subgroup, cap: int, joins: bool,
     L ≠ 1 has a normal subgroup M of prime index p, and L = M·⟨x⟩ for any x
     of p-power order in L outside M.
 
-    With ``classes`` a list, the search runs by conjugacy class, for a seed
-    normal in G: each subgroup not found before brings its whole class into
-    the found set (``_class_of``, appended to ``classes``) and is the one
-    subgroup of that class joined in turn.  Since ⟨K, x⟩ᵍ = ⟨Kᵍ, xᵍ⟩, the
-    joins of the conjugates of K are the conjugates of joins of K.  Only the
-    subgroups joined record the gens the search without classes would.
+    With ``orbits`` a list, the search runs by orbit, for a seed that every
+    acting permutation fixes: each subgroup not found before brings its
+    whole orbit into the found set (``_orbit``, appended to ``orbits``) and
+    is the one subgroup of that orbit joined in turn.  The permutations,
+    ``_automorphisms``, make the orbits automorphism orbits in an abelian G
+    and conjugacy classes otherwise.  Since a(⟨K, x⟩) = ⟨a(K), a(x)⟩ for an
+    automorphism a, the joins of the images of K are the images of joins of
+    K, and automorphisms keep orders, so the cap too.  Only the subgroups
+    joined record the gens the search without orbits would.
     """
     mult = g.mult
     cands = [t for t in _prime_power_cyclics(g) if cap % t[0] == 0]
+    perms = () if orbits is None else _automorphisms(g)
 
     def orbit(sub):
-        if classes is None:
+        if orbits is None:
             return {sub.members: sub}
-        cls = _class_of(g, sub)
-        classes.append(tuple(cls))
-        return cls
+        orb = _orbit(g, sub, perms)
+        orbits.append(tuple(orb))
+        return orb
 
     found = orbit(seed)
     frontier = [seed]
@@ -468,16 +478,14 @@ def is_normal(g: FiniteGroup, h: Subgroup) -> bool:
     return normalizes(g, h.members, h.gens, g.generators)
 
 
-def _class_of(g: FiniteGroup, h: Subgroup) -> dict[int, Subgroup]:
-    """The conjugacy class of h as {members: subgroup}, h itself first: the
-    closure of {h} under the generator permutations, each conjugate with the
-    conjugated gens of the subgroup it was reached from.  In an abelian G,
-    h alone."""
+def _orbit(g: FiniteGroup, h: Subgroup, perms) -> dict[int, Subgroup]:
+    """The orbit of h under the automorphisms of G given as element
+    permutations ``perms``, as {members: subgroup}, h itself first: the
+    closure of {h} under the permutations, each image with the image of the
+    gens of the subgroup it was reached from.  With no permutations, h
+    alone."""
     seen = {h.members: h}
-    if is_abelian(g):
-        return seen
     frontier = [h]
-    perms = _conj_perms(g)
     while frontier:
         nxt = []
         for sub in frontier:
@@ -493,9 +501,84 @@ def _class_of(g: FiniteGroup, h: Subgroup) -> dict[int, Subgroup]:
     return seen
 
 
+def _automorphisms(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The automorphisms of G whose orbits the lattice search runs on, as
+    element permutations; cached.
+
+    When G is not abelian, conjugation by each generator (``_conj_perms``),
+    so the orbits are the conjugacy classes.  When G is abelian, where
+    conjugation is trivial, generators of GL(n, p) on each elementary
+    abelian Sylow subgroup of rank n ≥ 2, each the identity on the other
+    Sylow subgroups.  The basis s₁, …, sₙ of a Sylow p-subgroup is what
+    ``greedy_generators`` keeps of the generators of its cyclic subgroups
+    (``_prime_power_cyclics``).  The cyclic shift sᵢ → sᵢ₊₁ and the swap
+    s₁ ↔ s₂ (the shift itself when n = 2) permute the basis every way.  With
+    them the transvection s₁ → s₁s₂ gives every elementary transvection, and
+    these generate SL(n, p); for odd p, s₁ → s₁ʳ, r a primitive root mod p,
+    adds every determinant.  A Sylow subgroup that is not elementary abelian
+    adds none.
+    """
+    if not is_abelian(g):
+        return _conj_perms(g)
+
+    def build():
+        mult = g.mult
+        cyclics: dict[int, list[tuple[int, int]]] = {}
+        for order, x, _, p, _ in _prime_power_cyclics(g):
+            cyclics.setdefault(p, []).append((order, x))
+        # elementary abelian of rank >= 2: every cyclic subgroup has order
+        # p, and there is more than one
+        acting = {p for p, xs in cyclics.items()
+                  if len(xs) > 1 and all(order == p for order, _ in xs)}
+        if not acting:
+            return ()
+        bases = {p: [s for s, _ in greedy_generators(mult, (x for _, x in xs))]
+                 for p, xs in sorted(cyclics.items())}
+        gens = [s for basis in bases.values() for s in basis]
+        perms = []
+        for p, s in bases.items():
+            if p not in acting:
+                continue
+            moves = [dict(zip(s, s[1:] + s[:1])), {s[0]: mult[s[0]][s[1]]}]
+            if len(s) > 2:
+                moves.append({s[0]: s[1], s[1]: s[0]})
+            if p > 2:
+                moves.append({s[0]: g.power(s[0], primitive_root(p))})
+            for move in moves:
+                perms.append(_extend_to_automorphism(
+                    g, gens, [move.get(x, x) for x in gens]))
+        return tuple(perms)
+
+    return g.cached("automorphisms", build)
+
+
+def _extend_to_automorphism(g: FiniteGroup, gens, images) -> tuple[int, ...]:
+    """The automorphism of G that sends each of ``gens``, which generate G,
+    to its entry of ``images``, as an element permutation.  Grown
+    breadth-first from the identity, e·s ↦ perm[e]·t, so every product e·s
+    is checked; RuntimeError when the images define no automorphism."""
+    mult = g.mult
+    perm = [None] * g.order
+    perm[0] = 0
+    reached = [0]
+    for e in reached:
+        row, image_row = mult[e], mult[perm[e]]
+        for s, t in zip(gens, images):
+            y, image = row[s], image_row[t]
+            if perm[y] is None:
+                perm[y] = image
+                reached.append(y)
+            elif perm[y] != image:
+                raise RuntimeError("generator images define no homomorphism")
+    if len(reached) != g.order or len(set(perm)) != g.order:
+        raise RuntimeError("generator images define no automorphism")
+    return tuple(perm)
+
+
 def conjugates(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
     """The conjugacy class of h, canonically sorted."""
-    return tuple(sorted(_class_of(g, h).values(), key=Subgroup.sort_key))
+    return tuple(sorted(_orbit(g, h, _conj_perms(g)).values(),
+                        key=Subgroup.sort_key))
 
 
 def _normal_closure(g: FiniteGroup, seed, by) -> Subgroup:
@@ -526,7 +609,7 @@ def normal_closure(g: FiniteGroup, h: Subgroup) -> Subgroup:
 def core(g: FiniteGroup, h: Subgroup) -> Subgroup:
     """Intersection of all conjugates of h (the largest normal subgroup inside)."""
     bits = h.members
-    for c in _class_of(g, h):
+    for c in _orbit(g, h, _conj_perms(g)):
         bits &= c
     return Subgroup(g, bits)
 

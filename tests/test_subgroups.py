@@ -1,5 +1,6 @@
 """Subgroup arithmetic, lattice enumeration, normality and the modular identity."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -7,7 +8,8 @@ import complementa as ca
 from complementa._primes import divisors, prime_factors
 from complementa.groups import CapExceededError, PreconditionError
 from complementa.subgroups import (Subgroup, SubgroupLattice, _all_solvable,
-                                   _coset_bits, _join_bits,
+                                   _automorphisms, _coset_bits,
+                                   _extend_to_automorphism, _join_bits,
                                    _join_search, _subgroups_order_dividing,
                                    bit_indices,
                                    bits_of, closure_bits, cyclic_subgroups,
@@ -266,10 +268,11 @@ def _subspaces(p, r):
     (lambda: ca.dihedral(128).group, _tau(128) + _sigma(128)),  # 263
     (lambda: ca.elementary_abelian(2, 6).group, _subspaces(2, 6)),  # 2825
     (lambda: ca.elementary_abelian(3, 5).group, _subspaces(3, 5)),  # 2664
+    (lambda: ca.elementary_abelian(2, 7).group, _subspaces(2, 7)),  # 29212
     (lambda: ca.cyclic(512), _tau(512)),  # 10
     (_s5, 156),
     (_a5, 59),
-], ids=["dih256", "ea2r6", "ea3r5", "c512", "s5", "a5"])
+], ids=["dih256", "ea2r6", "ea3r5", "ea2r7", "c512", "s5", "a5"])
 def test_subgroup_counts_match_closed_forms(build, count):
     assert len(ca.all_subgroups(build())) == count
 
@@ -489,15 +492,26 @@ BY_CLASS_CASES = {
     "split-p5-3": lambda: ca.split_p5_group(3).group,
     "S5": _s5,
     "A5": _a5,
+    # abelian with a Sylow subgroup that is not elementary, or with two
+    # elementary Sylow subgroups of rank 2 or more
+    "C4xC4xC2": lambda: ca.direct_product(
+        ca.direct_product(ca.cyclic(4), ca.cyclic(4)), ca.cyclic(2)),
+    "C2^2xC9": lambda: ca.direct_product(ca.elementary_abelian(2, 2).group,
+                                         ca.cyclic(9)),
+    "C2^2xC3^2": lambda: ca.direct_product(ca.elementary_abelian(2, 2).group,
+                                           ca.elementary_abelian(3, 2).group),
+    "C2^3xC3^2": lambda: ca.direct_product(ca.elementary_abelian(2, 3).group,
+                                           ca.elementary_abelian(3, 2).group),
 }
 
 
 @pytest.mark.parametrize("name", list(BY_CLASS_CASES))
 def test_enumeration_by_class_matches_the_enumeration_of_every_subgroup(name):
-    """Same subgroups in the same order, and the classes the enumeration
-    records are the orbits, for the full lattice and every partial one.
-    Each class's representative, recorded first, has the gens the reference
-    records."""
+    """Same subgroups in the same order, and the conjugacy classes recorded
+    are the reference's, for the full lattice and every partial one.  Each
+    orbit's representative, the subgroup the search extended or joined and
+    recorded first, has the gens the reference records; every subgroup's
+    gens generate it."""
     base = BY_CLASS_CASES[name]()
     g = _fresh(base)
     # ascending divisors: every partial lattice is built before the full one
@@ -505,13 +519,15 @@ def test_enumeration_by_class_matches_the_enumeration_of_every_subgroup(name):
         subs = _subgroups_order_dividing(g, c)
         ref = reference_subgroups_order_dividing(_fresh(base), c)
         assert [s.members for s in subs] == [s.members for s in ref], c
-        classes = g.cached_value(("sub_div", c))[1]
+        _, classes, orbits = g.cached_value(("sub_div", c))
         index_of = {s.members: i for i, s in enumerate(subs)}
         recorded = tuple(sorted(tuple(sorted(index_of[b] for b in cls))
                                 for cls in classes))
         assert recorded == reference_conjugacy_classes(g, ref), c
-        for cls in classes:
-            i = index_of[cls[0]]
+        assert sorted(b for orbit in orbits for b in orbit) == \
+            sorted(s.members for s in subs), c
+        for orbit in orbits:
+            i = index_of[orbit[0]]
             assert subs[i].gens == ref[i].gens, (c, subs[i])
         for s in subs:
             assert closure_bits(g.mult, s.gens) == s.members, (c, s)
@@ -520,12 +536,53 @@ def test_enumeration_by_class_matches_the_enumeration_of_every_subgroup(name):
     assert lat.conjugacy_classes == reference_conjugacy_classes(g, ref)
 
 
+@pytest.mark.parametrize("name", list(BY_CLASS_CASES))
+def test_the_search_acts_by_automorphisms(name):
+    """Every permutation the search's orbits come from fixes the identity,
+    is a bijection and keeps every product: perm[ab] = perm[a]·perm[b] for
+    all a, b, checked on the whole table."""
+    g = _fresh(BY_CLASS_CASES[name]())
+    mult = np.array(g.mult)
+    perms = _automorphisms(g)
+    if ca.is_abelian(g):
+        # one GL(n, p) generator or more per elementary abelian Sylow
+        # subgroup of rank n >= 2, each a different permutation
+        assert len(set(perms)) == len(perms)
+    for perm in perms:
+        p = np.array(perm)
+        assert p[0] == 0
+        assert sorted(perm) == list(range(g.order))
+        assert (p[mult] == mult[np.ix_(p, p)]).all()
+
+
+@pytest.mark.parametrize("p, rank", [(2, 3), (3, 4), (5, 3), (2, 6), (3, 5)])
+def test_elementary_abelian_lattices_have_one_orbit_per_order(p, rank):
+    """GL(n, p) is transitive on the subspaces of each dimension, so the
+    search extends or joins one subgroup of each order."""
+    g = _fresh(ca.elementary_abelian(p, rank).group)
+    ca.all_subgroups(g)
+    orbits = g.cached_value(("sub_div", g.order))[2]
+    assert sorted(orbit[0].bit_count() for orbit in orbits) == \
+        [p ** k for k in range(rank + 1)]
+
+
+def test_images_that_define_no_automorphism_are_refused():
+    g = ca.cyclic(4)
+    x = g.generators[0]
+    x2, x3 = g.power(x, 2), g.power(x, 3)
+    assert _extend_to_automorphism(g, (x,), (x3,)) == tuple(g.inv)
+    with pytest.raises(RuntimeError, match="homomorphism"):
+        _extend_to_automorphism(g, (x, x2), (x, x))  # x² must go to x²
+    with pytest.raises(RuntimeError, match="automorphism"):
+        _extend_to_automorphism(g, (x,), (x2,))  # not injective
+
+
 def test_conjugacy_classes_are_recorded_only_by_the_enumeration():
     g = _fresh(ca.symmetric3().group)
     lat = SubgroupLattice(g, ca.all_subgroups(g).subgroups)
     with pytest.raises(PreconditionError):
         lat.conjugacy_classes
-    subs, classes = g.cached_value(("sub_div", g.order))
+    subs, classes, _ = g.cached_value(("sub_div", g.order))
     assert SubgroupLattice(g, subs, classes).conjugacy_classes == \
         reference_conjugacy_classes(g, subs)
 
