@@ -5,8 +5,13 @@ the join search on a fixed corpus.
 For each group of the lattice corpus it records the median seconds of
 ``all_subgroups``, of ``SubgroupLattice.inclusion`` and of the export over
 ``REPEATS`` runs, each on a fresh copy of the group (empty cache), the
-subgroup count, the number of ``closure_bits`` calls made during
-enumeration, and the number of subgroups the enumeration extended or joined,
+subgroup count, the number of cover pairs, and the work counts of one more
+run, made outside the timing: the ``closure_bits`` calls made during
+enumeration (set-up only, such as building automorphisms; the search makes
+none), the orbit images the enumeration computed (``_conj_bits`` calls),
+the element tuples read off bitsets (``bit_indices`` calls) from
+enumeration through export, and the number of subgroups the enumeration
+extended or joined,
 which is the number of orbits it records (one representative per orbit is
 extended or joined): automorphism orbits in an abelian group, conjugacy
 classes otherwise.  It is read off the last item of the memo entry of the
@@ -36,7 +41,8 @@ median seconds over ``REPEATS`` runs and the answers (the factorizable
 verdict, the number of C-separating and of supercomplemented subgroups),
 which must agree between the two sides of a comparison.
 
-Calls are counted by a wrapper installed from outside the library.  Writes
+Calls are counted by a wrapper installed from outside the library, never
+during a timed run.  Writes
 ``BENCH_<label>.json`` to ``--out-dir``.
 
 With ``--baseline SRC``, a second source tree (SRC is its ``src`` directory)
@@ -164,42 +170,64 @@ def interleaved(trees, run):
     return out
 
 
+def export(tree, lat):
+    """``lattice_to_dict`` and the JSON text ``complementa lattice`` prints."""
+    ca, cli_module, _ = tree
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli_module._emit_json(argparse.Namespace(out=None), ca.lattice_to_dict(lat))
+
+
+def count_work(tree, base) -> dict:
+    """The calls of one lattice request on a fresh copy of base:
+    ``closure_bits`` and ``_conj_bits`` during enumeration, ``bit_indices``
+    from enumeration through export."""
+    ca, _, subgroups_module = tree
+    g = fresh(ca, base)
+    closure, images, elements = counters = [
+        CallCounter(ca, getattr(subgroups_module, name))
+        for name in ("closure_bits", "_conj_bits", "bit_indices")]
+    try:
+        lat = ca.all_subgroups(g, cap=g.order)
+        closure_calls, orbit_images = closure.calls, images.calls
+        pairs = len(lat.inclusion)
+        export(tree, lat)
+    finally:
+        for counter in counters:
+            counter.restore()
+    return {"closure_calls": closure_calls, "orbit_images": orbit_images,
+            "bit_indices_calls": elements.calls, "cover_pairs": pairs,
+            "orbits": len(g.cached_value(("sub_div", g.order))[-1])}
+
+
 def measure(trees, build) -> list[dict]:
     bases = [build(tree.ca) for tree in trees]
 
     def run(tree, i):
-        ca, cli_module, subgroups_module = tree
-        g = fresh(ca, bases[trees.index(tree)])
-        counter = CallCounter(ca, subgroups_module.closure_bits)
-        try:
-            t0 = time.perf_counter()
-            lat = ca.all_subgroups(g, cap=g.order)
-            enum_s = time.perf_counter() - t0
-        finally:
-            counter.restore()
+        g = fresh(tree.ca, bases[trees.index(tree)])
         t0 = time.perf_counter()
+        lat = tree.ca.all_subgroups(g, cap=g.order)
+        t1 = time.perf_counter()
         lat.inclusion
-        incl_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()):
-            cli_module._emit_json(argparse.Namespace(out=None), ca.lattice_to_dict(lat))
-        export_s = time.perf_counter() - t0
-        return {"subgroups": len(lat),
-                "orbits": len(g.cached_value(("sub_div", g.order))[-1]),
-                "closure_calls": counter.calls,
-                "s": (enum_s, incl_s, export_s)}
+        t2 = time.perf_counter()
+        export(tree, lat)
+        t3 = time.perf_counter()
+        return len(lat), (t1 - t0, t2 - t1, t3 - t2)
 
     rows = []
-    for base, runs in zip(bases, interleaved(trees, run)):
-        enum_s, incl_s, export_s = (list(r) for r in zip(*(run["s"] for run in runs)))
+    for tree, base, runs in zip(trees, bases, interleaved(trees, run)):
+        enum_s, incl_s, export_s = (list(r) for r in zip(*(run[1] for run in runs)))
+        work = count_work(tree, base)
         rows.append({
             "order": base.order,
-            "subgroups": runs[-1]["subgroups"],
-            "extended_or_joined": runs[-1]["orbits"],
+            "subgroups": runs[-1][0],
+            "extended_or_joined": work["orbits"],
             "enumeration_s": statistics.median(enum_s),
             "inclusion_s": statistics.median(incl_s),
             "export_s": statistics.median(export_s),
-            "closure_calls": runs[-1]["closure_calls"],
+            "closure_calls": work["closure_calls"],
+            "orbit_images": work["orbit_images"],
+            "bit_indices_calls": work["bit_indices_calls"],
+            "cover_pairs": work["cover_pairs"],
             "enumeration_runs_s": enum_s,
             "inclusion_runs_s": incl_s,
             "export_runs_s": export_s,
@@ -296,7 +324,10 @@ def main() -> int:
                  f"|G|={row['order']:>3} subgroups={row['subgroups']:>5} "
                  f"extended_or_joined={row['extended_or_joined']:>5} "
                  f"enum={row['enumeration_s']:8.3f}s incl={row['inclusion_s']:7.3f}s "
-                 f"export={row['export_s']:7.3f}s closure_calls={row['closure_calls']}")
+                 f"export={row['export_s']:7.3f}s closure_calls={row['closure_calls']} "
+                 f"orbit_images={row['orbit_images']} "
+                 f"bit_indices_calls={row['bit_indices_calls']} "
+                 f"cover_pairs={row['cover_pairs']}")
     for name, build, kind in JOIN_CORPUS:
         for label, report, row in zip(labels, reports, measure_joins(trees, build, kind)):
             report["joins"][name] = row

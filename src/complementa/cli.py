@@ -94,6 +94,11 @@ def _emit(args, payload: str):
 
 
 _encode_scalar = json.JSONEncoder().encode
+# used only on lists that hold no container below their rows, which cannot
+# refer to themselves
+_encode_compact = json.JSONEncoder(separators=(",", ":"),
+                                   check_circular=False).encode
+_PLAIN_SCALARS = {int, bool, type(None)}
 
 
 def _indented_json(obj) -> str:
@@ -101,8 +106,11 @@ def _indented_json(obj) -> str:
 
     With ``indent`` set, ``json`` falls back to its pure-Python encoder.
     Here the containers are walked in Python, but scalars and keys go
-    through the C encoder, a list of plain ints is joined in one call, and
-    a list of non-empty lists of plain ints in one join per level.
+    through the C encoder, and so do two kinds of list whole: a list of
+    plain ints, bools and None, and a list of non-empty rows of plain ints.
+    Their compact text has only digits, signs, commas, brackets and
+    literals, so ``str.replace`` re-spaces it to the indented text, and no
+    Python code runs per item.  Everything else is walked item by item.
     """
     return _json_text(obj, "\n", set())
 
@@ -116,19 +124,18 @@ def _json_text(obj, newline: str, path: set) -> str:
             return "[]"
         inner = newline + "  "
         types = set(map(type, obj))
-        if types == {int}:
-            items = map(str, obj)
-        elif (types <= {list, tuple} and all(obj)
-              and set(map(type, chain.from_iterable(obj))) == {int}):
-            # no container inside, so no circular reference to refuse
+        if types <= _PLAIN_SCALARS:
+            items = _encode_compact(obj)[1:-1].replace(",", "," + inner)
+            return f"[{inner}{items}{newline}]"
+        if (types <= {list, tuple} and all(obj)
+                and set(map(type, chain.from_iterable(obj))) == {int}):
             deeper = inner + "  "
-            rows = (inner + "]," + inner + "[" + deeper).join(
-                [("," + deeper).join(map(str, row)) for row in obj])
-            return "[" + inner + "[" + deeper + rows + inner + "]" + newline + "]"
-        else:
-            _enter(obj, path)
-            items = [_json_text(item, inner, path) for item in obj]
-            path.remove(id(obj))
+            rows = _encode_compact(obj)[2:-2].replace(",", "," + deeper).replace(
+                "]," + deeper + "[", f"{inner}],{inner}[{deeper}")
+            return f"[{inner}[{deeper}{rows}{inner}]{newline}]"
+        _enter(obj, path)
+        items = [_json_text(item, inner, path) for item in obj]
+        path.remove(id(obj))
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, dict):
         if not obj:

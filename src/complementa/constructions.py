@@ -168,10 +168,13 @@ def split_p5_group(p: int, cap: int = SPLIT_P5_CAP) -> NamedGroup:
     neither <x> nor B normal.  For p = 2 the relation x^a = x^(p+1) = x^3
     coincides with inversion since |x| = 4.
     """
+    # Primality first, so that a composite p is not refused as if a larger
+    # cap would admit it; a p above the cap is refused by the cap alone, at
+    # once however large it is.
+    if p <= cap and not is_prime(p):
+        raise PreconditionError(f"{p} is not prime")
     if p ** 5 > cap:
         raise CapExceededError("construction", cap, p ** 5)
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
     xs = cyclic(p * p, "x")
     As = cyclic(p, "a")
     f_action = ActionSpec(As, xs, {1: tuple(((p + 1) * i) % (p * p) for i in range(p * p))})

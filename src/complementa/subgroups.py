@@ -48,18 +48,22 @@ class Subgroup:
     image of the tuple of the subgroup it was mapped from.  User
     input reaches here only through ``generated_subgroup``.  ``gens`` is not
     part of the identity of the subgroup, which is (parent, members) only.
+
+    ``elements()`` is ``bit_indices(members)``, read off the bitset on first
+    call unless the constructor is given it as ``elems``, which it trusts:
+    ``_orbit`` passes each image's sorted members, which it has already.
     """
 
     __slots__ = ("parent", "members", "order", "_gens", "_elems")
 
-    def __init__(self, parent: FiniteGroup, members: int, gens=None):
+    def __init__(self, parent: FiniteGroup, members: int, gens=None, elems=None):
         if not members & 1:
             raise PreconditionError("subgroup must contain the identity (index 0)")
         self.parent = parent
         self.members = members
         self.order = members.bit_count()
         self._gens = None if gens is None else tuple(gens)
-        self._elems = None
+        self._elems = None if elems is None else tuple(elems)
         if parent.order % self.order:
             raise PreconditionError("subgroup order must divide the group order")
 
@@ -187,7 +191,7 @@ def _all_solvable(g: FiniteGroup, c: int) -> bool:
 
 
 def _prime_power_cyclics(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """(order, x, x⁻¹, p, xᵖ) for the generator x of each cyclic subgroup of
+    """(order, x, p, xᵖ) for the generator x of each cyclic subgroup of
     prime-power order, p the prime, in canonical order; cached."""
 
     def build():
@@ -196,7 +200,7 @@ def _prime_power_cyclics(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
             primes = prime_factors(cyc.order)
             if len(primes) == 1:
                 x = cyc.gens[0]
-                out.append((cyc.order, x, g.inv[x], primes[0], g.power(x, primes[0])))
+                out.append((cyc.order, x, primes[0], g.power(x, primes[0])))
         return tuple(out)
 
     return g.cached("prime_power_cyclics", build)
@@ -296,11 +300,11 @@ def _join_search(g: FiniteGroup, seed: Subgroup, cap: int, joins: bool,
         for k in frontier:
             km, kgens, elems, room = k.members, k.gens, k.elements(), cap // k.order
             skip = km
-            for _, x, x_inv, p, xp in cands:
+            for _, x, p, xp in cands:
                 if skip >> x & 1:
                     continue
                 if (not room % p and km >> xp & 1
-                        and all(km >> mult[mult[x_inv][s]][x] & 1 for s in kgens)):
+                        and normalizes(g, km, kgens, (x,))):
                     bits, y = km, x
                     for _ in range(p - 1):
                         bits |= _coset_bits(mult, elems, y)
@@ -386,19 +390,25 @@ class SubgroupLattice:
 
     @property
     def inclusion(self) -> tuple[tuple[int, int], ...]:
+        """The covering relation, as sorted (i, k) index pairs: subgroup k
+        covers subgroup i.
+
+        Canonical order puts the overgroups of H at H's own index and above,
+        so ``above(H)`` less H's own bit holds its strict overgroups.  The
+        covers of H are the minimal ones: the lowest index left is minimal,
+        and accepting it clears it and everything above it, which is one AND
+        with the complement of its ``above``.  Only the complements are
+        kept, one per subgroup.  So the pairs come out sorted.
+        """
         if self._inclusion is None:
-            # Canonical order puts the strict overgroups of H at the indices
-            # above H's.  The covers of H are the minimal ones: the lowest
-            # index left is minimal, and accepting it clears it and
-            # everything above it, so the pairs come out sorted.
-            above = [self.above(s) >> (i + 1) << (i + 1)
-                     for i, s in enumerate(self.subgroups)]
+            outside = [~self.above(s) for s in self.subgroups]
             pairs = []
-            for i, bits in enumerate(above):
+            for i, out in enumerate(outside):
+                bits = ~out ^ 1 << i
                 while bits:
                     k = (bits & -bits).bit_length() - 1
                     pairs.append((i, k))
-                    bits &= ~(above[k] | 1 << k)
+                    bits &= outside[k]
             self._inclusion = tuple(pairs)
         return self._inclusion
 
@@ -482,7 +492,9 @@ def _orbit(g: FiniteGroup, h: Subgroup, perms) -> dict[int, Subgroup]:
     """The orbit of h under the automorphisms of G given as element
     permutations ``perms``, as {members: subgroup}, h itself first: the
     closure of {h} under the permutations, each image with the image of the
-    gens of the subgroup it was reached from.  With no permutations, h
+    gens of the subgroup it was reached from.  Each image also keeps its
+    elements, the images of those of that subgroup, sorted, so no orbit
+    member but h reads them off its bitset.  With no permutations, h
     alone."""
     seen = {h.members: h}
     frontier = [h]
@@ -493,8 +505,9 @@ def _orbit(g: FiniteGroup, h: Subgroup, perms) -> dict[int, Subgroup]:
             for perm in perms:
                 bits = _conj_bits(perm, elems)
                 if bits not in seen:
-                    new = Subgroup(g, bits,
-                                   tuple(perm[e] for e in sub.gens))
+                    image = perm.__getitem__
+                    new = Subgroup(g, bits, map(image, sub.gens),
+                                   sorted(map(image, elems)))
                     seen[bits] = new
                     nxt.append(new)
         frontier = nxt
@@ -511,12 +524,14 @@ def _automorphisms(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     abelian Sylow subgroup of rank n ≥ 2, each the identity on the other
     Sylow subgroups.  The basis s₁, …, sₙ of a Sylow p-subgroup is what
     ``greedy_generators`` keeps of the generators of its cyclic subgroups
-    (``_prime_power_cyclics``).  The cyclic shift sᵢ → sᵢ₊₁ and the swap
-    s₁ ↔ s₂ (the shift itself when n = 2) permute the basis every way.  With
-    them the transvection s₁ → s₁s₂ gives every elementary transvection, and
-    these generate SL(n, p); for odd p, s₁ → s₁ʳ, r a primitive root mod p,
-    adds every determinant.  A Sylow subgroup that is not elementary abelian
-    adds none.
+    (``_prime_power_cyclics``).  Two permutations serve every p: the cyclic
+    shift sᵢ → sᵢ₊₁ and the transvection t₁₂: s₁ → s₁s₂.  Conjugating t₁₂ by
+    the powers of the shift gives every tᵢ,ᵢ₊₁, indices mod n, and the
+    commutators [tᵢⱼ, tⱼₖ] = tᵢₖ then give every elementary transvection,
+    which generate SL(n, p).  So no swap of two basis elements is needed.
+    GL(n, 2) = SL(n, 2); for odd p, s₁ → s₁ʳ, r a primitive root mod p, adds
+    every determinant.  A Sylow subgroup that is not elementary abelian adds
+    none.
     """
     if not is_abelian(g):
         return _conj_perms(g)
@@ -524,7 +539,7 @@ def _automorphisms(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     def build():
         mult = g.mult
         cyclics: dict[int, list[tuple[int, int]]] = {}
-        for order, x, _, p, _ in _prime_power_cyclics(g):
+        for order, x, p, _ in _prime_power_cyclics(g):
             cyclics.setdefault(p, []).append((order, x))
         # elementary abelian of rank >= 2: every cyclic subgroup has order
         # p, and there is more than one
@@ -540,8 +555,6 @@ def _automorphisms(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
             if p not in acting:
                 continue
             moves = [dict(zip(s, s[1:] + s[:1])), {s[0]: mult[s[0]][s[1]]}]
-            if len(s) > 2:
-                moves.append({s[0]: s[1], s[1]: s[0]})
             if p > 2:
                 moves.append({s[0]: g.power(s[0], primitive_root(p))})
             for move in moves:

@@ -297,6 +297,17 @@ def test_construction_cap_is_checked_before_primality(capsys, monkeypatch, argv)
     assert err.startswith("error: construction cap exceeded")
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "split-p5"],
+    ["lattice", "--recipe", "split-p5"],
+], ids=["verify", "lattice"])
+def test_split_p5_refuses_a_composite_p_before_its_cap(capsys, command):
+    # 4⁵ = 1024 is over the cap of 243, but no cap admits p = 4
+    code, out, err = run_cli(capsys, *command, "--p", "4")
+    assert code == 2 and out == ""
+    assert err == "error: 4 is not prime\n"
+
+
 @pytest.mark.parametrize("n, message", [
     ("5000", "error: construction cap exceeded: 10000 > 4096\n"),
     ("0", "error: n must be >= 1\n"),
@@ -598,9 +609,23 @@ _ROW = [4, 5]
     [[True, 1], [2]],
     [[1], [2.0]],
     [[1], 2],
+    [True, False, True],
+    [True, 1, -2, False, 0],
+    [None, 3, None],
+    (7, -8, 9),
+    [1, 2.5, True],
+    [1, "2", None],
+    [[-1, 2], [-3, -40]],
+    [[1], [2], [3]],
+    {"a": {"b": [[1, 2], [3]]}, "c": [[[4], [5, 6]]]},
+    ((1, 2), (3,)),
 ], ids=["rows", "tuple-rows", "nested-rows", "shared-row", "empty-row",
-        "bool-in-row", "float-in-row", "int-beside-rows"])
+        "bool-in-row", "float-in-row", "int-beside-rows", "bools", "bools-and-ints",
+        "none-and-ints", "int-tuple", "float-among-ints", "str-among-ints",
+        "negative-rows", "one-element-rows", "rows-at-depth-3", "tuple-of-tuple-rows"])
 def test_writer_matches_json_on_lists_of_int_lists(obj):
+    """Lists of plain scalars and lists of int rows, which go through the C
+    encoder whole, and lists just outside those kinds, which are walked."""
     assert_written_as_json_does(obj)
 
 
@@ -630,12 +655,15 @@ def _circular_dict():
     [1, 2, {3}],
     {"a": object()},
     [1, 10 ** 5000],
+    [True, None, 10 ** 5000],
+    {"a": [[1, 2], [10 ** 5000]]},
     {"a": 10 ** 5000},
     {10 ** 5000: 1},
     _circular_list(),
     _circular_dict(),
 ], ids=["tuple-key", "nested-frozenset-key", "set-value", "object-value",
-        "long-int-in-int-list", "long-int-value", "long-int-key",
+        "long-int-in-int-list", "long-int-among-literals", "long-int-in-a-row",
+        "long-int-value", "long-int-key",
         "circular-list", "circular-dict"])
 def test_writer_raises_where_json_raises(obj):
     with pytest.raises(Exception) as want:

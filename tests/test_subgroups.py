@@ -511,7 +511,8 @@ def test_enumeration_by_class_matches_the_enumeration_of_every_subgroup(name):
     are the reference's, for the full lattice and every partial one.  Each
     orbit's representative, the subgroup the search extended or joined and
     recorded first, has the gens the reference records; every subgroup's
-    gens generate it."""
+    gens generate it, and its elements, which orbit members are given when
+    their orbit is closed, are those of its bitset."""
     base = BY_CLASS_CASES[name]()
     g = _fresh(base)
     # ascending divisors: every partial lattice is built before the full one
@@ -531,6 +532,7 @@ def test_enumeration_by_class_matches_the_enumeration_of_every_subgroup(name):
             assert subs[i].gens == ref[i].gens, (c, subs[i])
         for s in subs:
             assert closure_bits(g.mult, s.gens) == s.members, (c, s)
+            assert s.elements() == bit_indices(s.members), (c, s)
     lat = ca.all_subgroups(g, cap=g.order)
     assert lat.subgroups == subs
     assert lat.conjugacy_classes == reference_conjugacy_classes(g, ref)
@@ -555,7 +557,7 @@ def test_the_search_acts_by_automorphisms(name):
         assert (p[mult] == mult[np.ix_(p, p)]).all()
 
 
-@pytest.mark.parametrize("p, rank", [(2, 3), (3, 4), (5, 3), (2, 6), (3, 5)])
+@pytest.mark.parametrize("p, rank", [(2, 3), (3, 4), (5, 3), (2, 6), (3, 5), (2, 7)])
 def test_elementary_abelian_lattices_have_one_orbit_per_order(p, rank):
     """GL(n, p) is transitive on the subspaces of each dimension, so the
     search extends or joins one subgroup of each order."""

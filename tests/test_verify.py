@@ -5,9 +5,10 @@ from itertools import combinations
 import pytest
 
 import complementa as ca
+import complementa.subgroups as subgroups_module
 import complementa.verify as verify_module
 from complementa._primes import divisors
-from complementa.subgroups import bit_indices, bits_of
+from complementa.subgroups import _conj_bits, bit_indices, bits_of
 from complementa.verify import _Suite, _entry_suite
 
 
@@ -160,6 +161,29 @@ def test_cross_check_claims_report_disagreement(monkeypatch, entry, claim, name,
         f"catalog.{entry}.{claim}"]
     assert report.status == "fail"
     assert report.witnesses and report.witnesses != ("no witness recorded",)
+
+
+def test_conjugation_closed_does_not_share_the_search_permutations(monkeypatch):
+    """A fault in the permutations the search closes its orbits with leaves
+    a lattice closed under those permutations, by construction; the claim
+    conjugates by permutations of its own and reports it.  Here the fault
+    puts a transposition of two elements, which is no automorphism, in
+    place of conjugation by the generators."""
+
+    def faulty(g):
+        swap = list(range(g.order))
+        swap[1], swap[2] = 2, 1
+        return (tuple(swap),)
+
+    base = ca.catalog_entry("s3xs3").build().group
+    good = ca.FiniteGroup(base.mult, base.generators, base.labels)
+    assert verify_module._conjugation_closed(good, ca.all_subgroups(good))
+    monkeypatch.setattr(subgroups_module, "_conj_perms", faulty)
+    g = ca.FiniteGroup(base.mult, base.generators, base.labels)
+    lat = ca.all_subgroups(g)
+    assert all(_conj_bits(perm, s.elements()) in lat.index_of
+               for perm in faulty(g) for s in lat.subgroups)
+    assert not verify_module._conjugation_closed(g, lat)
 
 
 def test_catalog_suite_restriction_and_empty():
