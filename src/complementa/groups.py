@@ -11,6 +11,7 @@ generators instead of n³.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -78,17 +79,16 @@ class FiniteGroup:
 
     def __init__(self, mult, generators, labels, name="G"):
         self.order = len(mult)
-        self.mult = tuple(map(tuple, mult.tolist() if isinstance(mult, np.ndarray) else mult))
         self.generators = tuple(generators)
         self.labels = tuple(labels)
         self.name = name
         self._cache: dict = {}
-        # in a Latin square with identity 0, each row holds 0 once, as its least entry
-        self.inv = tuple(self._validate(mult).argmin(axis=1).tolist())
+        self.inv = self._validate(mult)
 
-    def _validate(self, mult) -> np.ndarray:
+    def _validate(self, mult) -> tuple[int, ...]:
         """Check ``mult`` (rows or an integer array) against this group's
-        order, labels and generators; return it as an int32 array."""
+        order, labels and generators, set ``self.mult`` to its rows as
+        tuples of ints, and return the inverses."""
         n = self.order
         if n == 0:
             raise GroupError("empty multiplication table")
@@ -97,19 +97,21 @@ class FiniteGroup:
         bad = [s for s in self.generators if type(s) is not int or not 0 <= s < n]
         if bad:
             raise GroupError(f"generator indices out of range 0..{n - 1}: {bad}")
-        try:
-            table = np.asarray(mult, dtype=np.int32)
-        except OverflowError:
-            table = None
-        if (table is None or table.shape != (n, n)
-                or table.min() < 0 or table.max() >= n):
-            raise GroupError(f"mult entries must be integers in 0..{n - 1}")
+        table = _int32_table(mult, n)
+        self.mult = tuple(map(tuple, table.tolist() if isinstance(mult, np.ndarray) else mult))
         ident = np.arange(n, dtype=np.int32)
         if not (np.array_equal(table[0], ident) and np.array_equal(table[:, 0], ident)):
             raise GroupError("index 0 is not a two-sided identity")
         if not (np.array_equal(np.sort(table, axis=1), np.tile(ident, (n, 1)))
                 and np.array_equal(np.sort(table, axis=0), np.tile(ident[:, None], (1, n)))):
             raise GroupError("table is not a Latin square")
+        # in a Latin square with identity 0, each row holds 0 once, as its least entry
+        inv = table.argmin(axis=1).tolist()
+        # _int32_table read a bool as 0 or 1, and each row holds 0 and 1 once
+        if not isinstance(mult, np.ndarray) and any(
+                type(row[a]) is bool or type(row[b]) is bool
+                for row, a, b in zip(self.mult, inv, (table == 1).argmax(axis=1).tolist())):
+            raise GroupError(f"mult entries must be integers in 0..{n - 1}")
         # every element must be a left-normed product of generators
         if closure_bits(self.mult, self.generators) != (1 << n) - 1:
             raise GroupError("declared generators do not generate the group")
@@ -120,7 +122,7 @@ class FiniteGroup:
                 np.array_equal(table[table[:, s]], table.take(table[s], axis=1))
                 for s in light):
             raise GroupError("multiplication table is not associative")
-        return table
+        return tuple(inv)
 
     # -- element arithmetic ------------------------------------------------
 
@@ -164,6 +166,35 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"<FiniteGroup {self.name} of order {self.order}>"
+
+
+def _int32_table(mult, n: int) -> np.ndarray:
+    """``mult``, an integer array or n rows of n ints, as an n×n int32 array
+    with entries in 0..n-1; GroupError for anything else.
+
+    Rows convert once through ``array("i")``, which refuses floats, strings,
+    None, lists and ints beyond int32, but reads a bool as 0 or 1; the
+    caller checks the cells that read 0 or 1 for bools.
+    """
+    refused = GroupError(f"mult entries must be integers in 0..{n - 1}")
+    if isinstance(mult, np.ndarray):
+        if (mult.dtype.kind not in "iu" or mult.shape != (n, n)
+                or mult.min() < 0 or mult.max() >= n):
+            raise refused
+        return mult.astype(np.int32, copy=False)
+    flat = array("i")
+    try:
+        for row in mult:
+            if len(row) != n:
+                raise refused
+            flat.fromlist(row if type(row) is list else list(row))
+    except (TypeError, OverflowError):
+        raise refused from None
+    table = np.frombuffer(flat, dtype=np.int32).reshape(n, n)
+    # read as unsigned, a negative entry is above n too
+    if table.view(np.uint32).max() >= n:
+        raise refused
+    return table
 
 
 def closure_bits(mult, seed) -> int:
@@ -510,9 +541,6 @@ def group_from_dict(data: dict) -> FiniteGroup:
     flat = data.get("mult")
     if not isinstance(flat, list) or len(flat) != n * n:
         raise GroupError("mult must be a list of order^2 entries")
-    # numpy would take True and 0.0 as integers; FiniteGroup checks the range
-    if set(map(type, flat)) - {int}:
-        raise GroupError(f"mult entries must be integers in 0..{n - 1}")
     gens = data.get("generators", [])
     if not isinstance(gens, list):
         raise GroupError("generators must be a list of element indices")

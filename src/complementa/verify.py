@@ -250,18 +250,29 @@ def verify_supercomplemented_consequences(g: FiniteGroup, x_sub: Subgroup,
     suite.check(f"{prefix}.derived-length-bound", d is not None and d <= bound,
                 [{"derived_length": d, "bound": bound}])
 
-    lat = all_subgroups(g)
-    bad = [f for p in _battery_primes(g, x_sub) for f in _p_subgroup_failures(g, lat, p, m)]
+    bad = [f for p in _battery_primes(g, x_sub) for f in _p_subgroup_failures(g, p, m)]
     suite.check(f"{prefix}.p-subgroup-battery", not bad,
                 bad or [{"m": m, "factorial_bound": factorial_index_bound(m)}])
     return suite.reports
 
 
-def _p_subgroup_failures(g, lat, p, m):
+def _p_subgroup_failures(g, p, m) -> tuple:
     """The p-subgroup battery for a supercomplemented cyclic p-subgroup of
-    order m: yields, in canonical order, each p-subgroup that is not
-    nilpotent, has derived length above 3 (above 2 for odd p), or has no
-    normal elementary abelian subgroup of index <= m!."""
+    order m: in canonical order, each p-subgroup that is not nilpotent, has
+    derived length above 3 (above 2 for odd p), or has no normal elementary
+    abelian subgroup of index <= m!.
+
+    The battery reads nothing of the cyclic subgroup but p and m, so every
+    instance of one order, and the primary-structure test, read one tuple
+    memoized on g.
+    """
+    return g.cached(("p-subgroup-battery", p, m),
+                    lambda: tuple(_p_subgroup_battery(g, p, m)))
+
+
+def _p_subgroup_battery(g, p, m):
+    """Yields the failures ``_p_subgroup_failures`` memoizes."""
+    lat = all_subgroups(g)
     fact_bound = factorial_index_bound(m)
     dmax = 2 if p != 2 else 3
     for sub in lat.subgroups:
@@ -349,7 +360,7 @@ def _primary_structure_holds(g, lat, p, m) -> bool:
         for sub in lat.subgroups:
             if sub.order > 1 and is_p_power(sub.order, q) and not is_elementary_abelian(sub):
                 return False
-    return next(_p_subgroup_failures(g, lat, p, m), None) is None
+    return not _p_subgroup_failures(g, p, m)
 
 
 # -- independent oracle: subgroups by subset closure ---------------------------
@@ -574,17 +585,19 @@ def _pairwise_checks(suite, pre, g, lat):
 
 
 def _dedekind_scan(suite, pre, g, lat):
+    """The modular identity A(B ∩ T) = B ∩ AT for every A <= B and every T
+    with AT = G, over (A, T, B) in canonical order.  The overgroups B of A
+    are the same for every T, so they are filtered once per A."""
     subs = lat.subgroups
     count = 0
     ok = True
     witness = []
     for a in subs:
+        supers = [b for b in subs if b.contains(a)]
         for t in subs:
             if a.order * t.order != g.order * (a.members & t.members).bit_count():
                 continue
-            for b in subs:
-                if not b.contains(a):
-                    continue
+            for b in supers:
                 count += 1
                 if not dedekind_identity_check(g, a, b, t):
                     ok = False
@@ -597,10 +610,19 @@ def _dedekind_scan(suite, pre, g, lat):
 
 def _transport_scan(suite, pre, g, lat):
     """Supercomplementedness survives passing to quotients of intermediate
-    subgroups: scan (H, K, N) over conjugacy-class representatives K."""
+    subgroups: scan (H, K, N) over conjugacy-class representatives K.
+
+    Every quotient K/N is formed, and every tuple checked; the set of
+    supercomplemented subgroups of a quotient is computed once per
+    (table, generators) within the scan.  The lattice and the complement
+    searches read nothing of a group but its table and generators, and
+    answer in member bitsets of its indices, so a quotient with the same
+    two has the same set.
+    """
     count = 0
     ok = True
     witness = []
+    sc_by_table = {}
     for cls in lat.conjugacy_classes:
         k = lat.subgroups[cls[0]]
         k_grp, _, _ = subgroup_as_group(g, k)
@@ -612,8 +634,11 @@ def _transport_scan(suite, pre, g, lat):
             if not is_normal(k_grp, n_sub):
                 continue
             quo, proj = cached_quotient(k_grp, n_sub.members)
-            qlat = all_subgroups(quo)
-            sc_q = {s.members for s in qlat.subgroups
+            key = (quo.mult, quo.generators)
+            sc_q = sc_by_table.get(key)
+            if sc_q is None:
+                sc_q = sc_by_table[key] = {
+                    s.members for s in all_subgroups(quo).subgroups
                     if is_supercomplemented(quo, s)[0]}
             for h in sc_subs:
                 img = 0

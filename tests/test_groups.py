@@ -288,6 +288,71 @@ def test_validation_rejects_an_entry_beyond_int32():
         ca.FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 2**70]], [1], list("exy"))
 
 
+C3_ROWS = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+# (row, column, entry) put into the C3 table; each entry reads as the value
+# it replaces, or is no integer at all.
+NON_INT_ENTRIES = {
+    "float": (1, 2, 0.0),
+    "str": (1, 0, "1"),
+    "none": (2, 2, None),
+    "bool-one": (1, 0, True),
+    "bool-zero": (2, 1, False),
+    "nested-list": (1, 1, [2]),
+    "over-int32": (2, 0, 2**31 + 2),
+}
+
+
+def c3_rows_with(r, c, entry):
+    rows = [list(row) for row in C3_ROWS]
+    rows[r][c] = entry
+    return rows
+
+
+@pytest.mark.parametrize("r, c, entry", NON_INT_ENTRIES.values(), ids=NON_INT_ENTRIES)
+def test_finite_group_refuses_non_int_entries(r, c, entry):
+    with pytest.raises(GroupError, match=r"mult entries must be integers in 0\.\.2"):
+        ca.FiniteGroup(c3_rows_with(r, c, entry), [1], list("exy"))
+
+
+@pytest.mark.parametrize("r, c, entry", NON_INT_ENTRIES.values(), ids=NON_INT_ENTRIES)
+def test_cayley_document_refuses_non_int_entries(r, c, entry):
+    flat = [v for row in c3_rows_with(r, c, entry) for v in row]
+    doc = {"version": "cayley-v1", "order": 3, "mult": flat, "generators": [1]}
+    with pytest.raises(GroupError, match=r"mult entries must be integers in 0\.\.2"):
+        ca.group_from_dict(doc)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1, 2], [1, 2], [2, 0, 1]],
+    [[0, 1, 2], [1, 2, 0, 1], [2, 0, 1]],
+    [[0, 1, 2], [1, 2, 0], 7],
+    [[0, 1, 2], [1, 2, 0], "201"],
+], ids=["short-row", "long-row", "int-row", "str-row"])
+def test_finite_group_refuses_ragged_rows(rows):
+    with pytest.raises(GroupError, match=r"mult entries must be integers in 0\.\.2"):
+        ca.FiniteGroup(rows, [1], list("exy"))
+
+
+def test_cayley_document_refuses_rows_for_a_flat_table():
+    doc = {"version": "cayley-v1", "order": 3, "mult": [list(row) for row in C3_ROWS],
+           "generators": [1]}
+    with pytest.raises(GroupError):
+        ca.group_from_dict(doc)
+
+
+def test_finite_group_refuses_a_non_integer_array():
+    for dtype in (float, bool):
+        with pytest.raises(GroupError, match=r"mult entries must be integers in 0\.\.2"):
+            ca.FiniteGroup(np.array(C3_ROWS, dtype=dtype), [1], list("exy"))
+
+
+def test_finite_group_takes_tuple_and_list_rows():
+    for rows in (C3_ROWS, [list(row) for row in C3_ROWS]):
+        g = ca.FiniteGroup(rows, [1], list("exy"))
+        assert g.mult == C3_ROWS and g.inv == (0, 2, 1)
+
+
 def inverses_by_row_scan(mult) -> tuple[int, ...]:
     """Reference inverses: the column of 0 in each row, found by a scan."""
     return tuple(row.index(0) for row in mult)

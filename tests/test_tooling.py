@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from complementa.cli import run
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+EXPECTED = ROOT / "perfbench" / "expected"
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 PACKAGE = "complementa"
 
@@ -75,3 +78,27 @@ def test_every_library_name_a_script_reaches_resolves(script):
         for attr in path:
             assert hasattr(obj, attr), f"{script.name}: {module}.{'.'.join(path)}"
             obj = getattr(obj, attr)
+
+
+# The suites the perfbench ``verify`` workload sends, each with its recorded
+# ``verify --suite SUITE --json`` output in perfbench/expected/.
+VERIFY_SUITES = ["holomorph8", "split-p5-3"] + [
+    f"catalog:{name}" for name in ("dih24", "c24", "c2xa4", "holomorph8", "split-p5-2",
+                                   "s3xs3", "ea3r4", "ea5r3", "split-p5-3")]
+
+
+def _verify_golden(suite: str) -> Path:
+    return EXPECTED / ("verify-" + suite.replace(":", "-") + ".json")
+
+
+def test_every_verify_golden_has_a_suite():
+    recorded = {p.name for p in EXPECTED.glob("verify-*.json")}
+    assert recorded == {_verify_golden(s).name for s in VERIFY_SUITES}
+
+
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
+def test_verify_json_is_byte_identical_to_the_recorded_output(capsys, suite):
+    """The benchmark refuses any answer that differs from these bytes, so a
+    change that moves one byte of a claim, status or witness shows here."""
+    assert run(["verify", "--suite", suite, "--json"]) == 0
+    assert capsys.readouterr().out == _verify_golden(suite).read_text(encoding="utf-8")

@@ -8,6 +8,7 @@ import complementa as ca
 import complementa.subgroups as subgroups_module
 import complementa.verify as verify_module
 from complementa._primes import divisors
+from complementa.groups import cached_quotient
 from complementa.subgroups import _conj_bits, bit_indices, bits_of
 from complementa.verify import _Suite, _entry_suite
 
@@ -233,3 +234,219 @@ def test_oracle_matches_engine_up_to_order_64():
         g = entry.build().group
         assert ca.subset_closure_subgroups(g) == [
             s.members for s in ca.all_subgroups(g).subgroups], entry.name
+
+
+# -- the scans that compute each fact once, against per-input references ------
+#
+# The references compute every fact per input, with no reuse: every quotient
+# gets its own lattice and supercomplemented scan, every instance its own
+# p-subgroup battery, and every T its own filter of the overgroups of A.
+# They look up the library through ``verify_module`` so that a monkeypatch
+# reaches both sides.
+
+
+def reference_transport_scan(suite, pre, g, lat):
+    vm = verify_module
+    count = 0
+    ok = True
+    witness = []
+    for cls in lat.conjugacy_classes:
+        k = lat.subgroups[cls[0]]
+        k_grp, _, _ = vm.subgroup_as_group(g, k)
+        klat = vm.all_subgroups(k_grp)
+        sc_subs = [s for s in klat.subgroups if vm.is_supercomplemented(k_grp, s)[0]]
+        if not sc_subs:
+            continue
+        for n_sub in klat.subgroups:
+            if not vm.is_normal(k_grp, n_sub):
+                continue
+            quo, proj = vm.cached_quotient(k_grp, n_sub.members)
+            qlat = vm.all_subgroups(quo)
+            sc_q = {s.members for s in qlat.subgroups
+                    if vm.is_supercomplemented(quo, s)[0]}
+            for h in sc_subs:
+                img = 0
+                for e in h.elements():
+                    img |= 1 << proj[e]
+                count += 1
+                if img not in sc_q:
+                    ok = False
+                    if len(witness) < 3:
+                        witness.append({"K_class_rep": vm.sub_witness(k),
+                                        "N": vm.sub_witness(n_sub),
+                                        "H": vm.sub_witness(h)})
+    suite.check(f"{pre}.quotient-transport", ok,
+                witness or [{"tuples_checked": count}])
+
+
+def reference_dedekind_scan(suite, pre, g, lat):
+    vm = verify_module
+    subs = lat.subgroups
+    count = 0
+    ok = True
+    witness = []
+    for a in subs:
+        for t in subs:
+            if a.order * t.order != g.order * (a.members & t.members).bit_count():
+                continue
+            for b in subs:
+                if not b.contains(a):
+                    continue
+                count += 1
+                if not vm.dedekind_identity_check(g, a, b, t):
+                    ok = False
+                    if len(witness) < 3:
+                        witness.append({"A": vm.sub_witness(a), "B": vm.sub_witness(b),
+                                        "T": vm.sub_witness(t)})
+    suite.check(f"{pre}.modular-identity", ok,
+                witness or [{"triples_checked": count}])
+
+
+def reference_p_subgroup_failures(g, lat, p, m):
+    vm = verify_module
+    fact_bound = vm.factorial_index_bound(m)
+    dmax = 2 if p != 2 else 3
+    for sub in lat.subgroups:
+        if not vm.is_p_power(sub.order, p):
+            continue
+        if not vm.is_nilpotent(sub):
+            yield {"p": p, "check": "nilpotent", "subgroup": vm.sub_witness(sub)}
+        dp = vm.derived_length(sub)
+        if dp is None or dp > dmax:
+            yield {"p": p, "check": "derived-length", "subgroup": vm.sub_witness(sub)}
+        if not vm._has_normal_elem_abelian_of_index(g, sub, fact_bound, lat):
+            yield {"p": p, "check": "almost-elementary", "subgroup": vm.sub_witness(sub)}
+
+
+def fresh_group(name):
+    """A copy of a catalog group with nothing memoized on it."""
+    g = ca.catalog_entry(name).build().group
+    return ca.FiniteGroup(g.mult, g.generators, g.labels, name=g.name)
+
+
+def scan_reports(scan, g):
+    """(claim, status, witnesses) of one scan over a fresh lattice of g."""
+    suite = _Suite()
+    scan(suite, "t", g, ca.all_subgroups(g))
+    return [(r.claim, r.status, r.witnesses) for r in suite.reports]
+
+
+SMALL_ENTRIES = [e.name for e in ca.catalog() if e.order <= 64]
+
+
+def test_scans_match_their_references_on_every_entry_up_to_order_64():
+    assert len(SMALL_ENTRIES) == 62
+    for name in SMALL_ENTRIES:
+        for scan, reference in ((verify_module._transport_scan, reference_transport_scan),
+                                (verify_module._dedekind_scan, reference_dedekind_scan)):
+            got = scan_reports(scan, fresh_group(name))
+            assert got == scan_reports(reference, fresh_group(name)), (name, scan.__name__)
+            assert got[0][1] == "pass"
+            assert set(got[0][2][0]) & {"tuples_checked", "triples_checked"}, name
+        g = fresh_group(name)
+        lat = ca.all_subgroups(g)
+        for rep in verify_module._supercomplemented_cyclic_reps(g):
+            for p in verify_module._battery_primes(g, rep):
+                assert verify_module._p_subgroup_failures(g, p, rep.order) == tuple(
+                    reference_p_subgroup_failures(g, lat, p, rep.order)), (name, p)
+
+
+def recording_quotients(formed):
+    """``cached_quotient`` that appends each quotient group to ``formed``."""
+
+    def recording(k_grp, members):
+        quo, proj = cached_quotient(k_grp, members)
+        formed.append(quo)
+        return quo, proj
+
+    return recording
+
+
+def test_transport_failure_on_a_repeated_order_is_reported(monkeypatch):
+    """A quotient table that is not the first of its order in scan order
+    answers "not supercomplemented" for every subgroup; the scan must fail
+    with the witnesses of the per-quotient reference."""
+    formed = []
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_module, "cached_quotient", recording_quotients(formed))
+        scan_reports(verify_module._transport_scan, fresh_group("c4xc2"))
+    first = {}
+    for quo in formed:
+        first.setdefault(quo.order, quo.mult)
+    target = next(q.mult for q in formed if q.mult != first[q.order])
+    real = verify_module.is_supercomplemented
+
+    def refusing(grp, h, *args):
+        return (False, None) if grp.mult == target else real(grp, h, *args)
+
+    monkeypatch.setattr(verify_module, "is_supercomplemented", refusing)
+    got = scan_reports(verify_module._transport_scan, fresh_group("c4xc2"))
+    assert got[0][1] == "fail"
+    assert got == scan_reports(reference_transport_scan, fresh_group("c4xc2"))
+
+
+def test_battery_failure_reaches_every_instance_of_its_order(monkeypatch):
+    """One 3-subgroup of S3×S3 made non-nilpotent fails the battery of every
+    instance whose primes include 3, the three of order 3 among them, as the
+    per-instance reference does."""
+    g = fresh_group("s3xs3")
+    lat = ca.all_subgroups(g)
+    target = lat.by_order(9)[0].members
+    real = verify_module.is_nilpotent
+    monkeypatch.setattr(verify_module, "is_nilpotent",
+                        lambda sub: sub.members != target and real(sub))
+    reps = verify_module._supercomplemented_cyclic_reps(g)
+    expected = [f"t.x{i}.p-subgroup-battery" for i, rep in enumerate(reps)
+                if any(next(reference_p_subgroup_failures(g, lat, p, rep.order), None)
+                       for p in verify_module._battery_primes(g, rep))]
+    assert sum(rep.order == 3 for rep in reps) == 3
+    assert len(expected) == 4
+    suite = _Suite()
+    verify_module._instance_batteries(suite, "t", g)
+    report = suite.reports[0]
+    assert report.claim == "t.supercomplemented-consequences"
+    assert report.status == "fail" and list(report.witnesses) == expected
+
+
+def test_dedekind_failure_is_reported_with_the_reference_witnesses(monkeypatch):
+    monkeypatch.setattr(verify_module, "dedekind_identity_check", lambda *args: False)
+    got = scan_reports(verify_module._dedekind_scan, fresh_group("dih8"))
+    assert got[0][1] == "fail" and len(got[0][2]) == 3
+    assert got == scan_reports(reference_dedekind_scan, fresh_group("dih8"))
+
+
+@pytest.mark.parametrize("name", ["ea2r4", "holomorph8", "split-p5-2", "s3xs3"])
+def test_transport_builds_one_quotient_lattice_per_table(monkeypatch, name):
+    formed, built = [], []
+
+    def counting(grp, *args):
+        if any(grp is quo for quo in formed):
+            built.append(grp)
+        return ca.all_subgroups(grp, *args)
+
+    monkeypatch.setattr(verify_module, "cached_quotient", recording_quotients(formed))
+    monkeypatch.setattr(verify_module, "all_subgroups", counting)
+    scan_reports(verify_module._transport_scan, fresh_group(name))
+    tables = {(quo.mult, quo.generators) for quo in formed}
+    assert len(formed) > len(tables) == len(built)
+    assert {(quo.mult, quo.generators) for quo in built} == tables
+
+
+@pytest.mark.parametrize("name", ["s3xs3", "holomorph8", "dih8xc2", "c30"])
+def test_one_battery_per_prime_and_order(monkeypatch, name):
+    asked, evaluated = [], []
+    failures, battery = verify_module._p_subgroup_failures, verify_module._p_subgroup_battery
+
+    def asking(grp, p, m):
+        asked.append((p, m))
+        return failures(grp, p, m)
+
+    def evaluating(grp, p, m):
+        evaluated.append((p, m))
+        return battery(grp, p, m)
+
+    monkeypatch.setattr(verify_module, "_p_subgroup_failures", asking)
+    monkeypatch.setattr(verify_module, "_p_subgroup_battery", evaluating)
+    verify_module._instance_batteries(_Suite(), "t", fresh_group(name))
+    assert sorted(evaluated) == sorted(set(asked))
+    assert len(asked) > len(evaluated)
