@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the perfbench ``verify`` suites and count the work of three of their
-scans.
+"""Time the perfbench ``verify`` suites and count the work of their scans
+and product sets.
 
 For each suite that the perfbench ``verify`` workload sends (the list is
 read from ``perfbench/workloads.py``), it records the median seconds of one
@@ -20,8 +20,12 @@ counters installed from outside the library:
   batteries evaluated.  A tree that memoizes the battery evaluates one per
   ``_p_subgroup_battery`` call; a tree without that function evaluates one
   per ``_p_subgroup_failures`` call;
-* the Dedekind scan (``_dedekind_scan``): its ``Subgroup.contains`` calls,
-  and the triples it checks (its ``dedekind_identity_check`` calls).
+* the product sets: ``product_bits`` calls from anywhere, and the right-coset
+  partitions built (memo misses of ``g.cached(("right_cosets", members))``;
+  0 on a tree without ``right_cosets``);
+* the Dedekind scan: the (A, B, T) triples it checks, read from the
+  ``triples_checked`` witness of each ``modular-identity`` claim in the
+  output.
 
 With ``--baseline SRC``, a second source tree (SRC is its ``src`` directory)
 is imported in the same process as the package ``complementa_baseline``
@@ -112,7 +116,8 @@ def count_work(tree, verify_module, suites) -> dict:
     subgroups_module = tree.subgroups_module
     counts = dict.fromkeys(("quotients_formed", "quotient_lattices_built",
                             "battery_calls", "batteries_evaluated",
-                            "containment_tests", "triples_checked"), 0)
+                            "product_calls", "partitions_built",
+                            "triples_checked"), 0)
     inside = set()
     quotients = set()
 
@@ -152,28 +157,34 @@ def count_work(tree, verify_module, suites) -> dict:
             return original(grp, *args, **kwargs)
         return built
 
-    def testing(original):
-        def tested(*args, **kwargs):
-            if "dedekind" in inside:
-                counts["containment_tests"] += 1
-            return original(*args, **kwargs)
-        return tested
+    def memoizing(original):
+        def cached(grp, key, builder):
+            if (isinstance(key, tuple) and key[0] == "right_cosets"
+                    and grp.cached_value(key) is None):
+                counts["partitions_built"] += 1
+            return original(grp, key, builder)
+        return cached
 
     battery = getattr(verify_module, "_p_subgroup_battery", None)
     patches = Patches()
     try:
         patches.wrap(verify_module, verify_module._transport_scan, scope("transport"))
-        patches.wrap(verify_module, verify_module._dedekind_scan, scope("dedekind"))
         patches.wrap(verify_module, verify_module.cached_quotient, forming)
         patches.wrap(verify_module, verify_module.all_subgroups, building)
         patches.wrap(verify_module, verify_module._p_subgroup_failures, add("battery_calls"))
-        patches.wrap(verify_module, verify_module.dedekind_identity_check,
-                     add("triples_checked"))
-        patches.wrap(subgroups_module.Subgroup, subgroups_module.Subgroup.contains, testing)
+        # verify imports product_bits by name; subgroups calls its own
+        patches.wrap(verify_module, verify_module.product_bits, add("product_calls"))
+        patches.wrap(subgroups_module, subgroups_module.product_bits, add("product_calls"))
+        patches.wrap(subgroups_module.FiniteGroup, subgroups_module.FiniteGroup.cached,
+                     memoizing)
         if battery is not None:
             patches.wrap(verify_module, battery, add("batteries_evaluated"))
         for suite, _ in suites:
-            request(tree, suite)
+            _, out = request(tree, suite)
+            counts["triples_checked"] += sum(
+                report["witnesses"][0].get("triples_checked", 0)
+                for report in json.loads(out)
+                if report["claim"].endswith(".modular-identity"))
     finally:
         patches.restore()
     if battery is None:

@@ -170,15 +170,18 @@ def factorial_index_bound(m: int) -> int:
 
 
 def bound_report(m: int, q: int | None = None) -> BoundReport:
-    d = derived_length_bound(m)
+    """All bounds for m (and q).  m! goes first: it refuses every m above
+    ``sys.maxsize``, before the float in ``derived_length_bound`` overflows
+    for m beyond about 1.2·10¹⁵⁴."""
+    factorial = factorial_index_bound(m)
     return BoundReport(
         m=m,
         n=n_of_m(m),
         zeta_n=zeta_bound(n_of_m(m)),
-        d_bound=d,
+        d_bound=derived_length_bound(m),
         d_bound_floor=derived_length_bound_floor(m),
         d_bound_general=derived_length_bound_general(m),
-        factorial_bound=factorial_index_bound(m),
+        factorial_bound=factorial,
         q=q,
         prop1=prop1_bound(q, m) if q is not None else None,
     )

@@ -642,15 +642,35 @@ def intersection(a: Subgroup, b: Subgroup) -> Subgroup:
 # -- set products and the modular identity ----------------------------------
 
 
+def right_cosets(g: FiniteGroup, a: Subgroup) -> tuple[int, ...]:
+    """The right cosets A·y of A, as bitsets ordered by least element; cached
+    per subgroup.  Each new coset is grown from the least element y not yet
+    covered, and A·y ∋ y, so y is its least element."""
+
+    def build():
+        mult, elems = g.mult, a.elements()
+        full = (1 << g.order) - 1
+        covered = 0
+        cosets = []
+        while covered != full:
+            y = ((covered + 1) & ~covered).bit_length() - 1  # lowest clear bit
+            coset = _coset_bits(mult, elems, y)
+            covered |= coset
+            cosets.append(coset)
+        return tuple(cosets)
+
+    return g.cached(("right_cosets", a.members), build)
+
+
 def product_bits(g: FiniteGroup, a: Subgroup, b: Subgroup) -> int:
     """Bitset of the product set AB = {a·b}: the union of the right cosets
-    A·y over y in B.  A y already in the union lies in a coset built before,
-    so it adds nothing and is skipped."""
-    elems = a.elements()
+    of A that meet B.  Each y in B lies in A·y, and each coset A·y with y in
+    B lies in AB, so the union is exactly AB."""
+    bm = b.members
     bits = 0
-    for y in b.elements():
-        if not bits >> y & 1:
-            bits |= _coset_bits(g.mult, elems, y)
+    for coset in right_cosets(g, a):
+        if coset & bm:
+            bits |= coset
     return bits
 
 

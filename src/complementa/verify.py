@@ -20,8 +20,7 @@ from .constructions import catalog, holomorph8, split_p5_group
 from .groups import (FiniteGroup, cached_quotient, closure_bits, element_order,
                      exponent, greedy_generators, normalizes, primes_of, quotient)
 from .subgroups import (Subgroup, _conj_bits, all_subgroups,
-                        bit_indices, dedekind_identity_check,
-                        generated_subgroup, is_abelian,
+                        bit_indices, generated_subgroup, is_abelian,
                         is_elementary_abelian, is_normal, overgroups,
                         overgroups_by_joins, product_bits, trivial_subgroup)
 from .series import (chief_series, derived_length, derived_subgroup,
@@ -558,15 +557,26 @@ def _entry_suite(entry) -> list[VerificationReport]:
     return suite.reports
 
 
+def _product_table(g, lat) -> tuple[tuple[int, ...], ...]:
+    """The product set AB of every ordered pair of lattice subgroups: row A,
+    column B, in lattice order.  Built once per group and memoized on it, so
+    the pairwise and Dedekind scans read the same products."""
+    subs = lat.subgroups
+    return g.cached("product_table", lambda: tuple(
+        tuple(product_bits(g, a, b) for b in subs) for a in subs))
+
+
 def _pairwise_checks(suite, pre, g, lat):
     subs = lat.subgroups
+    table = _product_table(g, lat)
     formula_ok = True
     criterion_ok = True
     symmetry_ok = True
-    for a in subs:
-        for b in subs:
+    for i, a in enumerate(subs):
+        row = table[i]
+        for j, b in enumerate(subs):
             inter = (a.members & b.members).bit_count()
-            ab = product_bits(g, a, b)
+            ab = row[j]
             if ab.bit_count() * inter != a.order * b.order:
                 formula_ok = False
             if inter == 1:
@@ -574,10 +584,8 @@ def _pairwise_checks(suite, pre, g, lat):
                 by_product = ab.bit_count() == g.order
                 if by_order != by_product:
                     criterion_ok = False
-                if by_product:
-                    ba = product_bits(g, b, a)
-                    if ba.bit_count() != g.order:
-                        symmetry_ok = False
+                if by_product and table[j][i].bit_count() != g.order:
+                    symmetry_ok = False
     suite.check(f"{pre}.product-order-formula", formula_ok, [{"pairs": len(subs) ** 2}])
     suite.check(f"{pre}.complement-criterion-equivalence", criterion_ok,
                 [{"pairs": len(subs) ** 2}])
@@ -587,19 +595,24 @@ def _pairwise_checks(suite, pre, g, lat):
 def _dedekind_scan(suite, pre, g, lat):
     """The modular identity A(B ∩ T) = B ∩ AT for every A <= B and every T
     with AT = G, over (A, T, B) in canonical order.  The overgroups B of A
-    are the same for every T, so they are filtered once per A."""
+    are the same for every T, so they are filtered once per A.  B ∩ T is a
+    subgroup, so A(B ∩ T) is read from the product table at row A and the
+    lattice index of B ∩ T; every triple is still counted and checked."""
     subs = lat.subgroups
+    index_of = lat.index_of
+    table = _product_table(g, lat)
     count = 0
     ok = True
     witness = []
-    for a in subs:
+    for a, row in zip(subs, table):
         supers = [b for b in subs if b.contains(a)]
         for t in subs:
-            if a.order * t.order != g.order * (a.members & t.members).bit_count():
+            tm = t.members
+            if a.order * t.order != g.order * (a.members & tm).bit_count():
                 continue
             for b in supers:
                 count += 1
-                if not dedekind_identity_check(g, a, b, t):
+                if row[index_of[b.members & tm]] != b.members:
                     ok = False
                     if len(witness) < 3:
                         witness.append({"A": sub_witness(a), "B": sub_witness(b),

@@ -69,6 +69,14 @@ def test_bounds_out_of_range_is_usage_error(capsys, argv, message):
     assert err.startswith(message)
 
 
+@pytest.mark.parametrize("m", [10 ** 155, 10 ** 400])
+def test_bounds_refuse_m_beyond_float_range_before_any_float(capsys, m):
+    # (n - 2) / 8 in derived_length_bound overflows a float from about 1.2e154
+    code, out, err = run_cli(capsys, "bounds", "--m", str(m))
+    assert code == 2 and out == ""
+    assert err.startswith("error: m! is not computed")
+
+
 @pytest.fixture
 def int_str_limit():
     """Sets the integer-to-string digit limit for one test, then restores it."""

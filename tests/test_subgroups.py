@@ -13,7 +13,8 @@ from complementa.subgroups import (Subgroup, SubgroupLattice, _all_solvable,
                                    _join_search, _subgroups_order_dividing,
                                    bit_indices,
                                    bits_of, closure_bits, cyclic_subgroups,
-                                   overgroups_by_joins, product_bits)
+                                   overgroups_by_joins, product_bits,
+                                   right_cosets)
 from complementa.verify import subset_closure_subgroups
 
 
@@ -670,7 +671,23 @@ def test_inclusion_is_the_covering_relation(name):
     assert list(ca.all_subgroups(subs[0].parent).inclusion) == covers
 
 
-@pytest.mark.parametrize("name", [e.name for e in ca.catalog() if e.order <= 24])
+@pytest.mark.parametrize("name", [e.name for e in ca.catalog() if e.order <= 32])
+def test_right_cosets_partition_the_group_in_order_of_least_element(name):
+    g = ca.catalog_entry(name).build().group
+    for a in ca.all_subgroups(g).subgroups:
+        cosets = right_cosets(g, a)
+        covered = 0
+        for c in cosets:
+            assert not c & covered and c.bit_count() == a.order
+            covered |= c
+        assert covered == (1 << g.order) - 1
+        least = [bit_indices(c)[0] for c in cosets]
+        assert least == sorted(least)
+        assert all(c == bits_of(g.mult[x][y] for x in a.elements())
+                   for c, y in zip(cosets, least))
+
+
+@pytest.mark.parametrize("name", [e.name for e in ca.catalog() if e.order <= 32])
 def test_product_bits_is_the_set_of_products(name):
     g = ca.catalog_entry(name).build().group
     subs = ca.all_subgroups(g).subgroups

@@ -293,7 +293,7 @@ def reference_dedekind_scan(suite, pre, g, lat):
                 if not b.contains(a):
                     continue
                 count += 1
-                if not vm.dedekind_identity_check(g, a, b, t):
+                if not ca.dedekind_identity_check(g, a, b, t):
                     ok = False
                     if len(witness) < 3:
                         witness.append({"A": vm.sub_witness(a), "B": vm.sub_witness(b),
@@ -409,10 +409,39 @@ def test_battery_failure_reaches_every_instance_of_its_order(monkeypatch):
 
 
 def test_dedekind_failure_is_reported_with_the_reference_witnesses(monkeypatch):
-    monkeypatch.setattr(verify_module, "dedekind_identity_check", lambda *args: False)
+    """Products that drop the last element of the group fail the identity
+    for every B that holds it, in the product table the scan reads and in
+    ``dedekind_identity_check``, which the reference calls."""
+    real = subgroups_module.product_bits
+
+    def dropping(g, a, b):
+        return real(g, a, b) & ~(1 << g.order - 1)
+
+    monkeypatch.setattr(verify_module, "product_bits", dropping)
+    monkeypatch.setattr(subgroups_module, "product_bits", dropping)
     got = scan_reports(verify_module._dedekind_scan, fresh_group("dih8"))
     assert got[0][1] == "fail" and len(got[0][2]) == 3
     assert got == scan_reports(reference_dedekind_scan, fresh_group("dih8"))
+
+
+@pytest.mark.parametrize("name", ["dih8", "holomorph8", "split-p5-2", "s3xs3"])
+def test_pairwise_and_dedekind_scans_build_each_product_once(monkeypatch, name):
+    calls = []
+    real = subgroups_module.product_bits
+
+    def counted(g, a, b):
+        calls.append((a.members, b.members))
+        return real(g, a, b)
+
+    monkeypatch.setattr(verify_module, "product_bits", counted)
+    monkeypatch.setattr(subgroups_module, "product_bits", counted)
+    g = fresh_group(name)
+    lat = ca.all_subgroups(g)
+    suite = _Suite()
+    verify_module._pairwise_checks(suite, "t", g, lat)
+    verify_module._dedekind_scan(suite, "t", g, lat)
+    assert [r.status for r in suite.reports] == ["pass"] * 4
+    assert len(calls) == len(set(calls)) == len(lat) ** 2
 
 
 @pytest.mark.parametrize("name", ["ea2r4", "holomorph8", "split-p5-2", "s3xs3"])
