@@ -42,15 +42,12 @@ verdict, the number of C-separating and of supercomplemented subgroups),
 which must agree between the two sides of a comparison.
 
 Calls are counted by a wrapper installed from outside the library, never
-during a timed run.  Writes
-``BENCH_<label>.json`` to ``--out-dir``.
+during a timed run.  Writes ``BENCH_<label>.json`` to ``--out-dir``.
 
 With ``--baseline SRC``, a second source tree (SRC is its ``src`` directory)
-is imported in the same process as the package ``complementa_baseline``,
-and every timed run alternates between the two trees, each tree going first
-in every other repeat.  So the two trees see the same machine state, and
-drift of the machine's speed between processes, which reached 30–50%,
-cancels out.  The baseline's results go to ``BENCH_<label>-parent.json``.
+is imported in the same process, and every timed run alternates between the
+two trees (``load_trees`` and ``interleaved`` of ``harness.py``).  The
+baseline's results go to ``BENCH_<label>-parent.json``.
 
 Usage: PYTHONPATH=src python scripts/bench_lattice.py --label NAME
        [--out-dir .] [--baseline SRC]
@@ -58,42 +55,13 @@ Usage: PYTHONPATH=src python scripts/bench_lattice.py --label NAME
 
 import argparse
 import contextlib
-import importlib
-import importlib.util
 import io
-import json
-import os
-import platform
 import statistics
 import sys
 import time
-from typing import NamedTuple
+from collections import Counter
 
-import complementa as ca
-import complementa.cli as cli_module
-import complementa.subgroups as subgroups_module
-
-REPEATS = 9
-
-
-class Tree(NamedTuple):
-    """One imported copy of the library: the modules the benchmark calls."""
-    ca: object
-    cli_module: object
-    subgroups_module: object
-
-
-def load_tree(src: str, package: str) -> Tree:
-    """Import the library in ``src`` under the package name ``package``."""
-    root = os.path.join(os.path.abspath(src), "complementa")
-    spec = importlib.util.spec_from_file_location(
-        package, os.path.join(root, "__init__.py"),
-        submodule_search_locations=[root])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[package] = module
-    spec.loader.exec_module(module)
-    return Tree(module, importlib.import_module(package + ".cli"),
-                importlib.import_module(package + ".subgroups"))
+from harness import Patches, arguments, counting, interleaved, load_trees, write_reports
 
 
 def fresh(ca, g):
@@ -134,68 +102,27 @@ JOIN_CORPUS = [
 ]
 
 
-class CallCounter:
-    """Counts the calls of a library function by replacing it in every
-    module of the tree that holds a reference to it."""
-
-    def __init__(self, ca, original):
-        self.calls = 0
-        self.original = original
-        self.name = original.__name__
-
-        def counted(*args, **kwargs):
-            self.calls += 1
-            return self.original(*args, **kwargs)
-
-        self.modules = [m for mod_name, m in list(sys.modules.items())
-                        if mod_name.split(".")[0] == ca.__name__
-                        and getattr(m, self.name, None) is original]
-        for m in self.modules:
-            setattr(m, self.name, counted)
-
-    def restore(self):
-        for m in self.modules:
-            setattr(m, self.name, self.original)
-
-
-def interleaved(trees, run):
-    """``run(tree, i)`` for each tree in each of the ``REPEATS`` rounds, the
-    first tree first in even rounds and last in odd ones; the results per
-    tree, in round order."""
-    out = [[] for _ in trees]
-    for i in range(REPEATS):
-        order = list(enumerate(trees))
-        for k, tree in (order if i % 2 == 0 else order[::-1]):
-            out[k].append(run(tree, i))
-    return out
-
-
 def export(tree, lat):
     """``lattice_to_dict`` and the JSON text ``complementa lattice`` prints."""
-    ca, cli_module, _ = tree
     with contextlib.redirect_stdout(io.StringIO()):
-        cli_module._emit_json(argparse.Namespace(out=None), ca.lattice_to_dict(lat))
+        tree.cli_module._emit_json(argparse.Namespace(out=None), tree.ca.lattice_to_dict(lat))
 
 
 def count_work(tree, base) -> dict:
     """The calls of one lattice request on a fresh copy of base:
     ``closure_bits`` and ``_conj_bits`` during enumeration, ``bit_indices``
     from enumeration through export."""
-    ca, _, subgroups_module = tree
-    g = fresh(ca, base)
-    closure, images, elements = counters = [
-        CallCounter(ca, getattr(subgroups_module, name))
-        for name in ("closure_bits", "_conj_bits", "bit_indices")]
-    try:
-        lat = ca.all_subgroups(g, cap=g.order)
-        closure_calls, orbit_images = closure.calls, images.calls
+    g = fresh(tree.ca, base)
+    counts = Counter()
+    with Patches() as patches:
+        for name in ("closure_bits", "_conj_bits", "bit_indices"):
+            patches.wrap(getattr(tree.subgroups_module, name), counting(counts, name))
+        lat = tree.ca.all_subgroups(g, cap=g.order)
+        closure_calls, orbit_images = counts["closure_bits"], counts["_conj_bits"]
         pairs = len(lat.inclusion)
         export(tree, lat)
-    finally:
-        for counter in counters:
-            counter.restore()
     return {"closure_calls": closure_calls, "orbit_images": orbit_images,
-            "bit_indices_calls": elements.calls, "cover_pairs": pairs,
+            "bit_indices_calls": counts["bit_indices"], "cover_pairs": pairs,
             "orbits": len(g.cached_value(("sub_div", g.order))[-1])}
 
 
@@ -239,11 +166,12 @@ def measure_joins(trees, build, kind: str) -> list[dict]:
     bases = [build(tree.ca) for tree in trees]
 
     def run(tree, i):
-        ca, _, subgroups_module = tree
+        ca, subgroups_module = tree.ca, tree.subgroups_module
         g = fresh(ca, bases[trees.index(tree)])
         subs = ca.all_subgroups(g, cap=g.order).subgroups if kind == "overgroups" else ()
-        counter = CallCounter(ca, subgroups_module._join_bits)
-        try:
+        counts = Counter()
+        with Patches() as patches:
+            patches.wrap(subgroups_module._join_bits, counting(counts, "joins"))
             t0 = time.perf_counter()
             if kind == "lattice":
                 ca.all_subgroups(g, cap=g.order)
@@ -251,9 +179,7 @@ def measure_joins(trees, build, kind: str) -> list[dict]:
                 for s in subs:
                     subgroups_module.overgroups_by_joins(g, s)
             seconds = time.perf_counter() - t0
-        finally:
-            counter.restore()
-        return seconds, counter.calls, len(subs)
+        return seconds, counts["joins"], len(subs)
 
     rows = []
     for base, runs in zip(bases, interleaved(trees, run)):
@@ -298,19 +224,8 @@ def measure_complements(trees, build) -> list[dict]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--out-dir", default=".")
-    parser.add_argument("--baseline", metavar="SRC",
-                        help="src directory of a second tree, timed interleaved")
-    args = parser.parse_args()
-
-    trees = [Tree(ca, cli_module, subgroups_module)]
-    labels = [args.label]
-    if args.baseline:
-        trees.append(load_tree(args.baseline, "complementa_baseline"))
-        labels.append(f"{args.label}-parent")
+    args = arguments(__doc__)
+    labels, trees = load_trees(args.label, args.baseline)
     reports = [{"groups": {}, "joins": {}, "complement": {}} for _ in trees]
 
     def show(label, name, text):
@@ -339,18 +254,7 @@ def main() -> int:
             show(label, name, f"|G|={row['order']:>3} " + " ".join(
                 f"{key}={row[key]['seconds']:7.3f}s ({row[key]['answer']})"
                 for key in COMPLEMENT_PREDICATES))
-    machine = {"cpu": platform.processor() or platform.machine(),
-               "cpus": os.cpu_count(),
-               "python": platform.python_version()}
-    for k, (label, report) in enumerate(zip(labels, reports)):
-        report = {"label": label, "repeats": REPEATS, "machine": machine,
-                  **({"interleaved_with": labels[1 - k]} if len(labels) > 1 else {}),
-                  **report}
-        path = os.path.join(args.out_dir, f"BENCH_{label}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {path}")
+    write_reports(args.out_dir, labels, reports)
     return 0
 
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the perfbench ``verify`` suites and count the work of their scans
-and product sets.
+"""Time the perfbench ``verify`` suites and the brute-force lattice oracle,
+and count the work of the suites' scans and product sets.
 
 For each suite that the perfbench ``verify`` workload sends (the list is
 read from ``perfbench/workloads.py``), it records the median seconds of one
@@ -27,34 +27,35 @@ counters installed from outside the library:
   ``triples_checked`` witness of each ``modular-identity`` claim in the
   output.
 
+The oracle section records, for each order-24 group of ``ORACLE_CORPUS``,
+the median seconds of ``subset_closure_subgroups`` over ``REPEATS`` runs on
+one built copy of the group, and the number of subgroups it found.
+
 With ``--baseline SRC``, a second source tree (SRC is its ``src`` directory)
-is imported in the same process as the package ``complementa_baseline``
-(``load_tree`` of ``bench_lattice.py``), and the two trees alternate
-request by request, each going first in every other round of a suite, so
-that both see the same machine state.  A pass is the sum of one round's
-requests.  The baseline's results go to ``BENCH_<label>-parent.json``.
+is imported in the same process, and the two trees alternate request by
+request and oracle run by oracle run, each going first in every other round
+(``load_trees`` and ``interleaved`` of ``harness.py``).  A pass is the sum of
+one round's requests.  The baseline's results go to
+``BENCH_<label>-parent.json``.
 
 Usage: PYTHONPATH=src python scripts/bench_verify.py --label NAME
        [--out-dir .] [--baseline SRC]
 """
 
-import argparse
 import contextlib
 import gc
 import importlib
 import io
 import json
 import os
-import platform
 import statistics
 import sys
 import time
 
-import complementa as ca
-import complementa.cli as cli_module
-import complementa.subgroups as subgroups_module
-import complementa.verify as verify_module
-from bench_lattice import REPEATS, Tree, interleaved, load_tree
+from harness import (REPEATS, Patches, arguments, clear_constructor_caches, counting,
+                     interleaved, load_trees, write_reports)
+
+ORACLE_CORPUS = ("dih24", "c24", "c2xa4")
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
@@ -79,55 +80,27 @@ def perfbench_suites() -> list[tuple[str, str]]:
 
 def request(tree, suite) -> tuple[float, str]:
     """Seconds and stdout of one ``verify --suite SUITE --json`` request."""
-    ca, cli_module, _ = tree
-    for obj in vars(ca.constructions).values():
-        if hasattr(obj, "cache_clear"):
-            obj.cache_clear()
+    clear_constructor_caches(tree.ca)
     gc.collect()
     out = io.StringIO()
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        rc = cli_module.run(["verify", "--suite", suite, "--json"])
+        rc = tree.cli_module.run(["verify", "--suite", suite, "--json"])
     seconds = time.perf_counter() - t0
     if rc != 0:
-        raise SystemExit(f"{ca.__name__}: verify --suite {suite} exited {rc}")
+        raise SystemExit(f"{tree.ca.__name__}: verify --suite {suite} exited {rc}")
     return seconds, out.getvalue()
 
 
-class Patches:
-    """Replaces functions of a module or class by wrappers, and puts them
-    back on ``restore``."""
-
-    def __init__(self):
-        self.saved = []
-
-    def wrap(self, owner, original, make):
-        self.saved.append((owner, original.__name__, original))
-        setattr(owner, original.__name__, make(original))
-
-    def restore(self):
-        for owner, name, original in reversed(self.saved):
-            setattr(owner, name, original)
-
-
-def count_work(tree, verify_module, suites) -> dict:
-    """The work counts of one pass over ``suites``; ``verify_module`` is the
-    tree's ``verify``."""
-    subgroups_module = tree.subgroups_module
+def count_work(tree, suites) -> dict:
+    """The work counts of one pass over ``suites``."""
+    verify_module, subgroups_module = tree.verify_module, tree.subgroups_module
     counts = dict.fromkeys(("quotients_formed", "quotient_lattices_built",
                             "battery_calls", "batteries_evaluated",
                             "product_calls", "partitions_built",
                             "triples_checked"), 0)
     inside = set()
     quotients = set()
-
-    def add(key):
-        def wrapper(original):
-            def counted(*args, **kwargs):
-                counts[key] += 1
-                return original(*args, **kwargs)
-            return counted
-        return wrapper
 
     def scope(name):
         def wrapper(original):
@@ -166,56 +139,57 @@ def count_work(tree, verify_module, suites) -> dict:
         return cached
 
     battery = getattr(verify_module, "_p_subgroup_battery", None)
-    patches = Patches()
-    try:
-        patches.wrap(verify_module, verify_module._transport_scan, scope("transport"))
-        patches.wrap(verify_module, verify_module.cached_quotient, forming)
-        patches.wrap(verify_module, verify_module.all_subgroups, building)
-        patches.wrap(verify_module, verify_module._p_subgroup_failures, add("battery_calls"))
+    with Patches() as patches:
+        patches.wrap(verify_module._transport_scan, scope("transport"), verify_module)
+        patches.wrap(verify_module.cached_quotient, forming, verify_module)
+        patches.wrap(verify_module.all_subgroups, building, verify_module)
+        patches.wrap(verify_module._p_subgroup_failures, counting(counts, "battery_calls"),
+                     verify_module)
         # verify imports product_bits by name; subgroups calls its own
-        patches.wrap(verify_module, verify_module.product_bits, add("product_calls"))
-        patches.wrap(subgroups_module, subgroups_module.product_bits, add("product_calls"))
-        patches.wrap(subgroups_module.FiniteGroup, subgroups_module.FiniteGroup.cached,
-                     memoizing)
+        patches.wrap(verify_module.product_bits, counting(counts, "product_calls"),
+                     verify_module, subgroups_module)
+        patches.wrap(subgroups_module.FiniteGroup.cached, memoizing,
+                     subgroups_module.FiniteGroup)
         if battery is not None:
-            patches.wrap(verify_module, battery, add("batteries_evaluated"))
+            patches.wrap(battery, counting(counts, "batteries_evaluated"), verify_module)
         for suite, _ in suites:
             _, out = request(tree, suite)
             counts["triples_checked"] += sum(
                 report["witnesses"][0].get("triples_checked", 0)
                 for report in json.loads(out)
                 if report["claim"].endswith(".modular-identity"))
-    finally:
-        patches.restore()
     if battery is None:
         counts["batteries_evaluated"] = counts["battery_calls"]
     return counts
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--out-dir", default=".")
-    parser.add_argument("--baseline", metavar="SRC",
-                        help="src directory of a second tree, timed interleaved")
-    args = parser.parse_args()
+def measure_oracle(trees, name: str) -> list[dict]:
+    groups = [tree.ca.catalog_entry(name).build().group for tree in trees]
 
+    def run(tree, i):
+        g = groups[trees.index(tree)]
+        t0 = time.perf_counter()
+        found = tree.ca.subset_closure_subgroups(g)
+        return time.perf_counter() - t0, len(found)
+
+    rows = []
+    for g, runs in zip(groups, interleaved(trees, run)):
+        runs_s = [seconds for seconds, _ in runs]
+        rows.append({"order": g.order, "subgroups": runs[-1][1],
+                     "seconds": statistics.median(runs_s), "runs_s": runs_s})
+    return rows
+
+
+def main() -> int:
+    args = arguments(__doc__)
     suites = perfbench_suites()
-    trees = [Tree(ca, cli_module, subgroups_module)]
-    verify_modules = [verify_module]
-    labels = [args.label]
-    if args.baseline:
-        trees.append(load_tree(args.baseline, "complementa_baseline"))
-        verify_modules.append(importlib.import_module("complementa_baseline.verify"))
-        labels.append(f"{args.label}-parent")
+    labels, trees = load_trees(args.label, args.baseline)
 
     # per suite, REPEATS rounds of one request on each tree: runs[suite][k][i]
     runs = {suite: interleaved(trees, lambda tree, i: request(tree, suite))
             for suite, _ in suites}
-    machine = {"cpu": platform.processor() or platform.machine(),
-               "cpus": os.cpu_count(),
-               "python": platform.python_version()}
+    oracle = {name: measure_oracle(trees, name) for name in ORACLE_CORPUS}
+    reports = []
     for k, (tree, label) in enumerate(zip(trees, labels)):
         rows = {}
         for suite, expected in suites:
@@ -224,22 +198,21 @@ def main() -> int:
                            "matches_expected": all(out == expected for _, out in runs[suite][k]),
                            "runs_s": runs_s}
         pass_s = [sum(row["runs_s"][i] for row in rows.values()) for i in range(REPEATS)]
-        work = count_work(tree, verify_modules[k], suites)
-        report = {"label": label, "repeats": REPEATS, "machine": machine,
-                  **({"interleaved_with": labels[1 - k]} if len(labels) > 1 else {}),
-                  "pass_s": statistics.median(pass_s), "pass_runs_s": pass_s,
-                  "suites": rows, "work": work}
+        work = count_work(tree, suites)
+        reports.append({"pass_s": statistics.median(pass_s), "pass_runs_s": pass_s,
+                        "suites": rows, "work": work,
+                        "oracle": {name: oracle[name][k] for name in ORACLE_CORPUS}})
         prefix = f"[{label}] " if len(trees) > 1 else ""
         for suite, row in rows.items():
             print(f"{prefix}{suite:>22} {row['seconds']:7.3f}s"
                   f"{'' if row['matches_expected'] else '  OUTPUT DIFFERS'}")
-        print(f"{prefix}{'pass':>22} {report['pass_s']:7.3f}s  "
+        print(f"{prefix}{'pass':>22} {reports[-1]['pass_s']:7.3f}s  "
               + " ".join(f"{key}={value}" for key, value in work.items()))
-        path = os.path.join(args.out_dir, f"BENCH_{label}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {path}")
+        for name in ORACLE_CORPUS:
+            row = oracle[name][k]
+            print(f"{prefix}{'oracle ' + name:>22} {row['seconds']:7.3f}s  "
+                  f"|G|={row['order']} subgroups={row['subgroups']}")
+    write_reports(args.out_dir, labels, reports)
     return 0
 
 

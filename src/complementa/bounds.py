@@ -84,7 +84,7 @@ def floor_5log9(num: int, den: int) -> int:
     the search stays in nonnegative exponents."""
     if num <= 0 or den <= 0 or num < den:
         raise PreconditionError("need num >= den > 0")
-    k = int(5 * math.log(num / den, 9))
+    k = int(5 * (math.log(num, 9) - math.log(den, 9)))
     num5, den5 = num ** 5, den ** 5
     while 9 ** (k + 1) * den5 <= num5:
         k += 1
@@ -119,7 +119,12 @@ def derived_length_bound(m: int) -> float:
     if m < 8:
         return 18
     n = n_of_m(m)
-    return 5 * math.log((n - 2) / 8, 9) + 13
+    try:
+        ratio = (n - 2) / 8
+    except OverflowError:
+        raise PreconditionError("(n - 2)/8 exceeds a float; "
+                                "derived_length_bound_floor gives the exact floor") from None
+    return 5 * math.log(ratio, 9) + 13
 
 
 def derived_length_bound_floor(m: int) -> int:

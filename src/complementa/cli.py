@@ -26,14 +26,10 @@ from .subgroups import (LATTICE_CAP, all_subgroups, generated_subgroup,
 from .verify import (reports_to_dicts, run_catalog_suite, summarize,
                      verify_holomorph8, verify_split_p5)
 
-_CATALOG_NAMES = None
 
-
-def _catalog_names():
-    global _CATALOG_NAMES
-    if _CATALOG_NAMES is None:
-        _CATALOG_NAMES = {e.name for e in catalog()}
-    return _CATALOG_NAMES
+@cache
+def _catalog_names() -> frozenset[str]:
+    return frozenset(e.name for e in catalog())
 
 
 def _resolve_group(args) -> NamedGroup:

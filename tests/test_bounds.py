@@ -82,6 +82,19 @@ def test_derived_length_bound_general():
     assert ca.derived_length_bound_general(2) == 11
 
 
+def test_bounds_beyond_float_range():
+    """(n - 2)/8 exceeds a float here: the floors stay exact, and the
+    real-valued bound refuses instead of raising OverflowError."""
+    k = floor_5log9(10**400, 8)
+    assert 9 ** k * 8 ** 5 <= 10**2000 < 9 ** (k + 1) * 8 ** 5
+    assert ca.zeta_bound(10**400) == 2101
+    m = 10**155
+    assert ca.derived_length_bound_floor(m) == ca.derived_length_bound_general(m) == 1632
+    with pytest.raises(PreconditionError):
+        ca.derived_length_bound(m)
+    assert ca.derived_length_bound_floor(10**154) == int(ca.derived_length_bound(10**154))
+
+
 def test_prop1_bound():
     for q in (2, 3, 5, 7, 11):
         assert ca.prop1_bound(q, 1) == q

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import json
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,12 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 EXPECTED = ROOT / "perfbench" / "expected"
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 PACKAGE = "complementa"
+# The modules of one library tree by the field of ``Tree`` in
+# scripts/harness.py that holds them; the scripts use the same names for
+# those modules of any tree.
+TREE_FIELDS = {"ca": PACKAGE, "cli_module": f"{PACKAGE}.cli",
+               "subgroups_module": f"{PACKAGE}.subgroups",
+               "verify_module": f"{PACKAGE}.verify"}
 
 
 def _load_tracer():
@@ -49,7 +58,8 @@ def _attribute_chain(node):
 def _library_names(tree):
     """(module, attribute path) for every name of the package that a script
     imports, or reads as an attribute chain from a name bound to a module
-    of the package."""
+    of the package, from a name in ``TREE_FIELDS`` or from such a field of
+    a tree (``tree.verify_module.name``)."""
     modules = {}
     reached = []
     for node in ast.walk(tree):
@@ -64,6 +74,10 @@ def _library_names(tree):
         chain = _attribute_chain(node) if isinstance(node, ast.Attribute) else None
         if chain and chain[0] in modules:
             reached.append((modules[chain[0]], chain[1:]))
+        elif chain and chain[0] in TREE_FIELDS:
+            reached.append((TREE_FIELDS[chain[0]], chain[1:]))
+        elif chain and len(chain) > 2 and chain[1] in TREE_FIELDS:
+            reached.append((TREE_FIELDS[chain[1]], chain[2:]))
     return reached
 
 
@@ -78,6 +92,99 @@ def test_every_library_name_a_script_reaches_resolves(script):
         for attr in path:
             assert hasattr(obj, attr), f"{script.name}: {module}.{'.'.join(path)}"
             obj = getattr(obj, attr)
+
+
+def _import_script(name, monkeypatch):
+    """Import scripts/<name>.py as the module ``name``, writing no bytecode."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.delitem(sys.modules, name, raising=False)
+    return importlib.import_module(name)
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_every_script_imports(script, monkeypatch):
+    """The checks above read the source, so a broken ``from harness import X``
+    would go unseen.  Importing leaves ``main`` unrun and perfbench/ as it was."""
+    perfbench = sorted((ROOT / "perfbench").rglob("*"))
+    _import_script(script.stem, monkeypatch)
+    assert sorted((ROOT / "perfbench").rglob("*")) == perfbench
+
+
+@pytest.fixture
+def harness(monkeypatch):
+    return _import_script("harness", monkeypatch)
+
+
+def test_tree_fields_are_the_fields_of_a_harness_tree(harness):
+    assert tuple(TREE_FIELDS) == harness.Tree._fields
+
+
+def test_interleaved_puts_each_tree_first_in_alternate_rounds(harness):
+    calls = []
+    out = harness.interleaved(["a", "b"], lambda tree, i: calls.append((i, tree)) or f"{tree}{i}")
+    rounds = range(harness.REPEATS)
+    assert calls == [call for i in rounds
+                     for call in ([(i, "a"), (i, "b")] if i % 2 == 0 else [(i, "b"), (i, "a")])]
+    assert out == [[f"a{i}" for i in rounds], [f"b{i}" for i in rounds]]
+
+
+def _holders(monkeypatch, function, *names):
+    """Modules ``names``, registered in sys.modules, each binding ``function``."""
+    modules = [types.ModuleType(name) for name in names]
+    for module in modules:
+        setattr(module, function.__name__, function)
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+    return modules
+
+
+def _double(x):
+    return 2 * x
+
+
+def test_patches_count_through_every_holder_and_restore_when_the_body_raises(
+        harness, monkeypatch):
+    monkeypatch.setattr(_double, "__module__", "pkg.a")
+    a, b, other = _holders(monkeypatch, _double, "pkg.a", "pkg.b", "elsewhere")
+    counts = {"calls": 0}
+    with pytest.raises(TypeError), harness.Patches() as patches:
+        patches.wrap(_double, harness.counting(counts, "calls"))
+        assert a._double(1) + b._double(2) + other._double(3) == 12
+        b._double(None)
+    assert counts == {"calls": 3}
+    assert a._double is b._double is other._double is _double
+
+
+def test_patches_wrap_only_the_given_owners(harness, monkeypatch):
+    class Box:
+        def value(self):
+            return 1
+
+    value = Box.value
+    a, b = _holders(monkeypatch, _double, "pkg.a", "pkg.b")
+    counts = {"value": 0, "double": 0}
+    with harness.Patches() as patches:
+        patches.wrap(Box.value, harness.counting(counts, "value"), Box)
+        patches.wrap(_double, harness.counting(counts, "double"), a)
+        assert Box().value() + a._double(1) + b._double(1) == 5
+        with pytest.raises(ValueError):
+            patches.wrap(len, harness.counting(counts, "double"), a)
+    assert counts == {"value": 1, "double": 1}
+    assert Box.value is value and a._double is _double
+
+
+def test_write_reports_heads_each_report(harness, tmp_path, capsys):
+    harness.write_reports(str(tmp_path), ["x", "x-parent"], [{"n": 1}, {"n": 2}], repeats=3)
+    harness.write_reports(str(tmp_path), ["y"], [{"n": 3}])
+    x, parent, y = (json.loads((tmp_path / f"BENCH_{label}.json").read_text(encoding="utf-8"))
+                    for label in ("x", "x-parent", "y"))
+    assert list(x) == ["label", "repeats", "machine", "interleaved_with", "n"]
+    assert (x["label"], x["repeats"], x["interleaved_with"], x["n"]) == ("x", 3, "x-parent", 1)
+    assert (parent["label"], parent["interleaved_with"], parent["n"]) == ("x-parent", "x", 2)
+    assert set(x["machine"]) == {"cpu", "cpus", "python"}
+    assert list(y) == ["label", "repeats", "machine", "n"]
+    assert y["repeats"] == harness.REPEATS
+    assert capsys.readouterr().out.count("wrote ") == 3
 
 
 # The suites the perfbench ``verify`` workload sends, each with its recorded
