@@ -165,31 +165,41 @@ def measure(trees, build) -> list[dict]:
 def measure_joins(trees, build, kind: str) -> list[dict]:
     bases = [build(tree.ca) for tree in trees]
 
+    def subgroups_of(tree, g):
+        return tree.ca.all_subgroups(g, cap=g.order).subgroups if kind == "overgroups" else ()
+
+    def search(tree, g, subs):
+        if kind == "lattice":
+            tree.ca.all_subgroups(g, cap=g.order)
+        else:
+            for s in subs:
+                tree.subgroups_module.overgroups_by_joins(g, s)
+
     def run(tree, i):
-        ca, subgroups_module = tree.ca, tree.subgroups_module
-        g = fresh(ca, bases[trees.index(tree)])
-        subs = ca.all_subgroups(g, cap=g.order).subgroups if kind == "overgroups" else ()
+        g = fresh(tree.ca, bases[trees.index(tree)])
+        subs = subgroups_of(tree, g)
+        t0 = time.perf_counter()
+        search(tree, g, subs)
+        return time.perf_counter() - t0, len(subs)
+
+    def count_joins(tree, base):
+        g = fresh(tree.ca, base)
+        subs = subgroups_of(tree, g)
         counts = Counter()
         with Patches() as patches:
-            patches.wrap(subgroups_module._join_bits, counting(counts, "joins"))
-            t0 = time.perf_counter()
-            if kind == "lattice":
-                ca.all_subgroups(g, cap=g.order)
-            else:
-                for s in subs:
-                    subgroups_module.overgroups_by_joins(g, s)
-            seconds = time.perf_counter() - t0
-        return seconds, counts["joins"], len(subs)
+            patches.wrap(tree.subgroups_module._join_bits, counting(counts, "joins"))
+            search(tree, g, subs)
+        return counts["joins"]
 
     rows = []
-    for base, runs in zip(bases, interleaved(trees, run)):
+    for tree, base, runs in zip(trees, bases, interleaved(trees, run)):
         runs_s = [r[0] for r in runs]
         rows.append({
             "order": base.order,
             "timed": ("all_subgroups" if kind == "lattice"
-                      else f"overgroups_by_joins from each of {runs[-1][2]} subgroups"),
+                      else f"overgroups_by_joins from each of {runs[-1][1]} subgroups"),
             "seconds": statistics.median(runs_s),
-            "join_calls": runs[-1][1],
+            "join_calls": count_joins(tree, base),
             "runs_s": runs_s,
         })
     return rows

@@ -101,20 +101,24 @@ def _indented_json(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, raising where it raises.
 
     With ``indent`` set, ``json`` falls back to its pure-Python encoder.
-    Here the containers are walked in Python, but scalars and keys go
-    through the C encoder, and so do two kinds of list whole: a list of
-    plain ints, bools and None, and a list of non-empty rows of plain ints.
-    Their compact text has only digits, signs, commas, brackets and
-    literals, so ``str.replace`` re-spaces it to the indented text, and no
-    Python code runs per item.  Everything else is walked item by item.
+    Here lists and str-keyed dicts are walked in Python, but scalars and
+    keys go through the C encoder, and so do two kinds of list whole: a
+    list of plain ints, bools and None, and a list of non-empty rows of
+    plain ints.  Their compact text has only digits, signs, commas, brackets
+    and literals, so ``str.replace`` re-spaces it to the indented text, and
+    no Python code runs per item.  ``json`` itself writes a dict with a
+    non-str key, and the whole of an object too deep for the walk, which
+    includes a circular one: there ``json`` raises its own error.
     """
-    return _json_text(obj, "\n", set())
+    try:
+        return _json_text(obj, "\n")
+    except RecursionError:
+        return json.dumps(obj, indent=2)
 
 
-def _json_text(obj, newline: str, path: set) -> str:
+def _json_text(obj, newline: str) -> str:
     """The indented JSON of obj at the level whose line break and indent is
-    ``newline``.  ``path`` holds the ids of the containers being written, to
-    refuse circular references as json does."""
+    ``newline``."""
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -129,37 +133,19 @@ def _json_text(obj, newline: str, path: set) -> str:
             rows = _encode_compact(obj)[2:-2].replace(",", "," + deeper).replace(
                 "]," + deeper + "[", f"{inner}],{inner}[{deeper}")
             return f"[{inner}[{deeper}{rows}{inner}]{newline}]"
-        _enter(obj, path)
-        items = [_json_text(item, inner, path) for item in obj]
-        path.remove(id(obj))
+        items = [_json_text(item, inner) for item in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
+        if set(map(type, obj)) != {str}:
+            # json's text holds no raw line break but its own
+            return json.dumps(obj, indent=2).replace("\n", newline)
         inner = newline + "  "
-        _enter(obj, path)
-        items = [_json_key(key) + ": " + _json_text(value, inner, path)
+        items = [_encode_scalar(key) + ": " + _json_text(value, inner)
                  for key, value in obj.items()]
-        path.remove(id(obj))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     return _encode_scalar(obj)
-
-
-def _json_key(key) -> str:
-    """A dict key as json writes it: str as is, int, float, bool and None
-    coerced to the text of their JSON value."""
-    if not isinstance(key, str):
-        if not (isinstance(key, (int, float)) or key is None):
-            raise TypeError("keys must be str, int, float, bool or None, "
-                            f"not {key.__class__.__name__}")
-        key = _encode_scalar(key)
-    return _encode_scalar(key)
-
-
-def _enter(container, path: set) -> None:
-    if id(container) in path:
-        raise ValueError("Circular reference detected")
-    path.add(id(container))
 
 
 def _emit_json(args, obj):
@@ -283,28 +269,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite-group complementation analysis over multiplication tables.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, recipe=True):
-        if recipe:
-            p.add_argument("--recipe", help="recipe name, catalog entry, or cayley-v1 JSON path")
-            p.add_argument("--p", type=int, help="prime parameter for parametrized recipes")
-            p.add_argument("--n", type=int, help="order/rank parameter for parametrized recipes")
-        p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-        p.add_argument("--out", help="write output to a file instead of stdout")
-        p.add_argument("--cap", type=int, default=LATTICE_CAP,
-                       help="lattice size cap override")
+    flags = {
+        "--recipe": dict(help="recipe name, catalog entry, or cayley-v1 JSON path"),
+        "--p": dict(type=int, help="prime parameter for parametrized recipes"),
+        "--n": dict(type=int, help="order/rank parameter for parametrized recipes"),
+        "--json": dict(action="store_true", help="emit machine-readable JSON"),
+        "--out": dict(help="write output to a file instead of stdout"),
+        "--cap": dict(type=int, default=LATTICE_CAP, help="lattice size cap override"),
+    }
+
+    def add(p, *names):
+        for name in names:
+            p.add_argument(name, **flags[name])
 
     p_build = sub.add_parser("build", help="construct a group and emit cayley-v1 JSON")
-    add_common(p_build)
+    add(p_build, "--recipe", "--p", "--n", "--out")
     p_build.set_defaults(func=cmd_build)
 
     p_lat = sub.add_parser("lattice", help="enumerate the subgroup lattice")
-    add_common(p_lat)
+    add(p_lat, "--recipe", "--p", "--n", "--out", "--cap")
     p_lat.add_argument("--format", choices=("json", "dot"), default="json")
     p_lat.set_defaults(func=cmd_lattice)
 
     p_check = sub.add_parser("check", help="decide a predicate for a subgroup")
     p_check.add_argument("predicate", choices=_PREDICATES)
-    add_common(p_check)
+    add(p_check, "--recipe", "--p", "--n", "--out", "--cap")
     p_check.add_argument("--subgroup", help="handle name (x, a, b, B, ...) or index list")
     p_check.add_argument("--mode", choices=("first", "all"), default="first")
     p_check.set_defaults(func=cmd_check)
@@ -312,16 +301,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="print the numeric bound report for m")
     p_bounds.add_argument("--m", type=int, required=True)
     p_bounds.add_argument("--q", type=int)
-    add_common(p_bounds, recipe=False)
+    add(p_bounds, "--out")
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", required=True)
-    add_common(p_verify)
+    add(p_verify, "--p", "--json", "--out")
     p_verify.set_defaults(func=cmd_verify)
 
     p_export = sub.add_parser("export", help="write a group or lattice to a file")
-    add_common(p_export)
+    add(p_export, "--recipe", "--p", "--n", "--out", "--cap")
     p_export.add_argument("--format", choices=("cayley", "lattice", "dot"),
                           default="cayley")
     p_export.set_defaults(func=cmd_export)

@@ -111,22 +111,18 @@ def _uncomplemented_union(g: FiniteGroup, cap: int) -> int:
     return union
 
 
-def c_separating_subgroups(g: FiniteGroup, cap: int = LATTICE_CAP,
-                           max_index: int | None = None) -> tuple[Subgroup, ...]:
+def c_separating_subgroups(g: FiniteGroup, cap: int = LATTICE_CAP) -> tuple[Subgroup, ...]:
     """All proper H such that every subgroup not contained in H is complemented.
 
     Equivalently: every uncomplemented subgroup lies inside H.  The result is
     upward closed among proper subgroups, which the
-    ``c-separating-upward-closed`` verification claim checks.  ``max_index``
-    restricts the scan to subgroups of small index (the index-2-only scan
-    used alongside the full scan in reports).
+    ``c-separating-upward-closed`` verification claim checks.
     """
     if g.order == 1:
         raise PreconditionError("C-separating subgroups are defined for nontrivial groups")
     union = _uncomplemented_union(g, cap)
     return tuple(h for h in all_subgroups(g, cap).subgroups
-                 if h.order < g.order and not union & ~h.members
-                 and (max_index is None or g.order // h.order <= max_index))
+                 if h.order < g.order and not union & ~h.members)
 
 
 def has_c_separating(g: FiniteGroup, cap: int = LATTICE_CAP) -> bool:

@@ -102,8 +102,8 @@ class FiniteGroup:
         ident = np.arange(n, dtype=np.int32)
         if not (np.array_equal(table[0], ident) and np.array_equal(table[:, 0], ident)):
             raise GroupError("index 0 is not a two-sided identity")
-        if not (np.array_equal(np.sort(table, axis=1), np.tile(ident, (n, 1)))
-                and np.array_equal(np.sort(table, axis=0), np.tile(ident[:, None], (1, n)))):
+        if not ((np.sort(table, axis=1) == ident).all()
+                and (np.sort(table, axis=0) == ident[:, None]).all()):
             raise GroupError("table is not a Latin square")
         # in a Latin square with identity 0, each row holds 0 once, as its least entry
         inv = table.argmin(axis=1).tolist()

@@ -233,6 +233,29 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+UNREAD_FLAGS = [
+    (["build", "--recipe", "c4"], ["--json"]),
+    (["lattice", "--recipe", "c4"], ["--json"]),
+    (["check", "normal", "--recipe", "s3", "--subgroup", "a"], ["--json"]),
+    (["bounds", "--m", "2"], ["--json"]),
+    (["export", "--recipe", "c4"], ["--json"]),
+    (["build", "--recipe", "c4"], ["--cap", "10"]),
+    (["bounds", "--m", "2"], ["--cap", "10"]),
+    (["verify", "--suite", "holomorph8"], ["--cap", "10"]),
+    (["verify", "--suite", "holomorph8"], ["--recipe", "c4"]),
+    (["verify", "--suite", "holomorph8"], ["--n", "3"]),
+]
+
+
+@pytest.mark.parametrize("argv, unread", UNREAD_FLAGS,
+                         ids=[f"{argv[0]} {unread[0]}" for argv, unread in UNREAD_FLAGS])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv, unread):
+    code, out, err = run_cli(capsys, *argv, *unread)
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == \
+        [f"complementa: error: unrecognized arguments: {' '.join(unread)}"]
+
+
 def test_too_deeply_nested_document_is_usage_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000, encoding="utf-8")
@@ -515,7 +538,8 @@ SUBGROUPS = (
 @st.composite
 def small_group_requests(draw):
     """argv of a request on a small group, with fuzzed --subgroup, --n, --p,
-    --cap and --suite values; each option is left out one time in four."""
+    --cap and --suite values, each drawn only for a command that declares
+    it; each option is left out one time in four."""
 
     def maybe(flag, values):
         return [flag, draw(values)] if draw(st.integers(0, 3)) else []
@@ -528,9 +552,11 @@ def small_group_requests(draw):
     if command == "check":
         argv += [draw(st.sampled_from(_PREDICATES)), *maybe("--subgroup", SUBGROUPS),
                  *maybe("--mode", st.sampled_from(["first", "all"]))]
-    return [*argv, "--recipe", draw(st.sampled_from(SMALL_RECIPES)),
-            *maybe("--n", numbers(st.integers(1, 4))), *maybe("--p", p_values),
-            *maybe("--cap", numbers(st.integers(1, 600)))]
+    argv += ["--recipe", draw(st.sampled_from(SMALL_RECIPES)),
+             *maybe("--n", numbers(st.integers(1, 4))), *maybe("--p", p_values)]
+    if command == "build":
+        return argv
+    return [*argv, *maybe("--cap", numbers(st.integers(1, 600)))]
 
 
 @given(small_group_requests())
