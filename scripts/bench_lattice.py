@@ -31,15 +31,18 @@ That count leaves out each join ⟨K, x⟩ of prime index with x normalizing
 K and order dividing the cap, which the search builds as a cyclic
 extension instead.
 
-The complement section times, on each group of the lattice corpus but C2^7
-(whose completely-factorizable scan alone takes about 11 s),
+The complement section times, on each group of the lattice corpus but C2^7,
 ``is_completely_factorizable``, ``c_separating_subgroups`` and
 ``is_supercomplemented`` from every subgroup.  Each run takes a fresh copy
 of the group and builds its lattice before the timing starts, so the
 complement scans and whatever they cache are inside it.  It records the
 median seconds over ``REPEATS`` runs and the answers (the factorizable
 verdict, the number of C-separating and of supercomplemented subgroups),
-which must agree between the two sides of a comparison.
+which must agree between the two sides of a comparison.  C2^7 stays out
+so that ``--baseline`` runs against older trees stay short: reading the
+uncomplemented subgroups off the lattice's order blocks, each C2^7
+predicate takes about 0.4 s, but a tree that runs one complement scan
+per subgroup takes 6 to 8 s per run (2 cores, CPython 3.11).
 
 Calls are counted by a wrapper installed from outside the library, never
 during a timed run.  Writes ``BENCH_<label>.json`` to ``--out-dir``.

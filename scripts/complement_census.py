@@ -12,7 +12,7 @@ Usage: python scripts/complement_census.py [--max-order N]
 import argparse
 
 import complementa as ca
-from complementa.complementation import is_complemented, uncomplemented_subgroups
+from complementa.complementation import uncomplemented_subgroups
 from complementa.verify import _supercomplemented_cyclic_reps
 
 
@@ -29,8 +29,9 @@ def main():
             continue
         g = entry.build().group
         lat = ca.all_subgroups(g)
-        complemented = sum(1 for s in lat.subgroups if is_complemented(g, s))
-        cf = not uncomplemented_subgroups(g)
+        uncomplemented = len(uncomplemented_subgroups(g))
+        complemented = len(lat) - uncomplemented
+        cf = not uncomplemented
         csep = ca.has_c_separating(g) if g.order > 1 else False
         sc = len(_supercomplemented_cyclic_reps(g))
         print(f"{entry.name:>12} {g.order:>4} {len(lat):>5} {complemented:>6} "

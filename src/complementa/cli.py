@@ -305,8 +305,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--suite", required=True)
-    add(p_verify, "--p", "--json", "--out")
+    p_verify.add_argument("--suite", required=True, help="holomorph8, split-p5 "
+                          "(needs --p), split-p5-2, split-p5-3, catalog, all, or catalog:<names>")
+    p_verify.add_argument("--p", type=int, help="prime p of the split-p5 suite")
+    add(p_verify, "--json", "--out")
     p_verify.set_defaults(func=cmd_verify)
 
     p_export = sub.add_parser("export", help="write a group or lattice to a file")

@@ -57,10 +57,12 @@ def is_complemented(g: FiniteGroup, h: Subgroup, cap: int = LATTICE_CAP) -> bool
 
 def _uncomplemented(g: FiniteGroup, cap: int):
     """The lattice of G and the bitset of the indices of its uncomplemented
-    subgroups, computed once per group."""
+    subgroups, computed once per group: H is uncomplemented when every
+    subgroup in the order block ``lat.by_order(|G|/|H|)`` meets H beyond 1."""
     lat = all_subgroups(g, cap)
     return lat, g.cached("uncomplemented", lambda: sum(
-        1 << i for i, k in enumerate(lat.subgroups) if not is_complemented(g, k, cap)))
+        1 << i for i, h in enumerate(lat.subgroups)
+        if all(t.members & h.members != 1 for t in lat.by_order(g.order // h.order))))
 
 
 def _lowest(lat, bits: int):
@@ -148,16 +150,13 @@ def subgroup_as_group(g: FiniteGroup, k: Subgroup):
         ident = {e: e for e in g.elements()}
         return g, ident, tuple(g.elements())
 
-    def build():
-        elems = k.elements()
-        to_local = {e: i for i, e in enumerate(elems)}
-        mult = [[to_local[g.mult[a][b]] for b in elems] for a in elems]
-        gens = [to_local[e] for e in k.gens]
-        labels = [g.labels[e] for e in elems]
-        grp = FiniteGroup(mult, gens, labels, name=f"{g.name}|sub{k.order}")
-        return grp, to_local, elems
-
-    return g.cached(("as_group", k.members), build)
+    elems = k.elements()
+    to_local = {e: i for i, e in enumerate(elems)}
+    mult = [[to_local[g.mult[a][b]] for b in elems] for a in elems]
+    gens = [to_local[e] for e in k.gens]
+    labels = [g.labels[e] for e in elems]
+    grp = FiniteGroup(mult, gens, labels, name=f"{g.name}|sub{k.order}")
+    return grp, to_local, elems
 
 
 def quotient_transport_check(g: FiniteGroup, h: Subgroup, k: Subgroup,

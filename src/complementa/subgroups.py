@@ -154,17 +154,11 @@ def _subgroups_order_dividing(g: FiniteGroup, c: int) -> tuple[Subgroup, ...]:
     and the orbits the search ran on, each a tuple of member bitsets with
     the subgroup the search extended or joined first.  The orbits are the
     classes, except in an abelian G, where the classes are singletons and
-    the orbits are automorphism orbits.  Derived from the full lattice when
-    that is cached.
+    the orbits are automorphism orbits.
     """
     c = math.gcd(g.order, c)
 
     def build():
-        full = g.cached_value(("sub_div", g.order))
-        if full is not None:
-            return (tuple(s for s in full[0] if c % s.order == 0),
-                    *(tuple(k for k in part if c % k[0].bit_count() == 0)
-                      for part in full[1:]))
         orbits = []
         subs = _join_search(g, trivial_subgroup(g), c, not _all_solvable(g, c),
                             orbits)

@@ -256,6 +256,31 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv, unread)
         [f"complementa: error: unrecognized arguments: {' '.join(unread)}"]
 
 
+def _help_lines(capsys, monkeypatch, command):
+    """The option lines of ``command -h``, unwrapped, by option name."""
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out, _ = run_cli(capsys, command, "-h")
+    assert code == 0
+    return {line.split()[0]: line for line in out.splitlines()
+            if line.lstrip().startswith("--")}
+
+
+def test_verify_help_names_its_suites_and_the_prime_it_reads(capsys, monkeypatch):
+    lines = _help_lines(capsys, monkeypatch, "verify")
+    assert lines["--p"].endswith("prime p of the split-p5 suite")
+    assert not any("recipe" in line for line in lines.values())
+    for suite in ("holomorph8", "split-p5 ", "split-p5-2", "split-p5-3",
+                  "catalog,", "all,", "catalog:<names>"):
+        assert suite in lines["--suite"], suite
+
+
+@pytest.mark.parametrize("command", ["build", "lattice", "check", "export"])
+def test_recipe_subcommands_keep_the_recipe_help_of_p(capsys, monkeypatch, command):
+    lines = _help_lines(capsys, monkeypatch, command)
+    assert lines["--p"].endswith("prime parameter for parametrized recipes")
+    assert "--suite" not in lines
+
+
 def test_too_deeply_nested_document_is_usage_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000, encoding="utf-8")

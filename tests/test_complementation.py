@@ -4,6 +4,7 @@ C-separating predicates."""
 import pytest
 
 import complementa as ca
+from complementa._primes import divisors
 from complementa.groups import CapExceededError, PreconditionError
 from complementa.subgroups import full_subgroup, product_bits
 
@@ -170,17 +171,50 @@ def test_transport_preconditions(hol8, s3):
                                     full_subgroup(c4), ca.trivial_subgroup(c4))
 
 
+LARGE = {
+    "ea2r6": lambda: ca.elementary_abelian(2, 6).group,
+    "ea3r5": lambda: ca.elementary_abelian(3, 5).group,
+    "hol32": lambda: ca.holomorph_cyclic(32).group,
+    "dih64": lambda: ca.dihedral(32).group,
+    "s5": lambda: ca.from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], name="S5"),
+    "a5": lambda: ca.from_generators([(1, 2, 3, 4, 0), (0, 2, 3, 1, 4)], name="A5"),
+}
+
+
+def _fresh(name):
+    """A copy of a LARGE group with nothing memoized on it."""
+    g = LARGE[name]()
+    return ca.FiniteGroup(g.mult, g.generators, g.labels, name=g.name)
+
+
 def test_uncomplemented_sets():
+    """The lattice-wide bitset reads the lattice's order blocks; each
+    is_complemented runs its own partial search, so the two sides are
+    computed independently."""
     c4 = ca.cyclic(4)
     bad = ca.uncomplemented_subgroups(c4)
     assert [set(s.elements()) for s in bad] == [{0, 2}]
     assert ca.uncomplemented_subgroups(ca.symmetric3().group) == ()
-    for entry in ca.catalog():
-        if entry.order <= 64:
-            g = entry.build().group
-            lat = ca.all_subgroups(g)
-            assert ca.uncomplemented_subgroups(g) == tuple(
-                k for k in lat.subgroups if not ca.is_complemented(g, k)), entry.name
+    groups = [(e.name, e.build().group) for e in ca.catalog() if e.order <= 64]
+    groups += [(name, _fresh(name)) for name in ("ea2r6", "ea3r5", "hol32", "s5", "a5")]
+    for name, g in groups:
+        lat = ca.all_subgroups(g)
+        assert ca.uncomplemented_subgroups(g) == tuple(
+            k for k in lat.subgroups if not ca.is_complemented(g, k)), name
+
+
+@pytest.mark.parametrize("name", ["hol32", "ea3r5", "s5", "dih64"])
+def test_whole_lattice_questions_build_no_partial_lattice(name):
+    """The factorizable verdict, the C-separating subgroups and, with the
+    lattice built, the supercomplemented check read the lattice: no
+    subgroup list of order dividing a proper divisor of |G| is memoized."""
+    g = _fresh(name)
+    ca.is_completely_factorizable(g)
+    ca.c_separating_subgroups(g)
+    for h in ca.all_subgroups(g).subgroups:
+        ca.is_supercomplemented(g, h)
+    assert [c for c in divisors(g.order)[:-1]
+            if g.cached_value(("sub_div", c)) is not None] == []
 
 
 @pytest.mark.parametrize("build", [

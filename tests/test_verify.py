@@ -461,6 +461,17 @@ def test_transport_builds_one_quotient_lattice_per_table(monkeypatch, name):
     assert {(quo.mult, quo.generators) for quo in built} == tables
 
 
+@pytest.mark.parametrize("name", ["holomorph8", "split-p5-2", "s3xs3"])
+def test_transport_keeps_no_subgroup_as_group_on_the_group(name):
+    """Each class representative K is reindexed as a group once per scan;
+    neither K-as-a-group nor its lattice stays memoized on G."""
+    g = fresh_group(name)
+    lat = ca.all_subgroups(g)
+    scan_reports(verify_module._transport_scan, g)
+    assert [k for k in lat.subgroups
+            if g.cached_value(("as_group", k.members)) is not None] == []
+
+
 @pytest.mark.parametrize("name", ["s3xs3", "holomorph8", "dih8xc2", "c30"])
 def test_one_battery_per_prime_and_order(monkeypatch, name):
     asked, evaluated = [], []
