@@ -100,7 +100,9 @@ def count_work(tree, suites) -> dict:
                             "product_calls", "partitions_built",
                             "triples_checked"), 0)
     inside = set()
-    quotients = set()
+    # id -> quotient: holding each quotient keeps its id from being reused
+    # by a later object, such as a class representative K-as-a-group
+    quotients = {}
 
     def scope(name):
         def wrapper(original):
@@ -119,7 +121,7 @@ def count_work(tree, suites) -> dict:
             quo, proj = original(*args, **kwargs)
             if "transport" in inside:
                 counts["quotients_formed"] += 1
-                quotients.add(id(quo))
+                quotients[id(quo)] = quo
             return quo, proj
         return formed
 

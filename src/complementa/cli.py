@@ -251,14 +251,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    nm = _resolve_group(args)
-    if args.format == "cayley":
-        _emit_json(args, group_to_dict(nm.group))
-    elif args.format == "lattice":
-        _emit_json(args, lattice_to_dict(all_subgroups(nm.group, cap=args.cap)))
-    elif args.format == "dot":
-        _emit(args, lattice_to_dot(all_subgroups(nm.group, cap=args.cap)))
-    return 0
+    """``build`` for the cayley format; ``lattice`` otherwise, which writes
+    DOT for ``dot`` and JSON for ``lattice``."""
+    return (cmd_build if args.format == "cayley" else cmd_lattice)(args)
 
 
 @cache

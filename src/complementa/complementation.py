@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import CapExceededError, FiniteGroup, PreconditionError, quotient
-from .subgroups import (LATTICE_CAP, Subgroup, _subgroups_order_dividing,
-                        all_subgroups, bit_indices, overgroups_by_joins)
+from .subgroups import (LATTICE_CAP, Subgroup, _conj_bits,
+                        _subgroups_order_dividing, all_subgroups, bit_indices,
+                        overgroups_by_joins)
 
 
 @dataclass(frozen=True)
@@ -168,21 +169,12 @@ def quotient_transport_check(g: FiniteGroup, h: Subgroup, k: Subgroup,
         raise PreconditionError("H must be contained in K")
     if not k.contains(n):
         raise PreconditionError("N must be contained in K")
-    k_grp, to_local, from_local = subgroup_as_group(g, k)
-    n_local = 0
-    for e in n.elements():
-        n_local |= 1 << to_local[e]
-    h_local_bits = 0
-    for e in h.elements():
-        h_local_bits |= 1 << to_local[e]
-    h_local = Subgroup(k_grp, h_local_bits)
+    k_grp, to_local, _ = subgroup_as_group(g, k)
+    h_local = Subgroup(k_grp, _conj_bits(to_local, h.elements()))
     ok, _ = is_supercomplemented(k_grp, h_local, cap)
     if not ok:
         raise PreconditionError("H is not supercomplemented in K")
-    quo, proj = quotient(k_grp, n_local)
-    img_bits = 0
-    for e in bit_indices(h_local_bits):
-        img_bits |= 1 << proj[e]
-    img = Subgroup(quo, img_bits)
+    quo, proj = quotient(k_grp, _conj_bits(to_local, n.elements()))
+    img = Subgroup(quo, _conj_bits(proj, h_local.elements()))
     ok_q, _ = is_supercomplemented(quo, img, cap)
     return ok_q

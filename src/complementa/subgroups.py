@@ -125,23 +125,20 @@ def subgroup_from_members(g: FiniteGroup, members) -> Subgroup:
 
 
 def cyclic_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
-    """All cyclic subgroups, deduplicated, canonically sorted and cached."""
-
-    def build():
-        seen: dict[int, int] = {}
-        for e in range(1, g.order):
-            bits = 1
-            cur = e
-            while cur:
-                bits |= 1 << cur
-                cur = g.mult[cur][e]
-            if bits not in seen:
-                seen[bits] = e
-        subs = [Subgroup(g, bits, (e,)) for bits, e in seen.items()]
-        subs.sort(key=Subgroup.sort_key)
-        return tuple(subs)
-
-    return g.cached("cyclic_subgroups", build)
+    """All cyclic subgroups, deduplicated and canonically sorted.  Not
+    memoized: its one library reader, ``_prime_power_cyclics``, is."""
+    seen: dict[int, int] = {}
+    for e in range(1, g.order):
+        bits = 1
+        cur = e
+        while cur:
+            bits |= 1 << cur
+            cur = g.mult[cur][e]
+        if bits not in seen:
+            seen[bits] = e
+    subs = [Subgroup(g, bits, (e,)) for bits, e in seen.items()]
+    subs.sort(key=Subgroup.sort_key)
+    return tuple(subs)
 
 
 def _subgroups_order_dividing(g: FiniteGroup, c: int) -> tuple[Subgroup, ...]:
@@ -208,29 +205,33 @@ def _coset_bits(mult, elems, y: int) -> int:
     return bits
 
 
-def _join_bits(g: FiniteGroup, h: Subgroup, x: int, cap: int) -> int | None:
-    """Bitset of <H, x>, grown from H one right coset H·t at a time.
-
-    The union K of the cosets H·t over the transversal found so far is closed
-    once every t·s, s a generator of H or x, lies in K.  Returns None as soon
-    as K exceeds cap elements.
+def _grow_cosets(mult, h: Subgroup, bits: int, reps: list, gens,
+                 cap: int) -> int | None:
+    """The least union of right cosets of H that contains ``bits``, the
+    union of the cosets H·t for t in ``reps``, and is closed under right
+    multiplication by ``gens``: each t·s outside it adds the coset H·t·s,
+    whose representative t·s is appended to ``reps`` in turn.  The union is
+    closed once every t·s lies in it.  Returns None as soon as it exceeds
+    cap elements.
     """
-    mult = g.mult
-    elems = h.elements()
-    gens = h.gens + (x,)
-    bits, count = h.members, h.order
-    reps = [0]
+    elems, most = h.elements(), cap // h.order
     for t in reps:
         row = mult[t]
         for s in gens:
             y = row[s]
             if not bits >> y & 1:
                 bits |= _coset_bits(mult, elems, y)
-                count += h.order
-                if count > cap:
-                    return None
                 reps.append(y)
+                if len(reps) > most:
+                    return None
     return bits
+
+
+def _join_bits(g: FiniteGroup, h: Subgroup, x: int, cap: int) -> int | None:
+    """Bitset of <H, x>, or None once it exceeds cap elements: the least
+    union of right cosets of H that holds H and is closed under right
+    multiplication by H's gens and x (``_grow_cosets``)."""
+    return _grow_cosets(g.mult, h, h.members, [0], h.gens + (x,), cap)
 
 
 def _join_search(g: FiniteGroup, seed: Subgroup, cap: int, joins: bool,
@@ -311,17 +312,9 @@ def _join_search(g: FiniteGroup, seed: Subgroup, cap: int, joins: bool,
                     if bits is not None and is_prime(bits.bit_count() // k.order):
                         skip |= bits
                     else:
-                        # KxK, grown from Kx one right coset K·t·s at a time
-                        double = _coset_bits(mult, elems, x)
-                        reps = [x]
-                        for t in reps:
-                            row = mult[t]
-                            for s in kgens:
-                                y = row[s]
-                                if not double >> y & 1:
-                                    double |= _coset_bits(mult, elems, y)
-                                    reps.append(y)
-                        skip |= double
+                        # the double coset KxK, grown from Kx
+                        skip |= _grow_cosets(mult, k, _coset_bits(mult, elems, x),
+                                             [x], kgens, g.order)
                     if bits is None or cap % bits.bit_count():
                         continue
                 if bits not in found:
@@ -472,6 +465,9 @@ def _conj_perms(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 
 def _conj_bits(perm, elems) -> int:
+    """Bitset of the images perm[e] of the elements e in ``elems``, where
+    ``perm`` maps elements to elements as any sequence or dict indexed by
+    element: a permutation, an embedding or a projection onto a quotient."""
     out = 0
     for e in elems:
         out |= 1 << perm[e]
@@ -732,11 +728,11 @@ def lattice_to_dict(lat: SubgroupLattice) -> dict:
             normal[c[0]] = True
     return {
         "group_order": lat.group.order,
-        "subgroups": [list(s.elements()) for s in lat.subgroups],
+        "subgroups": [s.elements() for s in lat.subgroups],
         "orders": [s.order for s in lat.subgroups],
-        "inclusion": [list(p) for p in lat.inclusion],
+        "inclusion": lat.inclusion,
         "normal": normal,
-        "conjugacy_classes": [list(c) for c in classes],
+        "conjugacy_classes": classes,
     }
 
 

@@ -519,8 +519,10 @@ def _entry_suite(entry) -> list[VerificationReport]:
                     [{"oracle_count": len(oracle), "lattice_count": len(lat)}])
 
     if g.order <= PAIRWISE_ORDER_CAP:
-        _pairwise_checks(suite, pre, g, lat)
-        _dedekind_scan(suite, pre, g, lat)
+        table = _product_table(g, lat)
+        _pairwise_checks(suite, pre, g, lat, table)
+        _dedekind_scan(suite, pre, g, lat, table)
+        del table  # read by these two scans only
         _transport_scan(suite, pre, g, lat)
         _frattini_spot_checks(suite, pre, g, lat)
 
@@ -559,16 +561,15 @@ def _entry_suite(entry) -> list[VerificationReport]:
 
 def _product_table(g, lat) -> tuple[tuple[int, ...], ...]:
     """The product set AB of every ordered pair of lattice subgroups: row A,
-    column B, in lattice order.  Built once per group and memoized on it, so
-    the pairwise and Dedekind scans read the same products."""
+    column B, in lattice order.  ``_entry_suite`` builds it once and passes
+    it to the pairwise and Dedekind scans, its only readers; it is not
+    memoized on the group."""
     subs = lat.subgroups
-    return g.cached("product_table", lambda: tuple(
-        tuple(product_bits(g, a, b) for b in subs) for a in subs))
+    return tuple(tuple(product_bits(g, a, b) for b in subs) for a in subs)
 
 
-def _pairwise_checks(suite, pre, g, lat):
+def _pairwise_checks(suite, pre, g, lat, table):
     subs = lat.subgroups
-    table = _product_table(g, lat)
     formula_ok = True
     criterion_ok = True
     symmetry_ok = True
@@ -592,7 +593,7 @@ def _pairwise_checks(suite, pre, g, lat):
     suite.check(f"{pre}.complement-symmetry", symmetry_ok, [{"pairs": len(subs) ** 2}])
 
 
-def _dedekind_scan(suite, pre, g, lat):
+def _dedekind_scan(suite, pre, g, lat, table):
     """The modular identity A(B ∩ T) = B ∩ AT for every A <= B and every T
     with AT = G, over (A, T, B) in canonical order.  The overgroups B of A
     are the same for every T, so they are filtered once per A.  B ∩ T is a
@@ -600,7 +601,6 @@ def _dedekind_scan(suite, pre, g, lat):
     lattice index of B ∩ T; every triple is still counted and checked."""
     subs = lat.subgroups
     index_of = lat.index_of
-    table = _product_table(g, lat)
     count = 0
     ok = True
     witness = []
@@ -654,11 +654,8 @@ def _transport_scan(suite, pre, g, lat):
                     s.members for s in all_subgroups(quo).subgroups
                     if is_supercomplemented(quo, s)[0]}
             for h in sc_subs:
-                img = 0
-                for e in h.elements():
-                    img |= 1 << proj[e]
                 count += 1
-                if img not in sc_q:
+                if _conj_bits(proj, h.elements()) not in sc_q:
                     ok = False
                     if len(witness) < 3:
                         witness.append({"K_class_rep": sub_witness(k),

@@ -9,7 +9,8 @@ from complementa._primes import divisors, prime_factors
 from complementa.groups import CapExceededError, PreconditionError
 from complementa.subgroups import (Subgroup, SubgroupLattice, _all_solvable,
                                    _automorphisms, _coset_bits,
-                                   _extend_to_automorphism, _join_bits,
+                                   _extend_to_automorphism, _grow_cosets,
+                                   _join_bits,
                                    _join_search, _subgroups_order_dividing,
                                    bit_indices,
                                    bits_of, closure_bits, cyclic_subgroups,
@@ -323,6 +324,30 @@ def test_overgroups_by_joins_match_filtered_lattice():
     for s in lat.subgroups:
         assert overgroups_by_joins(g, s) == tuple(k for k in lat.subgroups
                                                   if k.contains(s))
+
+
+@pytest.mark.parametrize("build", [
+    _s5, _a5,
+    lambda: ca.dihedral(12).group,
+    lambda: ca.holomorph8().group,
+], ids=["s5", "a5", "dih24", "holomorph8"])
+def test_grown_cosets_give_joins_and_double_cosets(build):
+    """For every subgroup K and element x: ``_join_bits`` is the closure of
+    K's gens and x, and None under any cap below its order when x is
+    outside K; grown from Kx under K's gens, the cosets make KxK."""
+    g = _fresh(build())
+    mult = g.mult
+    for k in ca.all_subgroups(g).subgroups:
+        elems = k.elements()
+        for x in g.elements():
+            join = closure_bits(mult, k.gens + (x,))
+            assert _join_bits(g, k, x, g.order) == join
+            assert _join_bits(g, k, x, join.bit_count()) == join
+            if not k.members >> x & 1:
+                assert _join_bits(g, k, x, join.bit_count() - 1) is None
+            double = bits_of({mult[mult[a][x]][b] for a in elems for b in elems})
+            assert _grow_cosets(mult, k, _coset_bits(mult, elems, x), [x],
+                                k.gens, g.order) == double
 
 
 def prime_power_cyclics(g, cap):

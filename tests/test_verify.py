@@ -325,9 +325,13 @@ def fresh_group(name):
 
 
 def scan_reports(scan, g):
-    """(claim, status, witnesses) of one scan over a fresh lattice of g."""
+    """(claim, status, witnesses) of one scan over a fresh lattice of g; the
+    Dedekind scan also gets the product table of that lattice."""
     suite = _Suite()
-    scan(suite, "t", g, ca.all_subgroups(g))
+    lat = ca.all_subgroups(g)
+    tables = ((verify_module._product_table(g, lat),)
+              if scan is verify_module._dedekind_scan else ())
+    scan(suite, "t", g, lat, *tables)
     return [(r.claim, r.status, r.witnesses) for r in suite.reports]
 
 
@@ -438,8 +442,9 @@ def test_pairwise_and_dedekind_scans_build_each_product_once(monkeypatch, name):
     g = fresh_group(name)
     lat = ca.all_subgroups(g)
     suite = _Suite()
-    verify_module._pairwise_checks(suite, "t", g, lat)
-    verify_module._dedekind_scan(suite, "t", g, lat)
+    table = verify_module._product_table(g, lat)
+    verify_module._pairwise_checks(suite, "t", g, lat, table)
+    verify_module._dedekind_scan(suite, "t", g, lat, table)
     assert [r.status for r in suite.reports] == ["pass"] * 4
     assert len(calls) == len(set(calls)) == len(lat) ** 2
 
