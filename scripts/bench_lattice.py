@@ -14,9 +14,11 @@ enumeration through export, and the number of subgroups the enumeration
 extended or joined,
 which is the number of orbits it records (one representative per orbit is
 extended or joined): automorphism orbits in an abelian group, conjugacy
-classes otherwise.  It is read off the last item of the memo entry of the
-full lattice, which is the orbits in (subgroups, classes, orbits) and, in
-trees that kept only (subgroups, classes), the classes those searched by.
+classes otherwise.  It is read off the memo entry ``("sub_div", |G|)``:
+its ``orbits`` in a tree where that entry is a ``SubgroupLattice``, and in
+an older ``--baseline`` tree, where it is a tuple, its last item, which is
+the orbits in (subgroups, classes, orbits) and, in trees that kept only
+(subgroups, classes), the classes those searched by.
 The export is ``lattice_to_dict`` plus the JSON encoding that ``complementa
 lattice`` writes (``cli._emit_json``, into a string buffer); it runs after
 ``inclusion``, so it includes the conjugacy classes but not the covering
@@ -126,7 +128,12 @@ def count_work(tree, base) -> dict:
         export(tree, lat)
     return {"closure_calls": closure_calls, "orbit_images": orbit_images,
             "bit_indices_calls": counts["bit_indices"], "cover_pairs": pairs,
-            "orbits": len(g.cached_value(("sub_div", g.order))[-1])}
+            "orbits": len(orbits_of(g.cached_value(("sub_div", g.order))))}
+
+
+def orbits_of(entry):
+    """The orbits of a full-lattice memo entry, in this tree or an older one."""
+    return entry[-1] if isinstance(entry, tuple) else entry.orbits
 
 
 def measure(trees, build) -> list[dict]:

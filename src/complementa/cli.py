@@ -32,12 +32,25 @@ def _catalog_names() -> frozenset[str]:
     return frozenset(e.name for e in catalog())
 
 
+# The flags each parametrized recipe reads, each with its keyword argument
+_RECIPE_PARAMS = {"cyclic": {"n": "n"}, "dihedral": {"n": "n"}, "holomorph": {"n": "n"},
+                  "elementary": {"p": "p", "n": "rank"}, "split-p5": {"p": "p"}}
+
+
+def _refuse_unread(args, what: str, reads=()) -> None:
+    """A usage error for a --n or --p value that ``what`` never reads."""
+    for flag in ("n", "p"):
+        if flag not in reads and getattr(args, flag, None) is not None:
+            raise GroupError(f"{what} reads no --{flag}")
+
+
 def _resolve_group(args) -> NamedGroup:
     """Recipe name, catalog entry name, or path to a cayley-v1 JSON file."""
     recipe = args.recipe
     if recipe is None:
         raise GroupError("--recipe is required for this subcommand")
     if os.path.exists(recipe) or recipe.endswith(".json"):
+        _refuse_unread(args, f"cayley-v1 file {recipe!r}")
         with open(recipe, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
@@ -47,22 +60,15 @@ def _resolve_group(args) -> NamedGroup:
         args.loaded = nm.group  # this request's own: ``run`` drops its memo
         return nm
     if recipe in _catalog_names():
+        _refuse_unread(args, f"catalog entry {recipe!r}")
         return catalog_entry(recipe).build()
     if recipe in RECIPES:
-        params = {}
-        if recipe in ("cyclic", "dihedral", "holomorph"):
-            if args.n is None:
-                raise GroupError(f"recipe {recipe!r} needs --n")
-            params["n"] = args.n
-        elif recipe == "elementary":
-            if args.p is None or args.n is None:
-                raise GroupError("recipe 'elementary' needs --p and --n (rank)")
-            params = {"p": args.p, "rank": args.n}
-        elif recipe == "split-p5":
-            if args.p is None:
-                raise GroupError("recipe 'split-p5' needs --p")
-            params = {"p": args.p}
-        return RECIPES[recipe](**params)
+        params = _RECIPE_PARAMS.get(recipe, {})
+        _refuse_unread(args, f"recipe {recipe!r}", params)
+        missing = [f"--{flag}" for flag in params if getattr(args, flag) is None]
+        if missing:
+            raise GroupError(f"recipe {recipe!r} needs {' and '.join(missing)}")
+        return RECIPES[recipe](**{kw: getattr(args, flag) for flag, kw in params.items()})
     raise GroupError(f"unknown recipe {recipe!r}")
 
 
@@ -177,11 +183,12 @@ def cmd_check(args) -> int:
     nm = _resolve_group(args)
     g = nm.group
     result: dict = {"predicate": args.predicate}
-    if args.predicate in ("completely-factorizable", "nilpotent"):
-        sub = None
-    else:
-        if args.subgroup is None:
-            raise GroupError(f"predicate {args.predicate!r} needs --subgroup")
+    # these two ask about G itself
+    of_group = args.predicate in ("completely-factorizable", "nilpotent")
+    if of_group != (args.subgroup is None):
+        raise GroupError(f"predicate {args.predicate!r} "
+                         f"{'reads no' if of_group else 'needs'} --subgroup")
+    if not of_group:
         sub = _resolve_subgroup(nm, args.subgroup)
         result["subgroup"] = {"order": sub.order, "members": list(sub.elements())}
     if args.predicate == "complemented":
@@ -189,12 +196,9 @@ def cmd_check(args) -> int:
         result["result"] = bool(res.complements)
         result["complements"] = [list(t.elements()) for t in res.complements]
         result["exhaustive"] = res.exhaustive
-    elif args.predicate == "supercomplemented":
-        ok, wit = is_supercomplemented(g, sub, cap=args.cap)
-        result["result"] = ok
-        result["witness"] = list(wit.elements()) if wit else None
-    elif args.predicate == "completely-factorizable":
-        ok, wit = is_completely_factorizable(g, cap=args.cap)
+    elif args.predicate in ("supercomplemented", "completely-factorizable"):
+        ok, wit = (is_completely_factorizable(g, cap=args.cap) if of_group
+                   else is_supercomplemented(g, sub, cap=args.cap))
         result["result"] = ok
         result["witness"] = list(wit.elements()) if wit else None
     elif args.predicate == "c-separating":
@@ -219,6 +223,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     suite = args.suite
+    _refuse_unread(args, f"suite {suite!r}", ("p",) if suite == "split-p5" else ())
     if suite == "holomorph8":
         reports = verify_holomorph8()
     elif suite in ("split-p5", "split-p5-2", "split-p5-3"):

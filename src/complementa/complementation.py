@@ -11,6 +11,7 @@ compare it with the product set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .groups import CapExceededError, FiniteGroup, PreconditionError, quotient
 from .subgroups import (LATTICE_CAP, Subgroup, _conj_bits,
@@ -33,6 +34,13 @@ def _check_cap(g: FiniteGroup, cap: int) -> None:
         raise CapExceededError("lattice", cap, g.order)
 
 
+def _complements_in(lat, h: Subgroup):
+    """The members of ``lat``'s block ``by_order(|G|/|H|)`` that meet h in 1,
+    in canonical order: h's complements when ``lat`` holds that whole block."""
+    return (t for t in lat.by_order(lat.group.order // h.order)
+            if t.members & h.members == 1)
+
+
 def complements(g: FiniteGroup, h: Subgroup, mode: str = "all",
                 cap: int = LATTICE_CAP) -> ComplementResult:
     """Scan subgroups of order |G|/|H| for complements of h, in canonical order.
@@ -42,14 +50,9 @@ def complements(g: FiniteGroup, h: Subgroup, mode: str = "all",
     if mode not in ("first", "all"):
         raise PreconditionError(f"unknown mode {mode!r}")
     _check_cap(g, cap)
-    target = g.order // h.order
-    hits = []
-    for t in _subgroups_order_dividing(g, target):
-        if t.order == target and t.members & h.members == 1:
-            hits.append(t)
-            if mode == "first":
-                return ComplementResult(h, tuple(hits), False)
-    return ComplementResult(h, tuple(hits), True)
+    found = _complements_in(_subgroups_order_dividing(g, g.order // h.order), h)
+    hits = tuple(islice(found, 1) if mode == "first" else found)
+    return ComplementResult(h, hits, mode == "all" or not hits)
 
 
 def is_complemented(g: FiniteGroup, h: Subgroup, cap: int = LATTICE_CAP) -> bool:
@@ -58,12 +61,11 @@ def is_complemented(g: FiniteGroup, h: Subgroup, cap: int = LATTICE_CAP) -> bool
 
 def _uncomplemented(g: FiniteGroup, cap: int):
     """The lattice of G and the bitset of the indices of its uncomplemented
-    subgroups, computed once per group: H is uncomplemented when every
-    subgroup in the order block ``lat.by_order(|G|/|H|)`` meets H beyond 1."""
+    subgroups, those with no complement in it, computed once per group."""
     lat = all_subgroups(g, cap)
     return lat, g.cached("uncomplemented", lambda: sum(
         1 << i for i, h in enumerate(lat.subgroups)
-        if all(t.members & h.members != 1 for t in lat.by_order(g.order // h.order))))
+        if next(_complements_in(lat, h), None) is None))
 
 
 def _lowest(lat, bits: int):
@@ -76,13 +78,16 @@ def is_supercomplemented(g: FiniteGroup, h: Subgroup, cap: int = LATTICE_CAP):
 
     Returns (ok, witness); the witness is the first uncomplemented overgroup
     in canonical order when the answer is False.  With the full subgroup
-    list cached this is one AND of ``above(h)`` with the uncomplemented
-    bitset; otherwise the overgroups come from joins.
+    list cached, or built for h = 1, this is one AND of ``above(h)`` with the
+    uncomplemented bitset.  Otherwise the overgroups come from joins, and
+    their complements from the subgroups of order dividing |G:H|, since
+    |G:K| divides |G:H|.
     """
     _check_cap(g, cap)
-    if g.cached_value(("sub_div", g.order)) is None:
+    if h.order > 1 and g.cached_value(("sub_div", g.order)) is None:
+        below = _subgroups_order_dividing(g, g.order // h.order)
         witness = next((k for k in overgroups_by_joins(g, h)
-                        if not is_complemented(g, k, cap)), None)
+                        if next(_complements_in(below, k), None) is None), None)
     else:
         lat, bits = _uncomplemented(g, cap)
         witness = _lowest(lat, lat.above(h) & bits)

@@ -291,11 +291,7 @@ def from_generators(perms, names=None, cap: int = CONSTRUCTION_CAP,
         pos += 1
     n = len(elems)
     mult = [[index[tuple(b[a[i]] for i in range(degree))] for b in elems] for a in elems]
-    gens = []
-    for p in perms:
-        gi = index[p]
-        if gi != 0 and gi not in gens:
-            gens.append(gi)
+    gens = [gi for gi in dict.fromkeys(index[p] for p in perms) if gi]
     labels = [_format_word(w) for w in words]
     return FiniteGroup(mult, gens, labels, name=name)
 
@@ -447,11 +443,7 @@ def quotient(g: FiniteGroup, normal_members: int):
         raise PreconditionError("subgroup is not normal; quotient undefined")
     q = len(reps)
     mult = [[coset_of[g.mult[reps[i]][reps[j]]] for j in range(q)] for i in range(q)]
-    gens = []
-    for gen in g.generators:
-        gi = coset_of[gen]
-        if gi != 0 and gi not in gens:
-            gens.append(gi)
+    gens = [gi for gi in dict.fromkeys(coset_of[gen] for gen in g.generators) if gi]
     labels = [g.labels[r] for r in reps]
     quo = FiniteGroup(mult, gens, labels, name=f"{g.name}/N")
     for s in g.generators:

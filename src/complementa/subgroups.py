@@ -141,17 +141,13 @@ def cyclic_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
     return tuple(subs)
 
 
-def _subgroups_order_dividing(g: FiniteGroup, c: int) -> tuple[Subgroup, ...]:
-    """All subgroups whose order divides c, canonically sorted.
+def _subgroups_order_dividing(g: FiniteGroup, c: int) -> SubgroupLattice:
+    """The subgroups whose order divides c, as the ``SubgroupLattice``
+    memoized under ``("sub_div", c)``.
 
     Found by ``_join_search`` from the trivial subgroup, with join steps only
     when ``_all_solvable`` cannot show that every such subgroup is solvable;
-    otherwise extension steps alone find them all.  The memo entry
-    ``("sub_div", c)`` is (subgroups, classes, orbits): the conjugacy classes
-    and the orbits the search ran on, each a tuple of member bitsets with
-    the subgroup the search extended or joined first.  The orbits are the
-    classes, except in an abelian G, where the classes are singletons and
-    the orbits are automorphism orbits.
+    otherwise extension steps alone find them all.
     """
     c = math.gcd(g.order, c)
 
@@ -161,9 +157,9 @@ def _subgroups_order_dividing(g: FiniteGroup, c: int) -> tuple[Subgroup, ...]:
                             orbits)
         orbits = tuple(orbits)
         classes = tuple((s.members,) for s in subs) if is_abelian(g) else orbits
-        return subs, classes, orbits
+        return SubgroupLattice(g, subs, classes, orbits)
 
-    return g.cached(("sub_div", c), build)[0]
+    return g.cached(("sub_div", c), build)
 
 
 def _all_solvable(g: FiniteGroup, c: int) -> bool:
@@ -326,22 +322,27 @@ def _join_search(g: FiniteGroup, seed: Subgroup, cap: int, joins: bool,
 
 
 class SubgroupLattice:
-    """The complete subgroup lattice, canonically ordered.
+    """The subgroups of G of order dividing some c, canonically ordered: the
+    complete lattice when c = |G|.
 
     ``inclusion`` is the covering relation of the Hasse diagram;
-    ``conjugacy_classes`` partitions subgroup indices, read off ``classes``,
-    the classes as tuples of member bitsets that the enumeration records.
+    ``conjugacy_classes`` partitions subgroup indices, read off
+    ``class_bits``, the classes as tuples of member bitsets.  ``orbits``
+    are the orbits the search ran on, each led by the subgroup it extended
+    or joined: the classes, except in an abelian G, where the classes are
+    singletons and the orbits automorphism orbits.
     """
 
-    def __init__(self, group: FiniteGroup, subgroups, classes=None):
+    def __init__(self, group: FiniteGroup, subgroups, class_bits=None, orbits=()):
         self.group = group
         self.subgroups = tuple(subgroups)
         self.index_of = {s.members: i for i, s in enumerate(self.subgroups)}
+        self.class_bits = class_bits
+        self.orbits = orbits
         self._by_order = None
         self._holders = None
         self._inclusion = None
         self._classes = None
-        self._class_bits = classes
 
     def __len__(self):
         return len(self.subgroups)
@@ -403,34 +404,31 @@ class SubgroupLattice:
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """The partition of subgroup indices into conjugacy classes, each
         class sorted, classes ordered by their lowest index.  Read off the
-        classes given to the constructor, so it is known only for a lattice
-        built by ``all_subgroups``."""
+        classes given to the constructor, so it is known only for a list
+        built by the subgroup search."""
         if self._classes is None:
-            if self._class_bits is None:
+            if self.class_bits is None:
                 raise PreconditionError(
-                    "conjugacy classes are recorded only by all_subgroups")
+                    "conjugacy classes are recorded only by the subgroup search")
             index_of = self.index_of
             self._classes = tuple(sorted(
                 tuple(sorted(index_of[bits] for bits in cls))
-                for cls in self._class_bits))
+                for cls in self.class_bits))
         return self._classes
 
     def maximal_subgroups(self) -> tuple[Subgroup, ...]:
-        """The subgroups covered by G, the last subgroup in canonical order."""
+        """The subgroups covered by the last one: the maximal subgroups of G
+        only for the complete lattice (c = |G|), whose last subgroup is G."""
         top = len(self.subgroups) - 1
         return tuple(self.subgroups[i] for i, j in self.inclusion if j == top)
 
 
 def all_subgroups(g: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
-    """Complete subgroup lattice; groups larger than ``cap`` are rejected."""
+    """Complete subgroup lattice, the ``("sub_div", |G|)`` entry; groups
+    larger than ``cap`` are rejected."""
     if g.order > cap:
         raise CapExceededError("lattice", cap, g.order)
-
-    def build():
-        subs = _subgroups_order_dividing(g, g.order)
-        return SubgroupLattice(g, subs, g.cached_value(("sub_div", g.order))[1])
-
-    return g.cached("lattice", build)
+    return _subgroups_order_dividing(g, g.order)
 
 
 def overgroups(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
@@ -439,9 +437,9 @@ def overgroups(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
     Read off the lattice index (``SubgroupLattice.above``) when the full
     subgroup list is cached; otherwise found by ``overgroups_by_joins``.
     """
-    if g.cached_value(("sub_div", g.order)) is None:
+    lat = g.cached_value(("sub_div", g.order))
+    if lat is None:
         return overgroups_by_joins(g, h)
-    lat = all_subgroups(g, cap=g.order)
     return tuple(lat.subgroups[i] for i in bit_indices(lat.above(h)))
 
 

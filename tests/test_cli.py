@@ -256,6 +256,30 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv, unread)
         [f"complementa: error: unrecognized arguments: {' '.join(unread)}"]
 
 
+UNREAD_VALUES = [
+    (["build", "--recipe", "c8", "--n", "100"], "catalog entry 'c8' reads no --n"),
+    (["lattice", "--recipe", "s3", "--p", "5"], "catalog entry 's3' reads no --p"),
+    (["build", "--recipe", "cyclic", "--n", "8", "--p", "3"], "recipe 'cyclic' reads no --p"),
+    (["verify", "--suite", "holomorph8", "--p", "3"], "suite 'holomorph8' reads no --p"),
+    (["verify", "--suite", "split-p5-2", "--p", "3"], "suite 'split-p5-2' reads no --p"),
+    (["check", "nilpotent", "--recipe", "s3", "--subgroup", "r"],
+     "predicate 'nilpotent' reads no --subgroup"),
+    (["check", "completely-factorizable", "--recipe", "s3", "--subgroup", "r"],
+     "predicate 'completely-factorizable' reads no --subgroup"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNREAD_VALUES,
+                         ids=[" ".join(argv) for argv, _ in UNREAD_VALUES])
+def test_values_the_named_group_or_predicate_does_not_read_are_usage_errors(
+        capsys, argv, message):
+    """A declared flag whose value the recipe, catalog entry, suite or
+    predicate never reads would be ignored: ``check nilpotent --subgroup r``
+    would answer for S3, not for <r>."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def _help_lines(capsys, monkeypatch, command):
     """The option lines of ``command -h``, unwrapped, by option name."""
     monkeypatch.setenv("COLUMNS", "200")
@@ -631,10 +655,13 @@ def test_writer_matches_json_on_every_check_result(monkeypatch):
     for name in ("holomorph8", "split-p5-2", "s3xs3"):
         handles = sorted(ca.catalog_entry(name).build().subgroups) + ["0", "1,2"]
         for predicate in _PREDICATES:
-            for handle in handles:
+            # these two read no subgroup, and refuse one
+            subjects = ([[]] if predicate in ("completely-factorizable", "nilpotent")
+                        else [["--subgroup", handle] for handle in handles])
+            for subject in subjects:
                 for mode in ("first", "all"):
                     assert run(["check", predicate, "--recipe", name,
-                                "--subgroup", handle, "--mode", mode]) == 0
+                                *subject, "--mode", mode]) == 0
     for obj in written:
         assert_written_as_json_does(obj)
 

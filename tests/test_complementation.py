@@ -6,7 +6,7 @@ import pytest
 import complementa as ca
 from complementa._primes import divisors
 from complementa.groups import CapExceededError, PreconditionError
-from complementa.subgroups import full_subgroup, product_bits
+from complementa.subgroups import Subgroup, full_subgroup, product_bits
 
 
 def test_complements_of_extremes(s3):
@@ -215,6 +215,38 @@ def test_whole_lattice_questions_build_no_partial_lattice(name):
         ca.is_supercomplemented(g, h)
     assert [c for c in divisors(g.order)[:-1]
             if g.cached_value(("sub_div", c)) is not None] == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ca.holomorph8().group,
+    lambda: ca.holomorph_cyclic(16).group,
+    lambda: ca.split_p5_group(3).group,
+    LARGE["s5"],
+], ids=["holomorph8", "hol16", "split-p5-3", "s5"])
+def test_subject_questions_build_only_the_list_of_order_dividing_the_index(build):
+    """Without the full lattice, ``complements`` and ``is_supercomplemented``
+    on H each memoize one subgroup list, ("sub_div", |G:H|): |G:K| divides
+    |G:H| for every overgroup K of H, so that list holds the complements
+    of them all.  The answers, as member bitsets, are those read off the
+    full lattice of a copy that has it built."""
+
+    def complement_bits(grp, sub):
+        return [t.members for t in ca.complements(grp, sub).complements]
+
+    def supercomplemented_bits(grp, sub):
+        ok, witness = ca.is_supercomplemented(grp, sub)
+        return ok, witness and witness.members
+
+    base = build()
+    g = ca.FiniteGroup(base.mult, base.generators, base.labels, name=base.name)
+    for s in ca.all_subgroups(base).subgroups:
+        h = Subgroup(g, s.members)
+        for question in (complement_bits, supercomplemented_bits):
+            g.clear_cache()
+            assert question(g, h) == question(base, s), (question.__name__, s)
+            assert [c for c in divisors(g.order)
+                    if g.cached_value(("sub_div", c)) is not None] == \
+                [g.order // h.order], (question.__name__, s)
 
 
 @pytest.mark.parametrize("build", [

@@ -288,7 +288,7 @@ def test_subgroup_counts_match_closed_forms(build, count):
 def test_partial_lattices_match_filtered_full_lattice(build):
     g = _fresh(build())
     # ascending divisors: every partial lattice is built before the full one
-    partial = {c: _subgroups_order_dividing(g, c) for c in divisors(g.order)}
+    partial = {c: _subgroups_order_dividing(g, c).subgroups for c in divisors(g.order)}
     full = partial[g.order]
     for c, subs in partial.items():
         assert [s.members for s in subs] == [s.members for s in full
@@ -424,7 +424,7 @@ def test_prime_power_generators_find_what_joins_with_every_cyclic_find(build):
         cyclics = [s for s in cyclic_subgroups(g) if c % s.order == 0]
         every = reference_join_search(g, [ca.trivial_subgroup(g), *cyclics],
                                       cyclics, cap=c)
-        assert [s.members for s in _subgroups_order_dividing(g, c)] == \
+        assert [s.members for s in _subgroups_order_dividing(g, c).subgroups] == \
             [s.members for s in every], c
 
 
@@ -543,10 +543,10 @@ def test_enumeration_by_class_matches_the_enumeration_of_every_subgroup(name):
     g = _fresh(base)
     # ascending divisors: every partial lattice is built before the full one
     for c in divisors(g.order):
-        subs = _subgroups_order_dividing(g, c)
+        found = _subgroups_order_dividing(g, c)
+        subs, classes, orbits = found.subgroups, found.class_bits, found.orbits
         ref = reference_subgroups_order_dividing(_fresh(base), c)
         assert [s.members for s in subs] == [s.members for s in ref], c
-        _, classes, orbits = g.cached_value(("sub_div", c))
         index_of = {s.members: i for i, s in enumerate(subs)}
         recorded = tuple(sorted(tuple(sorted(index_of[b] for b in cls))
                                 for cls in classes))
@@ -589,7 +589,7 @@ def test_elementary_abelian_lattices_have_one_orbit_per_order(p, rank):
     search extends or joins one subgroup of each order."""
     g = _fresh(ca.elementary_abelian(p, rank).group)
     ca.all_subgroups(g)
-    orbits = g.cached_value(("sub_div", g.order))[2]
+    orbits = g.cached_value(("sub_div", g.order)).orbits
     assert sorted(orbit[0].bit_count() for orbit in orbits) == \
         [p ** k for k in range(rank + 1)]
 
@@ -605,12 +605,27 @@ def test_images_that_define_no_automorphism_are_refused():
         _extend_to_automorphism(g, (x,), (x2,))  # not injective
 
 
+def test_every_subgroup_list_is_one_memoized_lattice():
+    """Each ("sub_div", c) entry is the SubgroupLattice of the subgroups of
+    order dividing c, and the full lattice is the entry for c = |G|, under
+    no key of its own."""
+    g = _fresh(ca.holomorph8().group)
+    for c in divisors(g.order):
+        found = _subgroups_order_dividing(g, c)
+        assert isinstance(found, SubgroupLattice)
+        assert found is g.cached_value(("sub_div", c))
+        assert [s.order for s in found.subgroups if c % s.order] == []
+    assert ca.all_subgroups(g) is g.cached_value(("sub_div", g.order))
+    assert g.cached_value("lattice") is None
+
+
 def test_conjugacy_classes_are_recorded_only_by_the_enumeration():
     g = _fresh(ca.symmetric3().group)
     lat = SubgroupLattice(g, ca.all_subgroups(g).subgroups)
     with pytest.raises(PreconditionError):
         lat.conjugacy_classes
-    subs, classes, _ = g.cached_value(("sub_div", g.order))
+    found = g.cached_value(("sub_div", g.order))
+    subs, classes = found.subgroups, found.class_bits
     assert SubgroupLattice(g, subs, classes).conjugacy_classes == \
         reference_conjugacy_classes(g, subs)
 

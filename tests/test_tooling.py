@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import complementa as ca
 from complementa.cli import run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -209,3 +210,31 @@ def test_verify_json_is_byte_identical_to_the_recorded_output(capsys, suite):
     change that moves one byte of a claim, status or witness shows here."""
     assert run(["verify", "--suite", suite, "--json"]) == 0
     assert capsys.readouterr().out == _verify_golden(suite).read_text(encoding="utf-8")
+
+
+def _perfbench_workloads(monkeypatch):
+    """perfbench/workloads.py, with the inputs.py it imports, writing no
+    bytecode."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for name in ("workloads", "inputs"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("workload", ["check", "lattice"])
+def test_perfbench_requests_give_the_recorded_answers(tmp_path, monkeypatch, capsys,
+                                                      workload):
+    """One pass of the benchmark's ``check`` or ``lattice`` requests at seed
+    3, on relabeled files under tmp_path, each summarized as the benchmark
+    does and compared with the answers in perfbench/expected/, which the
+    benchmark refuses to differ from."""
+    workloads = _perfbench_workloads(monkeypatch)
+    setup = workloads.WORKLOADS[workload](ca, 3, str(tmp_path))
+    answers, _ = workloads.expected_for(workload)
+    assert len(setup.requests) == {"check": 100, "lattice": 5}[workload]
+    for req in setup.requests:
+        assert run(req.argv) == 0, req.key
+        out = capsys.readouterr().out
+        assert req.summarize(out) == answers[req.key], req.key
+        assert req.extra_check(out), req.key
