@@ -13,9 +13,13 @@ the timing.
 The work counts come from one more pass, made outside the timing, with call
 counters installed from outside the library:
 
-* the transport scan (``_transport_scan``): the quotients it forms with
-  ``cached_quotient``, and the quotient lattices it builds (its
-  ``all_subgroups`` calls on those quotients);
+* the transport scan (``_transport_scan``): the quotients it forms (its
+  ``groups.quotient`` calls, directly or through ``cached_quotient``); the
+  groups it constructs, and so validates, as K-as-groups and inside
+  ``quotient`` (``FiniteGroup._validate`` calls); the distinct
+  (rows, generators) among those, counted within each scan and summed; and
+  the lattices it builds (its ``all_subgroups`` calls on a group with no
+  full lattice memoized yet);
 * the p-subgroup battery: the ``_p_subgroup_failures`` calls, and the
   batteries evaluated.  A tree that memoizes the battery evaluates one per
   ``_p_subgroup_battery`` call; a tree without that function evaluates one
@@ -95,20 +99,20 @@ def request(tree, suite) -> tuple[float, str]:
 def count_work(tree, suites) -> dict:
     """The work counts of one pass over ``suites``."""
     verify_module, subgroups_module = tree.verify_module, tree.subgroups_module
-    counts = dict.fromkeys(("quotients_formed", "quotient_lattices_built",
+    groups_module, group_class = tree.ca.groups, subgroups_module.FiniteGroup
+    counts = dict.fromkeys(("quotients_formed", "k_groups_built", "quotient_groups_built",
+                            "distinct_tables", "lattices_built",
                             "battery_calls", "batteries_evaluated",
                             "product_calls", "partitions_built",
                             "triples_checked"), 0)
     inside = set()
-    # id -> quotient: holding each quotient keeps its id from being reused
-    # by a later object, such as a class representative K-as-a-group
-    quotients = {}
+    tables = set()  # (rows, generators) validated in the current scan
 
     def scope(name):
         def wrapper(original):
             def scoped(*args, **kwargs):
                 inside.add(name)
-                quotients.clear()
+                tables.clear()
                 try:
                     return original(*args, **kwargs)
                 finally:
@@ -118,17 +122,32 @@ def count_work(tree, suites) -> dict:
 
     def forming(original):
         def formed(*args, **kwargs):
-            quo, proj = original(*args, **kwargs)
-            if "transport" in inside:
-                counts["quotients_formed"] += 1
-                quotients[id(quo)] = quo
-            return quo, proj
+            if "transport" not in inside:
+                return original(*args, **kwargs)
+            counts["quotients_formed"] += 1
+            inside.add("quotient")
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.discard("quotient")
         return formed
+
+    def validating(original):
+        def validated(grp, mult):
+            inv = original(grp, mult)
+            if "transport" in inside:
+                kind = "quotient_groups_built" if "quotient" in inside else "k_groups_built"
+                counts[kind] += 1
+                key = (grp.mult, grp.generators)
+                counts["distinct_tables"] += key not in tables
+                tables.add(key)
+            return inv
+        return validated
 
     def building(original):
         def built(grp, *args, **kwargs):
-            if "transport" in inside and id(grp) in quotients:
-                counts["quotient_lattices_built"] += 1
+            if "transport" in inside and grp.cached_value(("sub_div", grp.order)) is None:
+                counts["lattices_built"] += 1
             return original(grp, *args, **kwargs)
         return built
 
@@ -143,15 +162,16 @@ def count_work(tree, suites) -> dict:
     battery = getattr(verify_module, "_p_subgroup_battery", None)
     with Patches() as patches:
         patches.wrap(verify_module._transport_scan, scope("transport"), verify_module)
-        patches.wrap(verify_module.cached_quotient, forming, verify_module)
+        # verify and cached_quotient both reach the one groups.quotient
+        patches.wrap(groups_module.quotient, forming)
+        patches.wrap(group_class._validate, validating, group_class)
         patches.wrap(verify_module.all_subgroups, building, verify_module)
         patches.wrap(verify_module._p_subgroup_failures, counting(counts, "battery_calls"),
                      verify_module)
         # verify imports product_bits by name; subgroups calls its own
         patches.wrap(verify_module.product_bits, counting(counts, "product_calls"),
                      verify_module, subgroups_module)
-        patches.wrap(subgroups_module.FiniteGroup.cached, memoizing,
-                     subgroups_module.FiniteGroup)
+        patches.wrap(group_class.cached, memoizing, group_class)
         if battery is not None:
             patches.wrap(battery, counting(counts, "batteries_evaluated"), verify_module)
         for suite, _ in suites:

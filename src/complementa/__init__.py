@@ -8,8 +8,8 @@ from .bounds import (BoundReport, bound_report, derived_length_bound,
 from .complementation import (ComplementResult, c_separating_subgroups,
                               complements, has_c_separating, is_complemented,
                               is_completely_factorizable, is_c_separating,
-                              is_supercomplemented, quotient_transport_check,
-                              subgroup_as_group, uncomplemented_subgroups)
+                              is_supercomplemented, subgroup_as_group,
+                              uncomplemented_subgroups)
 from .constructions import (CatalogEntry, NamedGroup, alternating4, catalog,
                             catalog_entry, dicyclic12, dihedral,
                             elementary_abelian, holomorph8, holomorph_cyclic,

@@ -75,8 +75,12 @@ def _resolve_group(args) -> NamedGroup:
 def _resolve_subgroup(nm: NamedGroup, spec: str):
     if spec in nm.subgroups:
         return nm.subgroups[spec]
+    tokens = spec.split(",")
+    if any(t.strip() == "" for t in tokens):
+        raise GroupError(f"empty element index in subgroup list {spec!r}; "
+                         "use --subgroup 0 for the trivial subgroup")
     try:
-        elems = [int(t) for t in spec.split(",") if t.strip() != ""]
+        elems = [int(t) for t in tokens]
     except ValueError:
         raise GroupError(
             f"unknown subgroup handle {spec!r}; have {sorted(nm.subgroups)} "

@@ -1,5 +1,5 @@
 """Complement search and the derived predicates: supercomplemented,
-completely factorizable, C-separating, and transport to quotients.
+completely factorizable, C-separating, and subgroups reindexed as groups.
 
 T complements H when G = HT and H∩T = 1.  For finite groups
 |HT| = |H|·|T| / |H∩T|, so this holds exactly when |H|·|T| = |G| and
@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .groups import CapExceededError, FiniteGroup, PreconditionError, quotient
-from .subgroups import (LATTICE_CAP, Subgroup, _conj_bits,
-                        _subgroups_order_dividing, all_subgroups, bit_indices,
-                        overgroups_by_joins)
+from .groups import CapExceededError, FiniteGroup, PreconditionError
+from .subgroups import (LATTICE_CAP, Subgroup, _subgroups_order_dividing,
+                        all_subgroups, bit_indices, overgroups_by_joins)
 
 
 @dataclass(frozen=True)
@@ -142,44 +141,32 @@ def is_c_separating(g: FiniteGroup, h: Subgroup, cap: int = LATTICE_CAP) -> bool
     return h.order < g.order and not _uncomplemented_union(g, cap) & ~h.members
 
 
-# -- transport to quotients of intermediate subgroups -------------------------
+# -- subgroups as groups ------------------------------------------------------
+
+
+def subgroup_table(g: FiniteGroup, k: Subgroup):
+    """k's multiplication table over local indices: (rows, generators,
+    from_local).  Elements are renumbered by ascending parent index, so the
+    identity stays at 0, and the generators are k's.  The full subgroup
+    keeps the parent's rows and generators."""
+    if k.order == g.order:
+        return g.mult, g.generators, tuple(g.elements())
+    elems = k.elements()
+    to_local = {e: i for i, e in enumerate(elems)}
+    rows = tuple(tuple(to_local[g.mult[a][b]] for b in elems) for a in elems)
+    return rows, tuple(to_local[e] for e in k.gens), elems
 
 
 def subgroup_as_group(g: FiniteGroup, k: Subgroup):
     """Reindex a subgroup as a standalone group.
 
-    Returns (group, to_local, from_local); elements are renumbered by
-    ascending parent index, so the identity stays at 0.  The full subgroup
-    returns the parent itself.
+    Returns (group, to_local, from_local) over the table of
+    ``subgroup_table``.  The full subgroup returns the parent itself.
     """
-    if k.order == g.order:
-        ident = {e: e for e in g.elements()}
-        return g, ident, tuple(g.elements())
-
-    elems = k.elements()
+    rows, gens, elems = subgroup_table(g, k)
     to_local = {e: i for i, e in enumerate(elems)}
-    mult = [[to_local[g.mult[a][b]] for b in elems] for a in elems]
-    gens = [to_local[e] for e in k.gens]
+    if k.order == g.order:
+        return g, to_local, elems
     labels = [g.labels[e] for e in elems]
-    grp = FiniteGroup(mult, gens, labels, name=f"{g.name}|sub{k.order}")
+    grp = FiniteGroup(rows, gens, labels, name=f"{g.name}|sub{k.order}")
     return grp, to_local, elems
-
-
-def quotient_transport_check(g: FiniteGroup, h: Subgroup, k: Subgroup,
-                             n: Subgroup, cap: int = LATTICE_CAP) -> bool:
-    """Supercomplementedness transports to quotients: with H <= K <= G,
-    N normal in K and H supercomplemented in K, the image of H must be
-    supercomplemented in K/N.  Returns that final check's outcome."""
-    if not k.contains(h):
-        raise PreconditionError("H must be contained in K")
-    if not k.contains(n):
-        raise PreconditionError("N must be contained in K")
-    k_grp, to_local, _ = subgroup_as_group(g, k)
-    h_local = Subgroup(k_grp, _conj_bits(to_local, h.elements()))
-    ok, _ = is_supercomplemented(k_grp, h_local, cap)
-    if not ok:
-        raise PreconditionError("H is not supercomplemented in K")
-    quo, proj = quotient(k_grp, _conj_bits(to_local, n.elements()))
-    img = Subgroup(quo, _conj_bits(proj, h_local.elements()))
-    ok_q, _ = is_supercomplemented(quo, img, cap)
-    return ok_q

@@ -419,7 +419,7 @@ def trivial_action(n_grp: FiniteGroup, h_grp: FiniteGroup) -> ActionSpec:
     return ActionSpec(h_grp, n_grp, {g: ident for g in h_grp.generators})
 
 
-def quotient(g: FiniteGroup, normal_members: int):
+def quotient(g: FiniteGroup, normal_members: int, pool: dict | None = None):
     """Quotient by a normal subgroup given as a membership bitset.
 
     Cosets are numbered by ascending minimal element; returns the quotient
@@ -427,6 +427,13 @@ def quotient(g: FiniteGroup, normal_members: int):
     projection is verified to be a homomorphism on the generators of g,
     π(a·s) = π(a)·π(s); since g and the quotient are groups, induction on
     left-normed words extends that to every pair.
+
+    ``pool``, a dict from (rows, generators) to a group with exactly that
+    table and those generators, saves constructing and validating the same
+    table twice: a quotient whose table is in it is the pooled group, and a
+    new one is added.  The normality test and the audit still run.  A
+    pooled group's labels may be another group's cosets, so its holder
+    must keep it to questions that read only the table and generators.
     """
     n = g.order
     coset_of = [-1] * n
@@ -441,11 +448,14 @@ def quotient(g: FiniteGroup, normal_members: int):
             coset_of[g.mult[m][e]] = ci
     if not normalizes(g, normal_members, nm_elems, g.generators):
         raise PreconditionError("subgroup is not normal; quotient undefined")
-    q = len(reps)
-    mult = [[coset_of[g.mult[reps[i]][reps[j]]] for j in range(q)] for i in range(q)]
-    gens = [gi for gi in dict.fromkeys(coset_of[gen] for gen in g.generators) if gi]
-    labels = [g.labels[r] for r in reps]
-    quo = FiniteGroup(mult, gens, labels, name=f"{g.name}/N")
+    mult = tuple(tuple([coset_of[row[r]] for r in reps])
+                 for row in (g.mult[r] for r in reps))
+    gens = tuple(gi for gi in dict.fromkeys(coset_of[gen] for gen in g.generators) if gi)
+    quo = None if pool is None else pool.get((mult, gens))
+    if quo is None:
+        quo = FiniteGroup(mult, gens, [g.labels[r] for r in reps], name=f"{g.name}/N")
+        if pool is not None:
+            pool[mult, gens] = quo
     for s in g.generators:
         cs = coset_of[s]
         for a in range(n):

@@ -15,7 +15,8 @@ from ._primes import divisors, is_p_power, p_part, prime_factors
 from .bounds import (derived_length_bound, factorial_index_bound, prop1_bound)
 from .complementation import (c_separating_subgroups,
                               is_completely_factorizable, is_c_separating,
-                              is_supercomplemented, subgroup_as_group)
+                              is_supercomplemented, subgroup_as_group,
+                              subgroup_table)
 from .constructions import catalog, holomorph8, split_p5_group
 from .groups import (FiniteGroup, cached_quotient, closure_bits, element_order,
                      exponent, greedy_generators, normalizes, primes_of, quotient)
@@ -623,36 +624,49 @@ def _dedekind_scan(suite, pre, g, lat, table):
 
 def _transport_scan(suite, pre, g, lat):
     """Supercomplementedness survives passing to quotients of intermediate
-    subgroups: scan (H, K, N) over conjugacy-class representatives K.
+    subgroups: scan (H, K, N) over conjugacy-class representatives K, every
+    N normal in K and every H supercomplemented in K.
 
-    Every quotient K/N is formed, and every tuple checked; the set of
-    supercomplemented subgroups of a quotient is computed once per
-    (table, generators) within the scan.  The lattice and the complement
-    searches read nothing of a group but its table and generators, and
-    answer in member bitsets of its indices, so a quotient with the same
-    two has the same set.
+    The lattice and the complement searches read nothing of a group but its
+    table and generators, and answer in member bitsets of its indices.  So
+    K-as-groups and quotients share one pool keyed by (rows, generators):
+    a class representative whose local table from ``subgroup_table`` is
+    pooled takes the pooled group, and ``quotient`` constructs, and so
+    validates, only a table not pooled yet, though it still runs its
+    normality test and audit for every K/N.  Each distinct table is
+    validated once in the scan, and its lattice and supercomplemented
+    members are found once.  Witnesses read only orders and local members,
+    so they are those of a scan that builds every group afresh.  A pooled
+    group's labels may be another K's, so no pooled group leaves the scan:
+    the pool and everything read from it are locals, dropped when the scan
+    returns.
     """
+    pool = {}  # (rows, generators) -> the one group of the scan with them
+    sc_of = {}  # pooled group -> {members: subgroup} of its supercomplemented
+
+    def supercomplemented(grp):
+        if grp not in sc_of:
+            sc_of[grp] = {s.members: s for s in all_subgroups(grp).subgroups
+                          if is_supercomplemented(grp, s)[0]}
+        return sc_of[grp]
+
     count = 0
     ok = True
     witness = []
-    sc_by_table = {}
     for cls in lat.conjugacy_classes:
         k = lat.subgroups[cls[0]]
-        k_grp, _, _ = subgroup_as_group(g, k)
-        klat = all_subgroups(k_grp)
-        sc_subs = [s for s in klat.subgroups if is_supercomplemented(k_grp, s)[0]]
+        key = subgroup_table(g, k)[:2]
+        k_grp = pool.get(key)
+        if k_grp is None:
+            k_grp = pool[key] = subgroup_as_group(g, k)[0]
+        sc_subs = supercomplemented(k_grp).values()
         if not sc_subs:
             continue
-        for n_sub in klat.subgroups:
+        for n_sub in all_subgroups(k_grp).subgroups:
             if not is_normal(k_grp, n_sub):
                 continue
-            quo, proj = cached_quotient(k_grp, n_sub.members)
-            key = (quo.mult, quo.generators)
-            sc_q = sc_by_table.get(key)
-            if sc_q is None:
-                sc_q = sc_by_table[key] = {
-                    s.members for s in all_subgroups(quo).subgroups
-                    if is_supercomplemented(quo, s)[0]}
+            quo, proj = quotient(k_grp, n_sub.members, pool)
+            sc_q = supercomplemented(quo)
             for h in sc_subs:
                 count += 1
                 if _conj_bits(proj, h.elements()) not in sc_q:

@@ -405,6 +405,22 @@ def test_unknown_subgroup_handle(capsys):
     assert "handle" in err
 
 
+@pytest.mark.parametrize("spec", ["1,,1", ",", "1,", ""])
+def test_subgroup_list_with_an_empty_index_is_a_usage_error(capsys, spec):
+    code, out, err = run_cli(capsys, "check", "normal", "--recipe", "s3",
+                             "--subgroup", spec)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--subgroup 0" in err
+
+
+def test_subgroup_zero_names_the_trivial_subgroup(capsys):
+    code, out, _ = run_cli(capsys, "check", "normal", "--recipe", "s3",
+                           "--subgroup", "0")
+    assert code == 0
+    assert json.loads(out)["subgroup"] == {"order": 1, "members": [0]}
+
+
 C3_MULT = [0, 1, 2, 1, 2, 0, 2, 0, 1]
 
 

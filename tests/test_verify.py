@@ -8,8 +8,10 @@ import complementa as ca
 import complementa.subgroups as subgroups_module
 import complementa.verify as verify_module
 from complementa._primes import divisors
-from complementa.groups import cached_quotient
+from complementa.complementation import subgroup_table
+from complementa.groups import quotient
 from complementa.subgroups import _conj_bits, bit_indices, bits_of
+from references import quotient_transport_check
 from complementa.verify import _Suite, _entry_suite
 
 
@@ -356,10 +358,10 @@ def test_scans_match_their_references_on_every_entry_up_to_order_64():
 
 
 def recording_quotients(formed):
-    """``cached_quotient`` that appends each quotient group to ``formed``."""
+    """``quotient`` that appends each quotient group it returns to ``formed``."""
 
-    def recording(k_grp, members):
-        quo, proj = cached_quotient(k_grp, members)
+    def recording(k_grp, members, *pool):
+        quo, proj = quotient(k_grp, members, *pool)
         formed.append(quo)
         return quo, proj
 
@@ -372,7 +374,7 @@ def test_transport_failure_on_a_repeated_order_is_reported(monkeypatch):
     with the witnesses of the per-quotient reference."""
     formed = []
     with monkeypatch.context() as patch:
-        patch.setattr(verify_module, "cached_quotient", recording_quotients(formed))
+        patch.setattr(verify_module, "quotient", recording_quotients(formed))
         scan_reports(verify_module._transport_scan, fresh_group("c4xc2"))
     first = {}
     for quo in formed:
@@ -387,6 +389,75 @@ def test_transport_failure_on_a_repeated_order_is_reported(monkeypatch):
     got = scan_reports(verify_module._transport_scan, fresh_group("c4xc2"))
     assert got[0][1] == "fail"
     assert got == scan_reports(reference_transport_scan, fresh_group("c4xc2"))
+
+
+def test_transport_reports_a_corrupted_quotient_for_each_k_of_its_table(monkeypatch):
+    """An order-3 subgroup of one S3 quotient table of D24 is reported as not
+    supercomplemented there.  The scan fails with the three witnesses of the
+    per-quotient reference, two of them from different class
+    representatives K with one local table, so one pooled group."""
+    formed = []
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_module, "quotient", recording_quotients(formed))
+        scan_reports(verify_module._transport_scan, fresh_group("dih24"))
+    quo = next(q for q in formed if q.order == 6 and not ca.is_abelian(q))
+    target = (quo.mult, ca.all_subgroups(quo).by_order(3)[0].members)
+    real = verify_module.is_supercomplemented
+
+    def refusing(grp, h, *args):
+        return (False, None) if (grp.mult, h.members) == target else real(grp, h, *args)
+
+    monkeypatch.setattr(verify_module, "is_supercomplemented", refusing)
+    got = scan_reports(verify_module._transport_scan, fresh_group("dih24"))
+    assert got[0][1] == "fail" and len(got[0][2]) == 3
+    assert got == scan_reports(reference_transport_scan, fresh_group("dih24"))
+    g = fresh_group("dih24")
+    reps = {bits_of(w["K_class_rep"]["members"]) for w in got[0][2]}
+    keys = [subgroup_table(g, ca.Subgroup(g, bits))[:2] for bits in reps]
+    assert len(reps) > len(set(keys))
+
+
+@pytest.mark.parametrize("name", ["dih24", "c2xa4", "holomorph8", "s3xs3"])
+def test_transport_scan_agrees_with_the_per_tuple_check(name):
+    """Every (K, N, H) tuple passes ``quotient_transport_check``, which forms
+    its own K-as-a-group and quotient, and the scan counts exactly those
+    tuples."""
+    g = fresh_group(name)
+    lat = ca.all_subgroups(g)
+    checked = 0
+    for cls in lat.conjugacy_classes:
+        k = lat.subgroups[cls[0]]
+        k_grp, _, from_local = ca.subgroup_as_group(g, k)
+        klat = ca.all_subgroups(k_grp).subgroups
+        sc = [ca.Subgroup(g, _conj_bits(from_local, h.elements())) for h in klat
+              if ca.is_supercomplemented(k_grp, h)[0]]
+        for n_sub in klat:
+            if not ca.is_normal(k_grp, n_sub):
+                continue
+            n_parent = ca.Subgroup(g, _conj_bits(from_local, n_sub.elements()))
+            for h in sc:
+                checked += 1
+                assert quotient_transport_check(g, h, k, n_parent), (name, k, n_sub, h)
+    assert scan_reports(verify_module._transport_scan, g) == [
+        ("t.quotient-transport", "pass", ({"tuples_checked": checked},))]
+
+
+def test_transport_validates_each_table_once(monkeypatch):
+    """On split-p5-2 the scan constructs, and so validates, each distinct
+    (rows, generators) at most once, whether it is a K-as-a-group or a
+    quotient."""
+    g = fresh_group("split-p5-2")
+    validated = []
+    real = ca.FiniteGroup._validate
+
+    def recording(grp, mult):
+        inv = real(grp, mult)
+        validated.append((grp.mult, grp.generators))
+        return inv
+
+    monkeypatch.setattr(ca.FiniteGroup, "_validate", recording)
+    scan_reports(verify_module._transport_scan, g)
+    assert validated and len(validated) == len(set(validated))
 
 
 def test_battery_failure_reaches_every_instance_of_its_order(monkeypatch):
@@ -451,19 +522,24 @@ def test_pairwise_and_dedekind_scans_build_each_product_once(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["ea2r4", "holomorph8", "split-p5-2", "s3xs3"])
 def test_transport_builds_one_quotient_lattice_per_table(monkeypatch, name):
+    """Quotients with one table are one group in the scan, and every
+    quotient table's lattice is built exactly once: in the scan, or before
+    it for G/1, which is G's own table."""
     formed, built = [], []
 
     def counting(grp, *args):
-        if any(grp is quo for quo in formed):
-            built.append(grp)
+        if grp.cached_value(("sub_div", grp.order)) is None:
+            built.append((grp.mult, grp.generators))
         return ca.all_subgroups(grp, *args)
 
-    monkeypatch.setattr(verify_module, "cached_quotient", recording_quotients(formed))
+    monkeypatch.setattr(verify_module, "quotient", recording_quotients(formed))
     monkeypatch.setattr(verify_module, "all_subgroups", counting)
-    scan_reports(verify_module._transport_scan, fresh_group(name))
+    g = fresh_group(name)
+    scan_reports(verify_module._transport_scan, g)
     tables = {(quo.mult, quo.generators) for quo in formed}
-    assert len(formed) > len(tables) == len(built)
-    assert {(quo.mult, quo.generators) for quo in built} == tables
+    assert len(formed) > len(tables) == len({id(quo) for quo in formed})
+    assert len(built) == len(set(built))
+    assert tables <= set(built) | {(g.mult, g.generators)}
 
 
 @pytest.mark.parametrize("name", ["holomorph8", "split-p5-2", "s3xs3"])
