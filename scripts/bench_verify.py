@@ -48,7 +48,6 @@ Usage: PYTHONPATH=src python scripts/bench_verify.py --label NAME
 
 import contextlib
 import gc
-import importlib
 import io
 import json
 import os
@@ -57,23 +56,15 @@ import sys
 import time
 
 from harness import (REPEATS, Patches, arguments, clear_constructor_caches, counting,
-                     interleaved, load_trees, write_reports)
+                     interleaved, load_trees, perfbench_module, write_reports)
 
 ORACLE_CORPUS = ("dih24", "c24", "c2xa4")
-
-PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
 
 def perfbench_suites() -> list[tuple[str, str]]:
     """(suite, recorded output) for each suite of the perfbench ``verify``
-    workload; reads perfbench/ without writing bytecode into it."""
-    sys.path.insert(0, PERFBENCH)
-    sys.dont_write_bytecode, writing = True, sys.dont_write_bytecode
-    try:
-        workloads = importlib.import_module("workloads")
-    finally:
-        sys.dont_write_bytecode = writing
-        sys.path.remove(PERFBENCH)
+    workload."""
+    workloads = perfbench_module("workloads")
     out = []
     for suite in workloads.VERIFY_SUITES:
         path = os.path.join(workloads.EXPECTED_DIR, workloads.verify_golden_name(suite))

@@ -12,6 +12,9 @@
 * ``clear_constructor_caches`` empties the memo of each group constructor,
   and ``measure_catalog_suite`` times the catalog suite with empty memos.
 * ``write_reports`` writes each report to ``BENCH_<label>.json``.
+* ``perfbench_module`` imports a module of ``perfbench/`` (the workloads,
+  the recorded answers, the reference process) without writing bytecode
+  into it.
 """
 
 import argparse
@@ -25,9 +28,15 @@ import sys
 import time
 from typing import NamedTuple
 
+# The library imports numpy on its first table; importing it here keeps that
+# import out of every timed build, pass and round of the scripts.
+import numpy  # noqa: F401
+
 import complementa
 
 REPEATS = 9
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
 
 class Tree(NamedTuple):
@@ -77,12 +86,12 @@ def load_trees(label: str, baseline: str | None) -> tuple[list[str], list[Tree]]
     return labels, trees
 
 
-def interleaved(trees, run):
-    """``run(tree, i)`` for each tree in each of the ``REPEATS`` rounds, the
+def interleaved(trees, run, repeats: int = REPEATS):
+    """``run(tree, i)`` for each tree in each of ``repeats`` rounds, the
     first tree first in even rounds and last in odd ones; the results per
     tree, in round order."""
     out = [[] for _ in trees]
-    for i in range(REPEATS):
+    for i in range(repeats):
         order = list(enumerate(trees))
         for k, t in (order if i % 2 == 0 else order[::-1]):
             out[k].append(run(t, i))
@@ -191,3 +200,15 @@ def write_reports(out_dir: str, labels: list[str], reports: list[dict],
             json.dump(report, fh, indent=2)
             fh.write("\n")
         print(f"wrote {path}")
+
+
+def perfbench_module(name: str):
+    """The module ``name`` of ``perfbench/``, imported without writing
+    bytecode into that directory."""
+    sys.path.insert(0, PERFBENCH)
+    sys.dont_write_bytecode, writing = True, sys.dont_write_bytecode
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.dont_write_bytecode = writing
+        sys.path.remove(PERFBENCH)

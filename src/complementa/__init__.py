@@ -18,15 +18,14 @@ from .groups import (ActionSpec, ActionError, CapExceededError, FiniteGroup,
                      GroupError, PreconditionError, cyclic, direct_product,
                      element_order, element_orders, exponent, from_generators,
                      group_from_dict, group_to_dict, primes_of, quotient,
-                     semidirect_product, trivial_action, trivial_group)
+                     semidirect_product, trivial_group)
 from .series import (FactorInfo, SeriesReport, center, chief_series,
                      commutator_subgroup, derived_length, derived_series,
                      derived_subgroup, frattini, is_nilpotent,
                      lower_central_series, minimal_normal_subgroups,
                      p_subgroups, sylow_subgroup)
 from .subgroups import (Subgroup, SubgroupLattice, all_subgroups,
-                        conjugates, core, cyclic_subgroups,
-                        dedekind_identity_check, generated_subgroup,
+                        conjugates, core, cyclic_subgroups, generated_subgroup,
                         intersection, is_abelian, is_elementary_abelian,
                         is_normal, lattice_to_dict, lattice_to_dot,
                         normal_closure, normalizer, overgroups,

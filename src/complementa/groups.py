@@ -15,11 +15,24 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import islice
 
-import numpy as np
-
 from ._primes import lcm, prime_factors
 
 CONSTRUCTION_CAP = 4096
+
+
+class _DeferredNumpy:
+    """Stands in for numpy until the first table is read or built: the first
+    attribute read imports numpy and rebinds ``np`` to it, so a process that
+    builds no group (``bounds``, ``-h``, a usage error) never loads it."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _DeferredNumpy()
 
 
 class GroupError(Exception):
@@ -412,11 +425,6 @@ def semidirect_product(n_grp: FiniteGroup, h_grp: FiniteGroup, action: ActionSpe
     alpha = action.full_action()
     alpha_inv = [alpha[h] for h in h_grp.inv]
     return _product(n_grp, h_grp, alpha_inv, name=f"{n_grp.name}:{h_grp.name}")
-
-
-def trivial_action(n_grp: FiniteGroup, h_grp: FiniteGroup) -> ActionSpec:
-    ident = tuple(range(n_grp.order))
-    return ActionSpec(h_grp, n_grp, {g: ident for g in h_grp.generators})
 
 
 def quotient(g: FiniteGroup, normal_members: int, pool: dict | None = None):

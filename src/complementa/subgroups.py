@@ -662,22 +662,6 @@ def product_bits(g: FiniteGroup, a: Subgroup, b: Subgroup) -> int:
     return bits
 
 
-def dedekind_identity_check(g: FiniteGroup, a: Subgroup, b: Subgroup,
-                            t: Subgroup) -> bool:
-    """Modular identity: with A <= B <= G and G = AT, test B = A(B∩T).
-
-    Precondition violations raise PreconditionError; a False return means the
-    identity itself failed (which would indicate an engine bug).
-    """
-    if not b.contains(a):
-        raise PreconditionError("A must be contained in B")
-    inter_at = (a.members & t.members).bit_count()
-    if a.order * t.order != g.order * inter_at:
-        raise PreconditionError("G = A·T must hold as a product set")
-    bt = Subgroup(g, b.members & t.members)
-    return product_bits(g, a, bt) == b.members
-
-
 # -- commutativity predicates ------------------------------------------------
 
 

@@ -296,24 +296,29 @@ def verify_minimal_normal_bounds(g: FiniteGroup, x_sub: Subgroup,
     if not _supercomplemented_hypothesis(suite, g, x_sub, prefix):
         return suite.reports
     m = x_sub.order
+    ok_all, witnesses = g.cached(("minimal-normal-bounds", m),
+                                 lambda: _minimal_normal_scan(g, m))
+    suite.check(f"{prefix}.minimal-normal-order-bound", ok_all,
+                witnesses or [{"minimal_normals": 0}])
+    return suite.reports
 
+
+def _minimal_normal_scan(g, m) -> tuple:
+    """(every bound holds, one witness per elementary abelian minimal normal
+    subgroup) for a supercomplemented cyclic subgroup of order m.
+
+    The bounds read nothing of the cyclic subgroup but m, so every instance
+    of one order reads one pair memoized on g.
+    """
     witnesses = []
-    ok_all = True
     for q_sub in minimal_normal_subgroups(g):
         if not is_elementary_abelian(q_sub):
             continue
         q = prime_factors(q_sub.order)[0]
-        if m == 1:
-            good = q_sub.order == q
-            bound = q
-        else:
-            bound = prop1_bound(q, m)
-            good = q_sub.order <= bound
-        ok_all = ok_all and good
+        bound = q if m == 1 else prop1_bound(q, m)
+        good = q_sub.order == q if m == 1 else q_sub.order <= bound
         witnesses.append({"q": q, "order": q_sub.order, "bound": bound, "ok": good})
-    suite.check(f"{prefix}.minimal-normal-order-bound", ok_all,
-                witnesses or [{"minimal_normals": 0}])
-    return suite.reports
+    return all(w["ok"] for w in witnesses), tuple(witnesses)
 
 
 def verify_c_separating_consequences(g: FiniteGroup, h_sub: Subgroup,

@@ -1,5 +1,6 @@
 """CLI grammar, JSON determinism, exit codes."""
 
+import ast
 import contextlib
 import gc
 import io
@@ -7,10 +8,12 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -772,3 +775,54 @@ def test_writer_raises_where_json_raises(obj):
         json.dumps(obj, indent=2)
     with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
         _indented_json(obj)
+
+
+# -- the numpy import boundary ---------------------------------------------------
+
+SRC = Path(ca.__file__).resolve().parent.parent
+
+# Runs ``cli.run`` on its arguments in a fresh interpreter and prints the exit
+# code and whether numpy was imported.
+_NUMPY_PROBE = """
+import sys
+from complementa import cli
+rc = cli.run(sys.argv[1:])
+print(rc, "numpy" in sys.modules)
+"""
+
+
+def _numpy_probe(argv) -> tuple[int, bool]:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    rc, loaded = out.split()[-2:]
+    return int(rc), loaded == "True"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bounds", "--m", "2"], 0),
+    (["-h"], 0),
+    (["bounds", "--bogus"], 2),
+    (["lattice", "--recipe", "{bad}"], 2),
+], ids=["bounds", "help", "usage-error", "malformed-cayley"])
+def test_requests_that_build_no_group_never_import_numpy(tmp_path, argv, code):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"version": "bad"}', encoding="utf-8")
+    argv = [str(bad) if a == "{bad}" else a for a in argv]
+    assert _numpy_probe(argv) == (code, False)
+
+
+def test_a_request_that_builds_a_group_imports_numpy():
+    assert _numpy_probe(["check", "complemented", "--recipe", "dihedral",
+                         "--n", "4", "--subgroup", "1"]) == (0, True)
+
+
+def test_the_package_holds_one_numpy_import():
+    found = []
+    for path in sorted((SRC / "complementa").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [path.name for a in node.names if a.name.partition(".")[0] == "numpy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "numpy":
+                found.append(path.name)
+    assert found == ["groups.py"]

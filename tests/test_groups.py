@@ -11,6 +11,7 @@ import complementa as ca
 import complementa.constructions as constructions_module
 import complementa.groups as groups_module
 from complementa.groups import ActionError, CapExceededError, GroupError
+from references import trivial_action
 
 
 def brute_force_perm_closure(perms):
@@ -98,7 +99,7 @@ def test_direct_product_orders_multiply():
 
 def test_semidirect_trivial_action_equals_direct():
     a, b = ca.cyclic(3), ca.cyclic(4)
-    sd = ca.semidirect_product(a, b, ca.trivial_action(a, b))
+    sd = ca.semidirect_product(a, b, trivial_action(a, b))
     dp = ca.direct_product(a, b)
     assert sd.mult == dp.mult
 

@@ -11,7 +11,7 @@ from complementa._primes import divisors
 from complementa.complementation import subgroup_table
 from complementa.groups import quotient
 from complementa.subgroups import _conj_bits, bit_indices, bits_of
-from references import quotient_transport_check
+from references import dedekind_identity_check, quotient_transport_check
 from complementa.verify import _Suite, _entry_suite
 
 
@@ -108,6 +108,28 @@ def test_minimal_normal_bounds_m1_equality(s3):
     rep = [r for r in reports if r.claim == "t.minimal-normal-order-bound"][0]
     assert rep.status == "pass"
     assert all(w["order"] == w["q"] for w in rep.witnesses)
+
+
+def test_minimal_normal_bounds_scan_once_per_order(monkeypatch):
+    """The bounds read nothing of a representative but its order m, so the
+    41 supercomplemented cyclic representatives of C3^4 scan its minimal
+    normal subgroups once for m = 1 and once for m = 3, and each still gets
+    its own claim."""
+    built = ca.catalog_entry("ea3r4").build().group
+    g = ca.FiniteGroup(built.mult, built.generators, built.labels, name=built.name)
+    scanned = []
+    scan = verify_module._minimal_normal_scan
+    monkeypatch.setattr(verify_module, "_minimal_normal_scan",
+                        lambda g, m: scanned.append(m) or scan(g, m))
+    reps = verify_module._supercomplemented_cyclic_reps(g)
+    claims = [r for i, rep in enumerate(reps)
+              for r in ca.verify_minimal_normal_bounds(g, rep, prefix=f"t.x{i}")
+              if r.claim.endswith(".minimal-normal-order-bound")]
+    assert len(reps) == 41
+    assert sorted(scanned) == [1, 3]
+    assert [r.claim for r in claims] == [f"t.x{i}.minimal-normal-order-bound"
+                                         for i in range(41)]
+    assert all(r.status == "pass" and r.witnesses for r in claims)
 
 
 def test_c_separating_consequences_cyclic4():
@@ -295,7 +317,7 @@ def reference_dedekind_scan(suite, pre, g, lat):
                 if not b.contains(a):
                     continue
                 count += 1
-                if not ca.dedekind_identity_check(g, a, b, t):
+                if not dedekind_identity_check(g, a, b, t):
                     ok = False
                     if len(witness) < 3:
                         witness.append({"A": vm.sub_witness(a), "B": vm.sub_witness(b),
