@@ -31,7 +31,8 @@ is built first, outside the timing).  It records the median seconds over
 ``REPEATS`` runs on fresh copies and the number of ``_join_bits`` calls.
 That count leaves out each join ⟨K, x⟩ of prime index with x normalizing
 K and order dividing the cap, which the search builds as a cyclic
-extension instead.
+extension instead.  It also records the number of per-subgroup join loops
+run (``count_join_loops`` of ``harness.py``).
 
 The complement section times, on each group of the lattice corpus but C2^7,
 ``is_completely_factorizable``, ``c_separating_subgroups`` and
@@ -66,7 +67,8 @@ import sys
 import time
 from collections import Counter
 
-from harness import Patches, arguments, counting, interleaved, load_trees, write_reports
+from harness import (Patches, arguments, count_join_loops, counting, interleaved,
+                     load_trees, write_reports)
 
 
 def fresh(ca, g):
@@ -198,18 +200,21 @@ def measure_joins(trees, build, kind: str) -> list[dict]:
         counts = Counter()
         with Patches() as patches:
             patches.wrap(tree.subgroups_module._join_bits, counting(counts, "joins"))
+            count_join_loops(patches, tree.subgroups_module, counts, "loops")
             search(tree, g, subs)
-        return counts["joins"]
+        return counts["joins"], counts["loops"]
 
     rows = []
     for tree, base, runs in zip(trees, bases, interleaved(trees, run)):
         runs_s = [r[0] for r in runs]
+        join_calls, join_loops = count_joins(tree, base)
         rows.append({
             "order": base.order,
             "timed": ("all_subgroups" if kind == "lattice"
                       else f"overgroups_by_joins from each of {runs[-1][1]} subgroups"),
             "seconds": statistics.median(runs_s),
-            "join_calls": count_joins(tree, base),
+            "join_calls": join_calls,
+            "join_loops": join_loops,
             "runs_s": runs_s,
         })
     return rows
@@ -267,7 +272,8 @@ def main() -> int:
         for label, report, row in zip(labels, reports, measure_joins(trees, build, kind)):
             report["joins"][name] = row
             show(label, name, f"|G|={row['order']:>3} {row['timed']}: "
-                 f"{row['seconds']:8.3f}s join_calls={row['join_calls']}")
+                 f"{row['seconds']:8.3f}s join_calls={row['join_calls']} "
+                 f"join_loops={row['join_loops']}")
     for name, build in COMPLEMENT_CORPUS:
         for label, report, row in zip(labels, reports, measure_complements(trees, build)):
             report["complement"][name] = row

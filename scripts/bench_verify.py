@@ -29,7 +29,10 @@ counters installed from outside the library:
   0 on a tree without ``right_cosets``);
 * the Dedekind scan: the (A, B, T) triples it checks, read from the
   ``triples_checked`` witness of each ``modular-identity`` claim in the
-  output.
+  output;
+* the join search: the ``overgroups_by_joins`` calls, the per-subgroup join
+  loops run (``count_join_loops`` of ``harness.py``) and the ``_join_bits``
+  calls, from anywhere.
 
 The oracle section records, for each order-24 group of ``ORACLE_CORPUS``,
 the median seconds of ``subset_closure_subgroups`` over ``REPEATS`` runs on
@@ -55,8 +58,9 @@ import statistics
 import sys
 import time
 
-from harness import (REPEATS, Patches, arguments, clear_constructor_caches, counting,
-                     interleaved, load_trees, perfbench_module, write_reports)
+from harness import (REPEATS, Patches, arguments, clear_constructor_caches,
+                     count_join_loops, counting, interleaved, load_trees,
+                     perfbench_module, write_reports)
 
 ORACLE_CORPUS = ("dih24", "c24", "c2xa4")
 
@@ -95,7 +99,8 @@ def count_work(tree, suites) -> dict:
                             "distinct_tables", "lattices_built",
                             "battery_calls", "batteries_evaluated",
                             "product_calls", "partitions_built",
-                            "triples_checked"), 0)
+                            "triples_checked", "overgroups_calls", "join_loops",
+                            "join_bits_calls"), 0)
     inside = set()
     tables = set()  # (rows, generators) validated in the current scan
 
@@ -165,6 +170,10 @@ def count_work(tree, suites) -> dict:
         patches.wrap(group_class.cached, memoizing, group_class)
         if battery is not None:
             patches.wrap(battery, counting(counts, "batteries_evaluated"), verify_module)
+        patches.wrap(subgroups_module.overgroups_by_joins, counting(counts, "overgroups_calls"))
+        count_join_loops(patches, subgroups_module, counts, "join_loops")
+        patches.wrap(subgroups_module._join_bits, counting(counts, "join_bits_calls"),
+                     subgroups_module)
         for suite, _ in suites:
             _, out = request(tree, suite)
             counts["triples_checked"] += sum(

@@ -8,7 +8,9 @@
   state and drift of the machine's speed between processes, which reached
   30–50%, cancels out.
 * ``Patches`` binds library names to wrappers installed from outside the
-  library (a counting one is ``counting``) and puts them back.
+  library (a counting one is ``counting``) and puts them back;
+  ``count_join_loops`` counts the join loops of the subgroup search with
+  them.
 * ``clear_constructor_caches`` empties the memo of each group constructor,
   and ``measure_catalog_suite`` times the catalog suite with empty memos.
 * ``write_reports`` writes each report to ``BENCH_<label>.json``.
@@ -142,6 +144,26 @@ def counting(counts: dict, key: str):
             return original(*args, **kwargs)
         return counted
     return make
+
+
+def count_join_loops(patches: Patches, subgroups_module, counts: dict, key: str) -> None:
+    """Add to ``counts[key]``, through ``patches``, the per-subgroup join
+    loops the subgroup search runs: the ``_kept_joins`` calls, or, in a tree
+    without that function, the subgroups each ``_join_search`` call joined
+    (every subgroup it found, or one per orbit when it searched by orbit)."""
+    kept_joins = getattr(subgroups_module, "_kept_joins", None)
+    if kept_joins is not None:
+        patches.wrap(kept_joins, counting(counts, key), subgroups_module)
+        return
+
+    def make(original):
+        def searched(g, seed, cap, joins, orbits=None):
+            found = original(g, seed, cap, joins, orbits)
+            counts[key] += len(found) if orbits is None else len(orbits)
+            return found
+        return searched
+
+    patches.wrap(subgroups_module._join_search, make, subgroups_module)
 
 
 def clear_constructor_caches(ca) -> None:

@@ -19,17 +19,16 @@ from .groups import (ActionSpec, ActionError, CapExceededError, FiniteGroup,
                      element_order, element_orders, exponent, from_generators,
                      group_from_dict, group_to_dict, primes_of, quotient,
                      semidirect_product, trivial_group)
-from .series import (FactorInfo, SeriesReport, center, chief_series,
+from .series import (FactorInfo, SeriesReport, chief_series,
                      commutator_subgroup, derived_length, derived_series,
                      derived_subgroup, frattini, is_nilpotent,
                      lower_central_series, minimal_normal_subgroups,
-                     p_subgroups, sylow_subgroup)
+                     sylow_subgroup)
 from .subgroups import (Subgroup, SubgroupLattice, all_subgroups,
-                        conjugates, core, cyclic_subgroups, generated_subgroup,
+                        conjugates, cyclic_subgroups, generated_subgroup,
                         intersection, is_abelian, is_elementary_abelian,
                         is_normal, lattice_to_dict, lattice_to_dot,
-                        normal_closure, normalizer, overgroups,
-                        subgroup_from_members, trivial_subgroup)
+                        overgroups, trivial_subgroup)
 from .verify import (VerificationReport, reports_to_dicts, run_catalog_suite,
                      subset_closure_subgroups, summarize,
                      verify_c_separating_consequences, verify_holomorph8,

@@ -1,5 +1,5 @@
 """Structural series and distinguished subgroups: derived/lower-central/chief
-series, centre, Frattini and Sylow subgroups, minimal normal subgroups."""
+series, Frattini and Sylow subgroups, minimal normal subgroups."""
 
 from __future__ import annotations
 
@@ -104,15 +104,6 @@ def derived_length(x) -> int | None:
                              lambda: derived_series(sub).length)
 
 
-def center(g: FiniteGroup) -> Subgroup:
-    members = 0
-    for z in g.elements():
-        row = g.mult[z]
-        if all(row[gen] == g.mult[gen][z] for gen in g.generators):
-            members |= 1 << z
-    return Subgroup(g, members)
-
-
 def lower_central_series(x) -> SeriesReport:
     sub = as_subgroup(x)
     return _series("lower-central", sub,
@@ -153,14 +144,6 @@ def sylow_subgroup(g: FiniteGroup, p: int, containing: Subgroup | None = None) -
                 return s
         raise AssertionError("Sylow theorem violated: no Sylow subgroup contains the p-subgroup")
     return candidates[0]
-
-
-def p_subgroups(g: FiniteGroup, p: int) -> tuple[Subgroup, ...]:
-    """All subgroups of p-power order (including the trivial subgroup)."""
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
-    lat = all_subgroups(g)
-    return tuple(s for s in lat.subgroups if is_p_power(s.order, p))
 
 
 def minimal_normal_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:

@@ -112,18 +112,6 @@ def generated_subgroup(g: FiniteGroup, elems) -> Subgroup:
     return Subgroup(g, bits, tuple(e for e in elems if e != 0))
 
 
-def subgroup_from_members(g: FiniteGroup, members) -> Subgroup:
-    """Build a subgroup from an explicit member set, verifying closure."""
-    bits = members if isinstance(members, int) else bits_of(members)
-    elems = bit_indices(bits)
-    for a in elems:
-        row = g.mult[a]
-        for b in elems:
-            if not bits >> row[b] & 1:
-                raise PreconditionError("member set is not closed under multiplication")
-    return Subgroup(g, bits)
-
-
 def cyclic_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
     """All cyclic subgroups, deduplicated and canonically sorted.  Not
     memoized: its one library reader, ``_prime_power_cyclics``, is."""
@@ -242,40 +230,36 @@ def _join_search(g: FiniteGroup, seed: Subgroup, cap: int, joins: bool,
     prime-power order (each element is a product of powers of itself of
     prime-power order), so one of them, x, lies in L outside M, and then
     ⟨M, x⟩ = L.  |M| and |x| divide |L|, so by induction on |L| the search
-    reaches L.
-
-    For each x not in ``skip``, a bitset of elements y known to give a join
-    ⟨K, y⟩ already made for K:
-    - extension step: if p·|K| divides cap (p the prime of |x|), xᵖ ∈ K and
-      x normalizes K, then ⟨K, x⟩ = K ∪ Kx ∪ … ∪ Kxᵖ⁻¹, built from cosets
-      (Neubüser's cyclic extension).  The cheap tests run first;
-    - join step: otherwise, with ``joins`` set, ⟨K, x⟩ is grown from K by
-      ``_join_bits`` and kept if its order divides cap.
-    When |⟨K, x⟩ : K| is prime, all of ⟨K, x⟩ goes into ``skip``, since any
-    y in it outside K gives the same join; otherwise, or past the cap, the
-    double coset KxK does, since ⟨K, k₁·x·k₂⟩ = ⟨K, x⟩.  So every skipped
-    join repeats an earlier one, and the found subgroups, the ``gens`` each
-    records (K's gens plus the x of the first join that finds it) and their
-    order are those of the search without skips.
+    reaches L.  The joins of each K are ``_kept_joins``; each ⟨K, x⟩ not
+    found before records K's gens plus x.
 
     Without ``joins``, extension steps alone find every subgroup above the
     trivial seed when all of order dividing cap are solvable: a solvable
     L ≠ 1 has a normal subgroup M of prime index p, and L = M·⟨x⟩ for any x
     of p-power order in L outside M.
 
-    With ``orbits`` a list, the search runs by orbit, for a seed that every
-    acting permutation fixes: each subgroup not found before brings its
-    whole orbit into the found set (``_orbit``, appended to ``orbits``) and
-    is the one subgroup of that orbit joined in turn.  The permutations,
-    ``_automorphisms``, make the orbits automorphism orbits in an abelian G
-    and conjugacy classes otherwise.  Since a(⟨K, x⟩) = ⟨a(K), a(x)⟩ for an
-    automorphism a, the joins of the images of K are the images of joins of
-    K, and automorphisms keep orders, so the cap too.  Only the subgroups
-    joined record the gens the search without orbits would.
+    With ``orbits`` None, each K's joins are memoized under
+    ``("joins", K.members, cap, joins)``, so searches from many seeds of one
+    group, such as ``overgroups_by_joins`` from every subgroup, join each K
+    once.  With ``orbits`` a list, the search runs by orbit, for a seed that
+    every acting permutation fixes: each subgroup not found before brings
+    its whole orbit into the found set (``_orbit``, appended to ``orbits``)
+    and is the one subgroup of that orbit joined in turn, unmemoized, as
+    one search joins it once.  The permutations, ``_automorphisms``, make
+    the orbits automorphism orbits in an abelian G and conjugacy classes
+    otherwise.  Since a(⟨K, x⟩) = ⟨a(K), a(x)⟩ for an automorphism a, the
+    joins of the images of K are the images of joins of K, and
+    automorphisms keep orders, so the cap too.  Only the subgroups joined
+    record the gens the search without orbits would.
     """
-    mult = g.mult
     cands = [t for t in _prime_power_cyclics(g) if cap % t[0] == 0]
     perms = () if orbits is None else _automorphisms(g)
+
+    def joined(k):
+        if orbits is not None:
+            return _kept_joins(g, k, cap, joins, cands)
+        return g.cached(("joins", k.members, cap, joins),
+                        lambda: _kept_joins(g, k, cap, joins, cands))
 
     def orbit(sub):
         if orbits is None:
@@ -289,36 +273,66 @@ def _join_search(g: FiniteGroup, seed: Subgroup, cap: int, joins: bool,
     while frontier:
         nxt = []
         for k in frontier:
-            km, kgens, elems, room = k.members, k.gens, k.elements(), cap // k.order
-            skip = km
-            for _, x, p, xp in cands:
-                if skip >> x & 1:
-                    continue
-                if (not room % p and km >> xp & 1
-                        and normalizes(g, km, kgens, (x,))):
-                    bits, y = km, x
-                    for _ in range(p - 1):
-                        bits |= _coset_bits(mult, elems, y)
-                        y = mult[y][x]
-                    skip |= bits
-                elif not joins:
-                    continue
-                else:
-                    bits = _join_bits(g, k, x, cap)
-                    if bits is not None and is_prime(bits.bit_count() // k.order):
-                        skip |= bits
-                    else:
-                        # the double coset KxK, grown from Kx
-                        skip |= _grow_cosets(mult, k, _coset_bits(mult, elems, x),
-                                             [x], kgens, g.order)
-                    if bits is None or cap % bits.bit_count():
-                        continue
+            for x, bits in joined(k):
                 if bits not in found:
-                    new = Subgroup(g, bits, kgens + (x,))
+                    new = Subgroup(g, bits, k.gens + (x,))
                     found.update(orbit(new))
                     nxt.append(new)
         frontier = nxt
     return tuple(sorted(found.values(), key=Subgroup.sort_key))
+
+
+def _kept_joins(g: FiniteGroup, k: Subgroup, cap: int, joins: bool,
+                cands) -> tuple[tuple[int, int], ...]:
+    """The (x, bits of ⟨K, x⟩) pairs the join search keeps for K, in the
+    order of ``cands``, the (order, x, p, xᵖ) of ``_prime_power_cyclics``
+    whose order divides cap.
+
+    For each x not in ``skip``, a bitset of elements y known to give a join
+    ⟨K, y⟩ already made for K:
+    - extension step: if p·|K| divides cap (p the prime of |x|), xᵖ ∈ K and
+      x normalizes K, then ⟨K, x⟩ = K ∪ Kx ∪ … ∪ Kxᵖ⁻¹, built from cosets
+      (Neubüser's cyclic extension).  The cheap tests run first;
+    - join step: otherwise, with ``joins`` set, ⟨K, x⟩ is grown from K by
+      ``_join_bits`` and kept if its order divides cap.
+    When |⟨K, x⟩ : K| is prime, all of ⟨K, x⟩ goes into ``skip``, since any
+    y in it outside K gives the same join; otherwise, or past the cap, the
+    double coset KxK does, since ⟨K, k₁·x·k₂⟩ = ⟨K, x⟩.  So every skipped
+    join repeats an earlier one, and the subgroups the search finds, the
+    ``gens`` each records (K's gens plus the x of the first join that finds
+    it) and their order are those of the search without skips.
+
+    The pairs depend on K's members, cap and ``joins`` alone: K's gens
+    change only which generating set the tests read.
+    """
+    mult = g.mult
+    km, kgens, elems, room = k.members, k.gens, k.elements(), cap // k.order
+    skip = km
+    kept = []
+    for _, x, p, xp in cands:
+        if skip >> x & 1:
+            continue
+        if (not room % p and km >> xp & 1
+                and normalizes(g, km, kgens, (x,))):
+            bits, y = km, x
+            for _ in range(p - 1):
+                bits |= _coset_bits(mult, elems, y)
+                y = mult[y][x]
+            skip |= bits
+        elif not joins:
+            continue
+        else:
+            bits = _join_bits(g, k, x, cap)
+            if bits is not None and is_prime(bits.bit_count() // k.order):
+                skip |= bits
+            else:
+                # the double coset KxK, grown from Kx
+                skip |= _grow_cosets(mult, k, _coset_bits(mult, elems, x),
+                                     [x], kgens, g.order)
+            if bits is None or cap % bits.bit_count():
+                continue
+        kept.append((x, bits))
+    return tuple(kept)
 
 
 class SubgroupLattice:
@@ -600,27 +614,6 @@ def _normal_closure(g: FiniteGroup, seed, by) -> Subgroup:
     for s, bits in greedy_generators(mult, candidates()):
         gens.append(s)
     return Subgroup(g, bits, tuple(gens))
-
-
-def normal_closure(g: FiniteGroup, h: Subgroup) -> Subgroup:
-    """Least normal subgroup of G containing h."""
-    return _normal_closure(g, h.gens, g.generators)
-
-
-def core(g: FiniteGroup, h: Subgroup) -> Subgroup:
-    """Intersection of all conjugates of h (the largest normal subgroup inside)."""
-    bits = h.members
-    for c in _orbit(g, h, _conj_perms(g)):
-        bits &= c
-    return Subgroup(g, bits)
-
-
-def normalizer(g: FiniteGroup, h: Subgroup) -> Subgroup:
-    members = 0
-    for e in g.elements():
-        if normalizes(g, h.members, h.gens, (e,)):
-            members |= 1 << e
-    return Subgroup(g, members)
 
 
 def intersection(a: Subgroup, b: Subgroup) -> Subgroup:

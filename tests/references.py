@@ -2,9 +2,12 @@
 which answers the same questions by scans that share work between inputs."""
 
 import complementa.subgroups as subgroups_module
-from complementa import (ActionSpec, PreconditionError, Subgroup,
+from complementa import (ActionSpec, PreconditionError, Subgroup, all_subgroups,
                          is_supercomplemented, quotient, subgroup_as_group)
-from complementa.subgroups import LATTICE_CAP, _conj_bits
+from complementa._primes import is_p_power, is_prime
+from complementa.groups import normalizes
+from complementa.subgroups import (LATTICE_CAP, _conj_bits, _conj_perms,
+                                   _normal_closure, _orbit, bit_indices, bits_of)
 
 
 def trivial_action(n_grp, h_grp) -> ActionSpec:
@@ -49,3 +52,53 @@ def quotient_transport_check(g, h: Subgroup, k: Subgroup, n: Subgroup,
     img = Subgroup(quo, _conj_bits(proj, h_local.elements()))
     ok_q, _ = is_supercomplemented(quo, img, cap)
     return ok_q
+
+
+def subgroup_from_members(g, members) -> Subgroup:
+    """Build a subgroup from an explicit member set, verifying closure."""
+    bits = members if isinstance(members, int) else bits_of(members)
+    elems = bit_indices(bits)
+    for a in elems:
+        row = g.mult[a]
+        for b in elems:
+            if not bits >> row[b] & 1:
+                raise PreconditionError("member set is not closed under multiplication")
+    return Subgroup(g, bits)
+
+
+def normal_closure(g, h: Subgroup) -> Subgroup:
+    """Least normal subgroup of G containing h."""
+    return _normal_closure(g, h.gens, g.generators)
+
+
+def core(g, h: Subgroup) -> Subgroup:
+    """Intersection of all conjugates of h (the largest normal subgroup inside)."""
+    bits = h.members
+    for c in _orbit(g, h, _conj_perms(g)):
+        bits &= c
+    return Subgroup(g, bits)
+
+
+def normalizer(g, h: Subgroup) -> Subgroup:
+    members = 0
+    for e in g.elements():
+        if normalizes(g, h.members, h.gens, (e,)):
+            members |= 1 << e
+    return Subgroup(g, members)
+
+
+def center(g) -> Subgroup:
+    members = 0
+    for z in g.elements():
+        row = g.mult[z]
+        if all(row[gen] == g.mult[gen][z] for gen in g.generators):
+            members |= 1 << z
+    return Subgroup(g, members)
+
+
+def p_subgroups(g, p: int) -> tuple[Subgroup, ...]:
+    """All subgroups of p-power order (including the trivial subgroup)."""
+    if not is_prime(p):
+        raise PreconditionError(f"{p} is not prime")
+    lat = all_subgroups(g)
+    return tuple(s for s in lat.subgroups if is_p_power(s.order, p))

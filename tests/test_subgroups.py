@@ -17,7 +17,8 @@ from complementa.subgroups import (Subgroup, SubgroupLattice, _all_solvable,
                                    overgroups_by_joins, product_bits,
                                    right_cosets)
 from complementa.verify import subset_closure_subgroups
-from references import dedekind_identity_check
+from references import (center, core, dedekind_identity_check, normal_closure,
+                        normalizer, subgroup_from_members)
 
 
 def test_generated_subgroup_empty_is_trivial(s3):
@@ -119,21 +120,21 @@ def test_non_normality_in_split_p5():
 
 def test_core_and_normal_closure(s3):
     full = ca.generated_subgroup(s3, s3.generators)
-    assert ca.core(s3, full).members == full.members
+    assert core(s3, full).members == full.members
     triv = ca.trivial_subgroup(s3)
-    assert ca.normal_closure(s3, triv).order == 1
+    assert normal_closure(s3, triv).order == 1
     # the normal closure of a reflection is all of S3
     refl = ca.generated_subgroup(s3, (1,))
-    assert ca.normal_closure(s3, refl).order == 6
-    assert ca.core(s3, refl).order == 1
+    assert normal_closure(s3, refl).order == 6
+    assert core(s3, refl).order == 1
 
 
 def test_normalizer(s3):
     rot = ca.generated_subgroup(s3, (2,))
-    assert ca.normalizer(s3, rot).order == 6  # normal subgroup
+    assert normalizer(s3, rot).order == 6  # normal subgroup
     refl = ca.generated_subgroup(s3, (1,))
-    assert ca.normalizer(s3, refl).members == refl.members
-    assert ca.normalizer(s3, ca.trivial_subgroup(s3)).order == 6
+    assert normalizer(s3, refl).members == refl.members
+    assert normalizer(s3, ca.trivial_subgroup(s3)).order == 6
 
 
 # AB is a subgroup exactly when AB = BA.
@@ -209,12 +210,12 @@ def test_elementary_abelian_predicates(hol8):
 
 
 def test_subgroup_from_members_validates(s3):
-    sub = ca.subgroup_from_members(s3, [0, 2, 5])
+    sub = subgroup_from_members(s3, [0, 2, 5])
     assert sub.order == 3
     with pytest.raises(PreconditionError):
-        ca.subgroup_from_members(s3, [0, 1, 2])  # not closed
+        subgroup_from_members(s3, [0, 1, 2])  # not closed
     with pytest.raises(PreconditionError):
-        ca.subgroup_from_members(s3, bits_of([1, 2]))  # missing identity
+        subgroup_from_members(s3, bits_of([1, 2]))  # missing identity
 
 
 def test_lagrange_enforced(s3):
@@ -412,6 +413,62 @@ def test_overgroups_by_joins_match_the_search_without_skips(build):
     for s in ca.all_subgroups(g).subgroups:
         assert _members_and_gens(overgroups_by_joins(g, s)) == \
             _members_and_gens(reference_join_search(g, [s], cyclics, g.order)), s
+
+
+@pytest.mark.parametrize("build", [
+    _s5,
+    lambda: ca.elementary_abelian(3, 4).group,
+], ids=["s5", "ea3r4"])
+def test_overgroups_by_joins_from_a_warm_memo_match_the_search_without_skips(build):
+    """From every subgroup in reverse canonical order, so every overgroup of
+    a seed was joined, with other gens, by an earlier search."""
+    g = _fresh(build())
+    cyclics = prime_power_cyclics(g, g.order)
+    for s in reversed(ca.all_subgroups(g).subgroups):
+        assert _members_and_gens(overgroups_by_joins(g, s)) == \
+            _members_and_gens(reference_join_search(g, [s], cyclics, g.order)), s
+
+
+def test_overgroups_by_joins_join_each_subgroup_once_per_group(monkeypatch):
+    g = _fresh(ca.elementary_abelian(3, 4).group)
+    subs = ca.all_subgroups(g).subgroups
+    joined = []
+    kept_joins = ca.subgroups._kept_joins
+
+    def counted(grp, k, *rest):
+        joined.append(k.members)
+        return kept_joins(grp, k, *rest)
+
+    monkeypatch.setattr(ca.subgroups, "_kept_joins", counted)
+    for sweep in (212, 0):
+        joined.clear()
+        for s in subs:
+            overgroups_by_joins(g, s)
+        assert len(joined) == len(set(joined)) == sweep
+    assert len(subs) == 212
+
+
+@pytest.mark.parametrize("build", [
+    _s5, lambda: ca.elementary_abelian(3, 4).group,
+    lambda: ca.holomorph8().group,
+], ids=["s5", "ea3r4", "holomorph8"])
+def test_lattice_and_complement_searches_memoize_no_joins(build, monkeypatch):
+    """The searches by orbit join each representative once, unmemoized."""
+    keys = []
+    cached = ca.FiniteGroup.cached
+
+    def recorded(grp, key, builder):
+        keys.append(key)
+        return cached(grp, key, builder)
+
+    monkeypatch.setattr(ca.FiniteGroup, "cached", recorded)
+    g = _fresh(build())
+    subs = ca.all_subgroups(g).subgroups
+    bare = _fresh(g)
+    for h in subs:
+        ca.complements(bare, Subgroup(bare, h.members))
+    kinds = {key[0] if isinstance(key, tuple) else key for key in keys}
+    assert "sub_div" in kinds and "joins" not in kinds
 
 
 @pytest.mark.parametrize("build", [
@@ -660,15 +717,15 @@ def _built_subgroups(g):
     pairs = list(zip(lat, reversed(lat)))
     yield "all_subgroups", lat
     yield "intersection", [ca.intersection(a, b) for a, b in pairs]
-    yield "core", [ca.core(g, s) for s in lat]
-    yield "normalizer", [ca.normalizer(g, s) for s in lat]
-    yield "center", [ca.center(g)]
+    yield "core", [core(g, s) for s in lat]
+    yield "normalizer", [normalizer(g, s) for s in lat]
+    yield "center", [center(g)]
     yield "frattini", [ca.frattini(g)]
     yield "chief_series", ca.chief_series(g).terms
     yield "derived_subgroup", [ca.derived_subgroup(s) for s in lat]
     yield "commutator_subgroup", [ca.commutator_subgroup(g, a, b) for a, b in pairs]
-    yield "normal_closure", [ca.normal_closure(g, s) for s in lat]
-    yield "subgroup_from_members", [ca.subgroup_from_members(g, s.members) for s in lat]
+    yield "normal_closure", [normal_closure(g, s) for s in lat]
+    yield "subgroup_from_members", [subgroup_from_members(g, s.members) for s in lat]
     yield "Subgroup", [Subgroup(g, s.members) for s in lat]
 
 
@@ -695,7 +752,7 @@ def test_is_normal_and_normalizer_match_conjugation_by_every_element():
         for i, s in enumerate(lat.subgroups):
             norm = [x for x in g.elements()
                     if all(s.members >> g.conj(e, x) & 1 for e in s.elements())]
-            assert ca.normalizer(g, s).elements() == tuple(norm), entry.name
+            assert normalizer(g, s).elements() == tuple(norm), entry.name
             for h in (s, Subgroup(g, s.members)):
                 assert ca.is_normal(g, h) == (len(norm) == g.order), entry.name
             assert exported[i] == (len(norm) == g.order), entry.name

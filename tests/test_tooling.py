@@ -188,6 +188,24 @@ def test_write_reports_heads_each_report(harness, tmp_path, capsys):
     assert capsys.readouterr().out.count("wrote ") == 3
 
 
+def test_join_loops_are_what_a_tree_without_kept_joins_counts(harness):
+    """``count_join_loops`` reads ``_kept_joins`` calls in this tree.  They
+    equal what it counts in an older tree: one loop per orbit of a search by
+    orbit, one per subgroup found by the first search without orbits, and
+    none after that, since the joins are memoized."""
+    base = ca.holomorph8().group
+    g = ca.FiniteGroup(base.mult, base.generators, base.labels)  # an empty memo
+    counts = {"loops": 0}
+    with harness.Patches() as patches:
+        harness.count_join_loops(patches, ca.subgroups, counts, "loops")
+        lat = ca.all_subgroups(g)
+        assert counts["loops"] == len(lat.orbits) < len(lat)
+        counts["loops"] = 0
+        for s in lat.subgroups:
+            ca.subgroups.overgroups_by_joins(g, s)
+        assert counts["loops"] == len(lat)
+
+
 # The suites the perfbench ``verify`` workload sends, each with its recorded
 # ``verify --suite SUITE --json`` output in perfbench/expected/.
 VERIFY_SUITES = ["holomorph8", "split-p5-3"] + [
