@@ -3,8 +3,9 @@
 quotient constructor.
 
 For each group of ``LOAD`` it records the median seconds, over
-``REPEATS`` runs, of loading its cayley-v1 text: ``json.loads`` plus
-``group_from_dict``.  For each group of ``CONSTRUCT`` it builds the group
+``REPEATS`` runs, of loading its cayley-v1 text with the loader the CLI
+reads files with: ``group_from_json``, or, in a tree without it,
+``json.loads`` plus ``group_from_dict``.  For each group of ``CONSTRUCT`` it builds the group
 ``SLOW_REPEATS`` times, each in a fresh interpreter, and records the median
 seconds of the constructor call and the median peak RSS of that process
 (``ru_maxrss``, which includes the interpreter and the imported library).
@@ -49,7 +50,8 @@ CORPUS = [
 ]
 
 
-LOAD = ("hol27", "hol32")
+# split-p5-3 and C2^6 (orders 243 and 64) show what a small document pays.
+LOAD = ("hol27", "hol32", "split-p5-3", "C2^6")
 
 
 CONSTRUCT = {
@@ -61,12 +63,19 @@ CONSTRUCT = {
 }
 
 
+def text_loader():
+    """The function ``cli`` reads a cayley-v1 file's text with."""
+    return getattr(ca, "group_from_json", None) or (
+        lambda text: ca.group_from_dict(json.loads(text)))
+
+
 def measure_load(build) -> dict:
     text = json.dumps(ca.group_to_dict(build()))
+    load = text_loader()
     runs = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        g = ca.group_from_dict(json.loads(text))
+        g = load(text)
         runs.append(time.perf_counter() - t0)
     return {"order": g.order, "load_s": statistics.median(runs), "load_runs_s": runs}
 

@@ -17,8 +17,8 @@ from .constructions import (CatalogEntry, NamedGroup, alternating4, catalog,
 from .groups import (ActionSpec, ActionError, CapExceededError, FiniteGroup,
                      GroupError, PreconditionError, cyclic, direct_product,
                      element_order, element_orders, exponent, from_generators,
-                     group_from_dict, group_to_dict, primes_of, quotient,
-                     semidirect_product, trivial_group)
+                     group_from_dict, group_from_json, group_to_dict,
+                     primes_of, quotient, semidirect_product, trivial_group)
 from .series import (FactorInfo, SeriesReport, chief_series,
                      commutator_subgroup, derived_length, derived_series,
                      derived_subgroup, frattini, is_nilpotent,

@@ -18,7 +18,7 @@ from .bounds import bound_report
 from .complementation import (complements, is_completely_factorizable,
                               is_c_separating, is_supercomplemented)
 from .constructions import RECIPES, NamedGroup, catalog, catalog_entry
-from .groups import GroupError, group_from_dict, group_to_dict
+from .groups import GroupError, group_from_json, group_to_dict
 from .series import is_nilpotent
 from .subgroups import (LATTICE_CAP, all_subgroups, generated_subgroup,
                         is_abelian, is_elementary_abelian, is_normal,
@@ -52,11 +52,7 @@ def _resolve_group(args) -> NamedGroup:
     if os.path.exists(recipe) or recipe.endswith(".json"):
         _refuse_unread(args, f"cayley-v1 file {recipe!r}")
         with open(recipe, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except RecursionError:
-                raise GroupError("cayley-v1 document is nested too deeply to decode") from None
-        nm = NamedGroup(group_from_dict(doc))
+            nm = NamedGroup(group_from_json(fh.read()))
         args.loaded = nm.group  # this request's own: ``run`` drops its memo
         return nm
     if recipe in _catalog_names():

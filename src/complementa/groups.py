@@ -7,10 +7,22 @@ row), generation, and associativity by Light's test over the declared generators
 (Clifford and Preston, *The Algebraic Theory of Semigroups* I, 1961, §1.2),
 which is exact once generation is shown and compares k·n² cells for k
 generators instead of n³.
+
+A cayley-v1 text is read by ``group_from_json``, whose answer, group or
+error, is always that of ``group_from_dict(json.loads(text))``.  Its fast
+path parses a plain top-level ``"mult": [...]`` array of digits with numpy
+straight into the int32 table and leaves the rest of the text to ``json``;
+``_read_table_text`` says which documents it vouches for.  Every other
+document, such as one with ``-0``, ``01``, a float, a bool, a duplicate or
+nested ``"mult"`` key, or a malformed or too deeply nested one, goes
+through ``json`` whole.
 """
 
 from __future__ import annotations
 
+import json
+import re
+import warnings
 from array import array
 from dataclasses import dataclass, field
 from itertools import islice
@@ -541,6 +553,17 @@ def group_to_dict(g: FiniteGroup) -> dict:
 
 def group_from_dict(data: dict) -> FiniteGroup:
     """Parse a cayley-v1 document; any malformed field raises GroupError."""
+    n, gens, labels = _document_fields(
+        data, lambda mult: len(mult) if isinstance(mult, list) else None)
+    flat = data["mult"]
+    mult = [flat[i * n:(i + 1) * n] for i in range(n)]
+    return FiniteGroup(mult, gens, labels)
+
+
+def _document_fields(data, cells) -> tuple[int, list, list]:
+    """The order, generators and labels of a cayley-v1 document, checked
+    after its version in this order; ``cells(mult)`` is the number of
+    entries of a mult that is a list, and None for any other mult."""
     if not isinstance(data, dict):
         raise GroupError(f"cayley-v1 document must be a JSON object, not {type(data).__name__}")
     if data.get("version") != CAYLEY_FORMAT:
@@ -548,8 +571,7 @@ def group_from_dict(data: dict) -> FiniteGroup:
     n = data.get("order")
     if type(n) is not int or n < 1:
         raise GroupError(f"order must be a positive integer, got {n!r}")
-    flat = data.get("mult")
-    if not isinstance(flat, list) or len(flat) != n * n:
+    if cells(data.get("mult")) != n * n:
         raise GroupError("mult must be a list of order^2 entries")
     gens = data.get("generators", [])
     if not isinstance(gens, list):
@@ -559,5 +581,99 @@ def group_from_dict(data: dict) -> FiniteGroup:
         labels = [str(i) for i in range(n)]
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise GroupError("labels must be a list of strings")
-    mult = [flat[i * n:(i + 1) * n] for i in range(n)]
-    return FiniteGroup(mult, gens, labels)
+    return n, gens, labels
+
+
+def group_from_json(text: str) -> FiniteGroup:
+    """Parse the text of a cayley-v1 document: the group, or the error, of
+    ``group_from_dict(json.loads(text))``, with a RecursionError of
+    ``json`` raised as a GroupError.  Where ``_read_table_text`` vouches for
+    the text, numpy reads its mult array instead of ``json``, which builds
+    one Python int per cell."""
+    read = _read_table_text(text)
+    if read is None:
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise GroupError("cayley-v1 document is nested too deeply to decode") from None
+        return group_from_dict(doc)
+    del text  # not held while the rows are built
+    return FiniteGroup(*read)
+
+
+# compiled by ``re`` on first use, so an import compiles nothing
+_TABLE_OPEN = r'"mult"[ \t\n\r]*:[ \t\n\r]*\['
+_TABLE_BYTES = b"0123456789, \t\n\r"
+
+
+def _read_table_text(text: str):
+    """(n×n int32 table, generators, labels) of a cayley-v1 text whose mult
+    array the fast path vouches for, else None.
+
+    It vouches for the first ``"mult": [...]`` span when:
+    - the span holds nothing but ASCII digits, commas and JSON whitespace;
+    - the text with the span replaced by ``NaN`` decodes to an object whose
+      one ``"mult"`` key, in the whole document, holds that ``NaN``, the
+      rest's only constant;
+    - the fields besides mult pass ``group_from_dict``'s checks;
+    - numpy reads the span, with no error or warning, as order² values
+      below the order, with order² − 1 commas, printed with exactly the
+      span's digits (so none has a leading zero).
+    The span is then the JSON array of those values, and the rest of the
+    document is what ``json`` decodes.  Any other text, such as ``-0``,
+    ``1.0``, ``true``, a duplicate or nested mult key, or a malformed or
+    too deeply nested document, is left to ``json``.  The fields are checked
+    before numpy is touched, so a document refused before its table is read
+    loads no numpy.
+    """
+    opened = re.search(_TABLE_OPEN, text)
+    if opened is None:
+        return None
+    start = opened.end()
+    end = text.find("]", start)
+    body = text[start:end]
+    if end < 0 or not body.isascii():
+        return None
+    body = body.encode("ascii")
+    if body.translate(None, _TABLE_BYTES):
+        return None
+    # each NaN or Infinity of the rest decodes as ``constants`` itself
+    constants, mult_keys = [], []
+
+    def constant(name):
+        constants.append(name)
+        return constants
+
+    def pairs(items):
+        mult_keys.extend(k for k, _ in items if k == "mult")
+        return dict(items)
+
+    try:
+        doc = json.loads(text[:start - 1] + "NaN" + text[end + 1:],
+                         parse_constant=constant, object_pairs_hook=pairs)
+    except (ValueError, RecursionError):
+        return None
+    if not (isinstance(doc, dict) and doc.get("mult") is constants
+            and len(constants) == len(mult_keys) == 1):
+        return None
+    commas = body.count(b",")
+    try:
+        n, gens, labels = _document_fields(doc, lambda mult: commas + 1)
+    except GroupError:
+        return None
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        try:
+            flat = np.fromstring(body, dtype=np.int64, sep=",")
+        except ValueError:
+            return None
+    # read as unsigned, a negative value is above n too
+    if warned or flat.size != n * n or flat.view(np.uint64).max() >= n:
+        return None
+    # the span's digits, the only bytes in it from "0" up, against those
+    # of the values printed
+    digits = np.count_nonzero(np.frombuffer(body, dtype=np.uint8) >= ord("0"))
+    if digits != flat.size + sum(np.count_nonzero(flat >= 10 ** k)
+                                 for k in range(1, len(str(n - 1)))):
+        return None
+    return flat.astype(np.int32).reshape(n, n), gens, labels

@@ -78,19 +78,30 @@ def section_info(g: FiniteGroup, a: Subgroup, b: Subgroup) -> FactorInfo:
                       primes[0] if len(primes) == 1 else None)
 
 
-def _series(kind: str, sub: Subgroup, step) -> SeriesReport:
+def _terms(sub: Subgroup, step) -> list[Subgroup]:
     """The series sub = T_0 > T_1 > ... with T_(i+1) = step(T_i), stopped at
-    the first step that changes nothing; its length counts the steps when it
-    reaches the trivial subgroup."""
+    the first step that changes nothing."""
     terms = [sub]
     while True:
         nxt = step(terms[-1])
         if nxt.members == terms[-1].members:
-            break
+            return terms
         terms.append(nxt)
+
+
+def _length(terms: list[Subgroup]) -> int | None:
+    """The steps of a series that reaches the trivial subgroup, else None."""
+    return len(terms) - 1 if terms[-1].order == 1 else None
+
+
+def _series(kind: str, sub: Subgroup, step) -> SeriesReport:
+    terms = _terms(sub, step)
     factors = tuple(section_info(sub.parent, a, b) for a, b in zip(terms, terms[1:]))
-    return SeriesReport(kind, tuple(terms),
-                        len(terms) - 1 if terms[-1].order == 1 else None, factors)
+    return SeriesReport(kind, tuple(terms), _length(terms), factors)
+
+
+def _lower_central_step(sub: Subgroup):
+    return lambda t: commutator_subgroup(sub.parent, t, sub)
 
 
 def derived_series(x) -> SeriesReport:
@@ -101,20 +112,19 @@ def derived_length(x) -> int | None:
     """Derived length, or None when the derived series does not reach 1."""
     sub = as_subgroup(x)
     return sub.parent.cached(("derived_len", sub.members),
-                             lambda: derived_series(sub).length)
+                             lambda: _length(_terms(sub, derived_subgroup)))
 
 
 def lower_central_series(x) -> SeriesReport:
     sub = as_subgroup(x)
-    return _series("lower-central", sub,
-                   lambda t: commutator_subgroup(sub.parent, t, sub))
+    return _series("lower-central", sub, _lower_central_step(sub))
 
 
 def is_nilpotent(x) -> bool:
     sub = as_subgroup(x)
     return sub.parent.cached(
         ("nilpotent", sub.members),
-        lambda: lower_central_series(sub).reached_trivial())
+        lambda: _terms(sub, _lower_central_step(sub))[-1].order == 1)
 
 
 def frattini(g: FiniteGroup) -> Subgroup:

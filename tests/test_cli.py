@@ -197,12 +197,12 @@ def test_group_read_from_a_file_is_freed_when_the_request_ends(tmp_path, capsys,
                    "--format", "cayley", "--out", str(path))[0] == 0
     loaded = []
 
-    def load(doc):
-        g = ca.group_from_dict(doc)
+    def load(text):
+        g = ca.group_from_json(text)
         loaded.append(weakref.ref(g))
         return g
 
-    monkeypatch.setattr(cli, "group_from_dict", load)
+    monkeypatch.setattr(cli, "group_from_json", load)
     gc.collect()
     gc.disable()
     try:

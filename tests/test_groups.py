@@ -1,11 +1,14 @@
 """Core group construction, arithmetic and serialization."""
 
+import json
 import random
+import warnings
 from collections import Counter
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import complementa as ca
 import complementa.constructions as constructions_module
@@ -340,6 +343,158 @@ def test_cayley_document_refuses_rows_for_a_flat_table():
            "generators": [1]}
     with pytest.raises(GroupError):
         ca.group_from_dict(doc)
+
+
+def load_by_json(text):
+    """The cayley-v1 text loader's reference: ``json`` decodes the whole text."""
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise GroupError("cayley-v1 document is nested too deeply to decode") from None
+    return ca.group_from_dict(doc)
+
+
+def load_outcome(load, text):
+    """The group a loader gives (rows, inverses, generators, labels), or the
+    type and message of its error; a warning is an error here."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            g = load(text)
+        except (GroupError, ValueError) as exc:
+            return type(exc), str(exc)
+    return g.mult, g.inv, g.generators, g.labels
+
+
+def cayley_text(doc, cells=None, sep=", ", keys=None, extra=()):
+    """cayley-v1 text of ``doc`` with the mult array written as ``cells``
+    (its entries by default) joined by ``sep``, the keys in the order
+    ``keys``, and the (key, value text) pairs ``extra`` after them."""
+    cells = [str(v) for v in doc["mult"]] if cells is None else cells
+    values = {k: json.dumps(v) for k, v in doc.items()}
+    values["mult"] = "[" + sep.join(cells) + "]"
+    pairs = [(json.dumps(k), values[k]) for k in keys or doc] + list(extra)
+    return "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
+
+
+S3_DOC = ca.group_to_dict(ca.symmetric3().group)
+
+
+def s3_cells_with(i, token):
+    cells = [str(v) for v in S3_DOC["mult"]]
+    cells[i] = token
+    return cells
+
+
+# (text, whether the numpy read vouches for it)
+LOADER_CASES = {
+    "canonical": (json.dumps(S3_DOC), True),
+    "indented": (json.dumps(S3_DOC, indent=2), True),
+    "key-order": (cayley_text(S3_DOC, keys=["labels", "mult", "generators", "order",
+                                            "version"]), True),
+    "array-whitespace": (cayley_text(S3_DOC, sep=" ,\n\t\r "), True),
+    "mult-label": (json.dumps({**S3_DOC, "labels": ["mult", *S3_DOC["labels"][1:]]}),
+                   True),
+    "extra-key": (cayley_text(S3_DOC, extra=[('"note"', '"a \\"mult\\": [1]"')]), True),
+    "duplicate-mult": (cayley_text(S3_DOC, extra=[('"mult"', json.dumps(S3_DOC["mult"]))]),
+                       False),
+    "duplicate-mult-escaped": (cayley_text(S3_DOC, extra=[('"m\\u0075lt"', "[0]")]), False),
+    "nested-mult-before": (cayley_text(S3_DOC, keys=["version", "order", "labels"],
+                                       extra=[('"meta"', '{"mult": [0]}'),
+                                              ('"mult"', json.dumps(S3_DOC["mult"]))]),
+                           False),
+    "nested-mult-after": (cayley_text(S3_DOC, extra=[('"meta"', '{"mult": [0]}')]), False),
+    "escaped-quote-key": (cayley_text(S3_DOC, keys=["version", "order"],
+                                      extra=[('"x\\"mult"', json.dumps(S3_DOC["mult"])),
+                                             ('"mult"', json.dumps(S3_DOC["mult"]))]),
+                          False),
+    "other-constant": (cayley_text(S3_DOC, extra=[('"note"', "NaN")]), False),
+    "negative": (cayley_text(S3_DOC, s3_cells_with(1, "-1")), False),
+    "negative-zero": (cayley_text(S3_DOC, s3_cells_with(0, "-0")), False),
+    "leading-zero": (cayley_text(S3_DOC, s3_cells_with(1, "01")), False),
+    "double-zero": (cayley_text(S3_DOC, s3_cells_with(0, "00")), False),
+    "float": (cayley_text(S3_DOC, s3_cells_with(1, "1.0")), False),
+    "exponent": (cayley_text(S3_DOC, s3_cells_with(1, "1e0")), False),
+    "true": (cayley_text(S3_DOC, s3_cells_with(1, "true")), False),
+    "trailing-element": (cayley_text(S3_DOC, [*s3_cells_with(0, "0"), ""]), False),
+    "empty-element": (cayley_text(S3_DOC, s3_cells_with(4, "")), False),
+    "empty-array": (cayley_text(S3_DOC, []), False),
+    "blank-array": (cayley_text(S3_DOC, [" "]), False),
+    "space-in-number": (cayley_text(S3_DOC, s3_cells_with(7, "1 2")), False),
+    "out-of-range": (cayley_text(S3_DOC, s3_cells_with(7, "6")), False),
+    "int64-max": (cayley_text(S3_DOC, s3_cells_with(7, str(2**63 - 1))), False),
+    "huge": (cayley_text(S3_DOC, s3_cells_with(7, str(2**70))), False),
+    "huge-wrapping": (cayley_text(S3_DOC, s3_cells_with(7, str(2**64 + 2))), False),
+    "non-ascii-digit": (cayley_text(S3_DOC, s3_cells_with(7, "\u0662")), False),
+    "wrong-order": (json.dumps({**S3_DOC, "order": 5}), False),
+    "bad-version": (json.dumps({**S3_DOC, "version": "cayley-v2"}), False),
+    "not-latin": (cayley_text(S3_DOC, s3_cells_with(7, "2")), True),
+    "bad-generator": (json.dumps({**S3_DOC, "generators": [6]}), True),
+    "nested-too-deeply": (cayley_text(S3_DOC, extra=[('"deep"', "[" * 100_000 + "]" * 100_000)]),
+                          False),
+    "truncated": (json.dumps(S3_DOC)[:-1], False),
+    "top-level-list": ("[" + json.dumps(S3_DOC) + "]", False),
+}
+
+
+@pytest.mark.parametrize("text, vouched", LOADER_CASES.values(), ids=LOADER_CASES)
+def test_text_loader_matches_json_on_listed_documents(text, vouched):
+    assert load_outcome(ca.group_from_json, text) == load_outcome(load_by_json, text)
+    assert (groups_module._read_table_text(text) is not None) == vouched
+
+
+def test_text_loader_reads_every_catalog_table_on_the_fast_path(monkeypatch):
+    monkeypatch.setattr(groups_module, "group_from_dict", None)  # the fallback's
+    for entry in ca.catalog():
+        g = entry.build().group
+        loaded = ca.group_from_json(json.dumps(ca.group_to_dict(g)))
+        assert (loaded.mult, loaded.generators, loaded.labels) == (g.mult, g.generators,
+                                                                    g.labels)
+
+
+LOADER_BASES = [ca.group_to_dict(ca.catalog_entry(name).build().group)
+                for name in ("c1", "c4", "s3", "ea2r2", "c5", "dih8", "a4", "c12")]
+
+# Spellings of one cell: the value itself, JSON spellings of other numbers,
+# and text that is not a JSON number.
+CELL_TOKENS = ["-0", "0.0", "1e0", "01", "00", "true", "null", '"1"', "", " ", "1 1",
+               "-1", "12", str(2**63), str(2**70), "\u0661", "[0]", "NaN"]
+
+
+@st.composite
+def cayley_texts(draw):
+    """cayley-v1 text of a small catalog group, its keys in any order and its
+    array with any JSON whitespace, one time in two with one cell, field or
+    extra key changed."""
+    doc = dict(draw(st.sampled_from(LOADER_BASES)))
+    n = doc["order"]
+    cells = [str(v) for v in doc["mult"]]
+    change = draw(st.sampled_from(["none", "none", "cell", "value", "order", "extra",
+                                   "drop", "append"]))
+    if change == "cell":
+        cells[draw(st.integers(0, n * n - 1))] = draw(st.sampled_from(CELL_TOKENS))
+    elif change == "value":
+        cells[draw(st.integers(0, n * n - 1))] = str(draw(st.integers(0, 2 * n)))
+    elif change == "order":
+        doc["order"] = draw(st.integers(0, 2 * n))
+    elif change == "drop":
+        del cells[draw(st.integers(0, n * n - 1)):]
+    elif change == "append":
+        cells.append(draw(st.sampled_from(["", "0"])))
+    keys = draw(st.permutations(list(doc)))
+    sep = draw(st.sampled_from([",", ", ", ",\n  ", " ,\t", "\r\n,\r\n"]))
+    extra = []
+    if change == "extra":
+        extra = [draw(st.sampled_from([('"mult"', "[0]"), ('"meta"', '{"mult": [0]}'),
+                                       ('"meta"', '["mult"]'), ('"x"', "Infinity"),
+                                       ('"m\\u0075lt"', json.dumps(doc["mult"]))]))]
+    return cayley_text(doc, cells, sep, keys, extra)
+
+
+@given(cayley_texts())
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_text_loader_matches_json_on_generated_documents(text):
+    assert load_outcome(ca.group_from_json, text) == load_outcome(load_by_json, text)
 
 
 def test_finite_group_refuses_a_non_integer_array():

@@ -3,6 +3,7 @@
 import pytest
 
 import complementa as ca
+import complementa.series as series_module
 from complementa.groups import PreconditionError, closure_bits
 from complementa.subgroups import Subgroup, full_subgroup
 from references import center, normal_closure, p_subgroups
@@ -240,3 +241,20 @@ def test_series_factor_flags_match_brute_force(name):
                 assert f.elementary_abelian == (p is not None and all(
                     low.members >> g.power(x, p) & 1 for x in elems))
 
+
+
+@pytest.mark.parametrize("name", ["s3", "a4", "dih8", "holomorph8", "c2xa4"])
+def test_derived_length_and_nilpotency_read_no_series_factor(monkeypatch, name):
+    built = ca.catalog_entry(name).build().group
+    g = ca.FiniteGroup(built.mult, built.generators, built.labels)  # an empty memo
+    subgroups = ca.all_subgroups(g).subgroups
+    expected = [(ca.derived_series(a).length, ca.lower_central_series(a).reached_trivial())
+                for a in subgroups]
+    g.clear_cache()
+
+    def refused(*args):
+        raise AssertionError("a series factor was computed")
+
+    monkeypatch.setattr(series_module, "section_info", refused)
+    subgroups = ca.all_subgroups(g).subgroups
+    assert [(ca.derived_length(a), ca.is_nilpotent(a)) for a in subgroups] == expected
