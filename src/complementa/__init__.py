@@ -14,9 +14,9 @@ from .constructions import (CatalogEntry, NamedGroup, alternating4, catalog,
                             catalog_entry, dicyclic12, dihedral,
                             elementary_abelian, holomorph8, holomorph_cyclic,
                             split_p5_group, symmetric3)
-from .groups import (ActionSpec, ActionError, CapExceededError, FiniteGroup,
-                     GroupError, PreconditionError, cyclic, direct_product,
-                     element_order, element_orders, exponent, from_generators,
+from .groups import (ActionError, CapExceededError, FiniteGroup, GroupError,
+                     PreconditionError, cyclic, direct_product, element_order,
+                     element_orders, exponent, from_generators,
                      group_from_dict, group_from_json, group_to_dict,
                      primes_of, quotient, semidirect_product, trivial_group)
 from .series import (FactorInfo, SeriesReport, chief_series,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 
 # Miller–Rabin with the first 13 primes as bases is exact below
 # MR_EXACT_BELOW (Sorenson and Webster, Math. Comp. 86, 2017).
@@ -78,13 +76,6 @@ def divisors(n: int) -> list[int]:
                 large.append(n // i)
         i += 1
     return small + large[::-1]
-
-
-def lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out
 
 
 def primitive_root(p: int) -> int:

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .groups import CapExceededError, FiniteGroup, PreconditionError
+from .groups import FiniteGroup, PreconditionError
 from .subgroups import (LATTICE_CAP, Subgroup, _subgroups_order_dividing,
-                        all_subgroups, bit_indices, overgroups_by_joins)
+                        all_subgroups, bit_indices, check_lattice_cap,
+                        overgroups_by_joins)
 
 
 @dataclass(frozen=True)
@@ -25,12 +26,6 @@ class ComplementResult:
     subject: Subgroup
     complements: tuple
     exhaustive: bool
-
-
-def _check_cap(g: FiniteGroup, cap: int) -> None:
-    """Refuse groups above the lattice cap before any scan or memo read."""
-    if g.order > cap:
-        raise CapExceededError("lattice", cap, g.order)
 
 
 def _complements_in(lat, h: Subgroup):
@@ -48,7 +43,7 @@ def complements(g: FiniteGroup, h: Subgroup, mode: str = "all",
     """
     if mode not in ("first", "all"):
         raise PreconditionError(f"unknown mode {mode!r}")
-    _check_cap(g, cap)
+    check_lattice_cap(g, cap)
     found = _complements_in(_subgroups_order_dividing(g, g.order // h.order), h)
     hits = tuple(islice(found, 1) if mode == "first" else found)
     return ComplementResult(h, hits, mode == "all" or not hits)
@@ -82,7 +77,7 @@ def is_supercomplemented(g: FiniteGroup, h: Subgroup, cap: int = LATTICE_CAP):
     their complements from the subgroups of order dividing |G:H|, since
     |G:K| divides |G:H|.
     """
-    _check_cap(g, cap)
+    check_lattice_cap(g, cap)
     if h.order > 1 and g.cached_value(("sub_div", g.order)) is None:
         below = _subgroups_order_dividing(g, g.order // h.order)
         witness = next((k for k in overgroups_by_joins(g, h)
@@ -137,7 +132,7 @@ def has_c_separating(g: FiniteGroup, cap: int = LATTICE_CAP) -> bool:
 
 
 def is_c_separating(g: FiniteGroup, h: Subgroup, cap: int = LATTICE_CAP) -> bool:
-    _check_cap(g, cap)
+    check_lattice_cap(g, cap)
     return h.order < g.order and not _uncomplemented_union(g, cap) & ~h.members
 
 

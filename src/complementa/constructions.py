@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from ._primes import is_prime
-from .groups import (CONSTRUCTION_CAP, ActionSpec, CapExceededError,
-                     FiniteGroup, PreconditionError, cyclic, direct_product,
+from .groups import (CONSTRUCTION_CAP, CapExceededError, FiniteGroup,
+                     PreconditionError, cyclic, direct_product,
                      from_generators, greedy_generators, semidirect_product)
 from .subgroups import generated_subgroup
 
@@ -59,8 +59,7 @@ def dihedral(n: int) -> NamedGroup:
         raise CapExceededError("construction", CONSTRUCTION_CAP, 2 * n)
     rot = cyclic(n, "r")
     flip = cyclic(2, "s")
-    action = ActionSpec(flip, rot, {1: tuple((-i) % n for i in range(n))})
-    g = semidirect_product(rot, flip, action)
+    g = semidirect_product(rot, flip, {1: tuple((-i) % n for i in range(n))})
     if n == 1:
         return _named(g, {"s": 1}, {"s": (1,)})
     r, s = 2, 1
@@ -103,8 +102,7 @@ def dicyclic12() -> NamedGroup:
     """Order-12 dicyclic group as C3 : C4 with the order-4 part inverting."""
     a = cyclic(3, "a")
     b = cyclic(4, "b")
-    action = ActionSpec(b, a, {1: (0, 2, 1)})
-    g = semidirect_product(a, b, action)
+    g = semidirect_product(a, b, {1: (0, 2, 1)})
     return _named(g, {"a": 4, "b": 1}, {"a": (4,), "b": (1,)})
 
 
@@ -133,7 +131,7 @@ def holomorph_cyclic(n: int, cap: int = CONSTRUCTION_CAP) -> NamedGroup:
     aut, units = _unit_group(n)
     base = cyclic(n, "x")
     images = {gi: tuple((units[gi] * i) % n for i in range(n)) for gi in aut.generators}
-    g = semidirect_product(base, aut, ActionSpec(aut, base, images), cap=cap)
+    g = semidirect_product(base, aut, images, cap=cap)
     if n == 1:
         return _named(g)
     x = aut.order
@@ -149,8 +147,7 @@ def holomorph8() -> NamedGroup:
     inv8 = tuple((-i) % 8 for i in range(8))
     pow5 = tuple((5 * i) % 8 for i in range(8))
     a_idx, b_idx = klein.generators
-    action = ActionSpec(klein, base, {a_idx: inv8, b_idx: pow5})
-    g = semidirect_product(base, klein, action)
+    g = semidirect_product(base, klein, {a_idx: inv8, b_idx: pow5})
     x, a, b = 4, a_idx, b_idx
     return _named(
         g,
@@ -177,15 +174,14 @@ def split_p5_group(p: int, cap: int = SPLIT_P5_CAP) -> NamedGroup:
         raise CapExceededError("construction", cap, p ** 5)
     xs = cyclic(p * p, "x")
     As = cyclic(p, "a")
-    f_action = ActionSpec(As, xs, {1: tuple(((p + 1) * i) % (p * p) for i in range(p * p))})
-    f_grp = semidirect_product(xs, As, f_action)
+    f_grp = semidirect_product(
+        xs, As, {1: tuple(((p + 1) * i) % (p * p) for i in range(p * p))})
 
     a_part = direct_product(cyclic(p, "b"), cyclic(p, "c"))
     x_in_f, a_in_f = p, 1
     shear = tuple((i // p) * p + (i // p + i % p) % p for i in range(p * p))
-    g_action = ActionSpec(f_grp, a_part,
-                          {x_in_f: shear, a_in_f: tuple(range(p * p))})
-    g = semidirect_product(a_part, f_grp, g_action)
+    g = semidirect_product(a_part, f_grp,
+                           {x_in_f: shear, a_in_f: tuple(range(p * p))})
 
     f_order = p ** 3
     x, a = x_in_f, a_in_f

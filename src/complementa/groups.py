@@ -21,13 +21,13 @@ through ``json`` whole.
 from __future__ import annotations
 
 import json
+import math
 import re
 import warnings
 from array import array
-from dataclasses import dataclass, field
 from itertools import islice
 
-from ._primes import lcm, prime_factors
+from ._primes import prime_factors
 
 CONSTRUCTION_CAP = 4096
 
@@ -364,77 +364,69 @@ def _product(n_grp: FiniteGroup, h_grp: FiniteGroup, alpha_inv,
     return FiniteGroup(table, gens, labels, name=name)
 
 
-@dataclass(frozen=True)
-class ActionSpec:
-    """Action of ``acting`` on ``acted`` by automorphisms.
+def extend_on_generators(mult, gens, images, identity, times):
+    """The map f with f(0) = ``identity`` and f(e·s) = times(f(e), t) for
+    each s of ``gens`` and its t of ``images``, grown breadth-first from 0
+    over the group with table rows ``mult``, as a list with None at the
+    elements ``gens`` do not reach; None when two paths to an element give
+    different values.
 
-    ``images`` maps each generator h of the acting group to the permutation
-    n -> n^h of the acted group's indices.  The assignment must extend
-    consistently to the whole acting group; this is checked during product
-    construction by walking every edge of the acting group's Cayley graph.
+    The one walk that extends a map given on generators: every edge e → e·s
+    of the Cayley graph is checked, so on a group generated by ``gens`` a
+    result is the only map of that form, a homomorphism when ``times`` is
+    the product of a group.
     """
-
-    acting: FiniteGroup
-    acted: FiniteGroup
-    images: dict = field(default_factory=dict)
-
-    def validate_images(self):
-        n = self.acted.order
-        for gen in self.acting.generators:
-            if gen not in self.images:
-                raise ActionError(f"no image for generator {gen}")
-        table = np.array(self.acted.mult, dtype=np.intp)
-        for gen, img in self.images.items():
-            perm = tuple(img)
-            if sorted(perm) != list(range(n)) or perm[0] != 0:
-                raise ActionError(f"image of {gen} is not an identity-fixing permutation")
-            p = np.array(perm, dtype=np.intp)
-            if not np.array_equal(p[table], table[p[:, None], p[None, :]]):
-                raise ActionError(f"image of {gen} is not an automorphism")
-
-    def full_action(self) -> list[tuple[int, ...]]:
-        """Permutation n -> n^h for every h, or raise if inconsistent."""
-        self.validate_images()
-        h_grp = self.acting
-        n = self.acted.order
-        ident = tuple(range(n))
-        alpha: list = [None] * h_grp.order
-        alpha[0] = ident
-        frontier = [0]
-        gen_imgs = [(g, tuple(self.images[g])) for g in h_grp.generators]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                ah = alpha[h]
-                for g, ag in gen_imgs:
-                    h2 = h_grp.mult[h][g]
-                    # right action: n^(hg) = (n^h)^g
-                    cand = tuple(ag[ah[i]] for i in range(n))
-                    if alpha[h2] is None:
-                        alpha[h2] = cand
-                        nxt.append(h2)
-                    elif alpha[h2] != cand:
-                        raise ActionError(
-                            "images are inconsistent with the acting group's relations")
-            frontier = nxt
-        return alpha
+    f = [None] * len(mult)
+    f[0] = identity
+    reached = [0]
+    for e in reached:
+        row, fe = mult[e], f[e]
+        for s, t in zip(gens, images):
+            y, image = row[s], times(fe, t)
+            if f[y] is None:
+                f[y] = image
+                reached.append(y)
+            elif f[y] != image:
+                return None
+    return f
 
 
-def semidirect_product(n_grp: FiniteGroup, h_grp: FiniteGroup, action: ActionSpec,
+def semidirect_product(n_grp: FiniteGroup, h_grp: FiniteGroup, images: dict,
                        cap: int = CONSTRUCTION_CAP) -> FiniteGroup:
     """Split extension of ``n_grp`` (normal) by ``h_grp``.
 
-    Elements are pairs (n, h) encoded as n * |H| + h and written n·h.  The
-    acting group acts by conjugation exponents, n^h, so
-    (n1, h1)(n2, h2) = (n1 · n2^(h1^-1), h1 h2); with the trivial action the
-    table equals direct_product's.
+    ``images`` maps each generator h of ``h_grp`` to the permutation
+    n -> n^h of ``n_grp``'s indices.  Each image, in dict order, must be an
+    identity-fixing permutation and an automorphism; the action of all of
+    ``h_grp`` is grown from them by ``extend_on_generators``, which refuses
+    images that break a relation of ``h_grp``.  Elements are pairs (n, h)
+    encoded as n * |H| + h and written n·h.  The acting group acts by
+    conjugation exponents, n^h, so (n1, h1)(n2, h2) = (n1 · n2^(h1^-1), h1 h2);
+    with the trivial action the table equals direct_product's.
     """
-    if action.acting is not h_grp or action.acted is not n_grp:
-        raise ActionError("action endpoints do not match the product factors")
     total = n_grp.order * h_grp.order
     if total > cap:
         raise CapExceededError("construction", cap, total)
-    alpha = action.full_action()
+    for gen in h_grp.generators:
+        if gen not in images:
+            raise ActionError(f"no image for generator {gen}")
+    n, nmult, ngens = n_grp.order, n_grp.mult, n_grp.generators
+
+    def times(a, b):
+        return nmult[a][b]
+
+    for gen, img in images.items():
+        perm = list(img)
+        if sorted(perm) != list(range(n)) or perm[0] != 0:
+            raise ActionError(f"image of {gen} is not an identity-fixing permutation")
+        if extend_on_generators(nmult, ngens, [perm[s] for s in ngens], 0, times) != perm:
+            raise ActionError(f"image of {gen} is not an automorphism")
+    # right action: n^(hg) = (n^h)^g
+    alpha = extend_on_generators(
+        h_grp.mult, h_grp.generators, [tuple(images[g]) for g in h_grp.generators],
+        tuple(range(n)), lambda ah, ag: tuple(map(ag.__getitem__, ah)))
+    if alpha is None:
+        raise ActionError("images are inconsistent with the acting group's relations")
     alpha_inv = [alpha[h] for h in h_grp.inv]
     return _product(n_grp, h_grp, alpha_inv, name=f"{n_grp.name}:{h_grp.name}")
 
@@ -524,7 +516,7 @@ def element_orders(g: FiniteGroup) -> tuple[int, ...]:
 
 
 def exponent(g: FiniteGroup) -> int:
-    return lcm(element_orders(g))
+    return math.lcm(*element_orders(g))
 
 
 def primes_of(g: FiniteGroup) -> set[int]:

@@ -3,9 +3,10 @@ series, Frattini and Sylow subgroups, minimal normal subgroups."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from ._primes import is_p_power, is_prime, lcm, p_part, prime_factors
+from ._primes import is_p_power, is_prime, p_part, prime_factors
 from .groups import (FiniteGroup, PreconditionError, cached_quotient,
                      element_orders)
 from .subgroups import (Subgroup, all_subgroups, as_subgroup, is_abelian,
@@ -62,7 +63,7 @@ def _section_exponent(g: FiniteGroup, a: Subgroup, b_bits: int) -> int:
             cur = g.mult[cur][e]
             k += 1
         orders.append(k)
-    return lcm(orders)
+    return math.lcm(*orders)
 
 
 def section_info(g: FiniteGroup, a: Subgroup, b: Subgroup) -> FactorInfo:

@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 from itertools import compress
 
-from ._primes import is_prime, lcm, prime_factors, primitive_root
+from ._primes import is_prime, prime_factors, primitive_root
 from .groups import (CapExceededError, FiniteGroup, PreconditionError,
-                     closure_bits, element_order, greedy_generators, normalizes)
+                     closure_bits, element_order, extend_on_generators,
+                     greedy_generators, normalizes)
 
 LATTICE_CAP = 512
 
@@ -440,9 +441,14 @@ class SubgroupLattice:
 def all_subgroups(g: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
     """Complete subgroup lattice, the ``("sub_div", |G|)`` entry; groups
     larger than ``cap`` are rejected."""
+    check_lattice_cap(g, cap)
+    return _subgroups_order_dividing(g, g.order)
+
+
+def check_lattice_cap(g: FiniteGroup, cap: int) -> None:
+    """Refuse groups above the lattice cap, before any scan or memo read."""
     if g.order > cap:
         raise CapExceededError("lattice", cap, g.order)
-    return _subgroups_order_dividing(g, g.order)
 
 
 def overgroups(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
@@ -569,23 +575,14 @@ def _automorphisms(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 def _extend_to_automorphism(g: FiniteGroup, gens, images) -> tuple[int, ...]:
     """The automorphism of G that sends each of ``gens``, which generate G,
-    to its entry of ``images``, as an element permutation.  Grown
-    breadth-first from the identity, e·s ↦ perm[e]·t, so every product e·s
-    is checked; RuntimeError when the images define no automorphism."""
+    to its entry of ``images``, as an element permutation, grown by
+    ``extend_on_generators``; RuntimeError when the images define no
+    automorphism."""
     mult = g.mult
-    perm = [None] * g.order
-    perm[0] = 0
-    reached = [0]
-    for e in reached:
-        row, image_row = mult[e], mult[perm[e]]
-        for s, t in zip(gens, images):
-            y, image = row[s], image_row[t]
-            if perm[y] is None:
-                perm[y] = image
-                reached.append(y)
-            elif perm[y] != image:
-                raise RuntimeError("generator images define no homomorphism")
-    if len(reached) != g.order or len(set(perm)) != g.order:
+    perm = extend_on_generators(mult, gens, images, 0, lambda a, b: mult[a][b])
+    if perm is None:
+        raise RuntimeError("generator images define no homomorphism")
+    if None in perm or len(set(perm)) != g.order:
         raise RuntimeError("generator images define no automorphism")
     return tuple(perm)
 
@@ -624,32 +621,29 @@ def intersection(a: Subgroup, b: Subgroup) -> Subgroup:
 
 
 def right_cosets(g: FiniteGroup, a: Subgroup) -> tuple[int, ...]:
-    """The right cosets A·y of A, as bitsets ordered by least element; cached
-    per subgroup.  Each new coset is grown from the least element y not yet
-    covered, and A·y ∋ y, so y is its least element."""
-
-    def build():
-        mult, elems = g.mult, a.elements()
-        full = (1 << g.order) - 1
-        covered = 0
-        cosets = []
-        while covered != full:
-            y = ((covered + 1) & ~covered).bit_length() - 1  # lowest clear bit
-            coset = _coset_bits(mult, elems, y)
-            covered |= coset
-            cosets.append(coset)
-        return tuple(cosets)
-
-    return g.cached(("right_cosets", a.members), build)
+    """The right cosets A·y of A, as bitsets ordered by least element.  Each
+    new coset is grown from the least element y not yet covered, and
+    A·y ∋ y, so y is its least element."""
+    mult, elems = g.mult, a.elements()
+    full = (1 << g.order) - 1
+    covered = 0
+    cosets = []
+    while covered != full:
+        y = ((covered + 1) & ~covered).bit_length() - 1  # lowest clear bit
+        coset = _coset_bits(mult, elems, y)
+        covered |= coset
+        cosets.append(coset)
+    return tuple(cosets)
 
 
-def product_bits(g: FiniteGroup, a: Subgroup, b: Subgroup) -> int:
+def product_bits(g: FiniteGroup, a: Subgroup, b: Subgroup, cosets=None) -> int:
     """Bitset of the product set AB = {a·b}: the union of the right cosets
     of A that meet B.  Each y in B lies in A·y, and each coset A·y with y in
-    B lies in AB, so the union is exactly AB."""
+    B lies in AB, so the union is exactly AB.  ``cosets``, A's
+    ``right_cosets`` when the caller has them, saves building them again."""
     bm = b.members
     bits = 0
-    for coset in right_cosets(g, a):
+    for coset in right_cosets(g, a) if cosets is None else cosets:
         if coset & bm:
             bits |= coset
     return bits
@@ -682,7 +676,7 @@ def subgroup_exponent(x) -> int:
     sub = as_subgroup(x)
     g = sub.parent
     return g.cached(("exponent", sub.members),
-                    lambda: lcm(element_order(g, e) for e in sub.elements()))
+                    lambda: math.lcm(*(element_order(g, e) for e in sub.elements())))
 
 
 def is_elementary_abelian(x) -> bool:

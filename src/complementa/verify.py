@@ -23,7 +23,8 @@ from .groups import (FiniteGroup, cached_quotient, closure_bits, element_order,
 from .subgroups import (Subgroup, _conj_bits, all_subgroups,
                         bit_indices, generated_subgroup, is_abelian,
                         is_elementary_abelian, is_normal, overgroups,
-                        overgroups_by_joins, product_bits, trivial_subgroup)
+                        overgroups_by_joins, product_bits, right_cosets,
+                        trivial_subgroup)
 from .series import (chief_series, derived_length, derived_subgroup,
                      is_nilpotent, frattini, minimal_normal_subgroups,
                      sylow_subgroup)
@@ -573,9 +574,14 @@ def _product_table(g, lat) -> tuple[tuple[int, ...], ...]:
     """The product set AB of every ordered pair of lattice subgroups: row A,
     column B, in lattice order.  ``_entry_suite`` builds it once and passes
     it to the pairwise and Dedekind scans, its only readers; it is not
-    memoized on the group."""
+    memoized on the group, nor are the right cosets of each row's A, built
+    once for the row."""
     subs = lat.subgroups
-    return tuple(tuple(product_bits(g, a, b) for b in subs) for a in subs)
+    rows = []
+    for a in subs:
+        cosets = right_cosets(g, a)
+        rows.append(tuple(product_bits(g, a, b, cosets) for b in subs))
+    return tuple(rows)
 
 
 def _pairwise_checks(suite, pre, g, lat, table):

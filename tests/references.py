@@ -2,7 +2,7 @@
 which answers the same questions by scans that share work between inputs."""
 
 import complementa.subgroups as subgroups_module
-from complementa import (ActionSpec, PreconditionError, Subgroup, all_subgroups,
+from complementa import (PreconditionError, Subgroup, all_subgroups,
                          is_supercomplemented, quotient, subgroup_as_group)
 from complementa._primes import is_p_power, is_prime
 from complementa.groups import normalizes
@@ -10,10 +10,34 @@ from complementa.subgroups import (LATTICE_CAP, _conj_bits, _conj_perms,
                                    _normal_closure, _orbit, bit_indices, bits_of)
 
 
-def trivial_action(n_grp, h_grp) -> ActionSpec:
+def trivial_action(n_grp, h_grp) -> dict:
     """Every generator of ``h_grp`` acting on ``n_grp`` as the identity."""
     ident = tuple(range(n_grp.order))
-    return ActionSpec(h_grp, n_grp, {g: ident for g in h_grp.generators})
+    return {g: ident for g in h_grp.generators}
+
+
+def reference_action(n_grp, h_grp, images) -> list[tuple[int, ...]]:
+    """The permutation n -> n^h for every h of ``h_grp``, from the images of
+    its generators: h written as a shortest word s1…sk in the generators,
+    found breadth-first, gives n^h = (…(n^s1)…)^sk.  Asserts, pair by pair,
+    that the result is a right action, n^(ab) = (n^a)^b."""
+    words = {0: ()}
+    queue = [0]
+    for h in queue:
+        for s in h_grp.generators:
+            y = h_grp.mult[h][s]
+            if y not in words:
+                words[y] = words[h] + (s,)
+                queue.append(y)
+    alpha = []
+    for h in range(h_grp.order):
+        perm = tuple(range(n_grp.order))
+        for s in words[h]:
+            perm = tuple(images[s][x] for x in perm)
+        alpha.append(perm)
+    assert all(alpha[h_grp.mult[a][b]] == tuple(alpha[b][x] for x in alpha[a])
+               for a in range(h_grp.order) for b in range(h_grp.order))
+    return alpha
 
 
 def dedekind_identity_check(g, a: Subgroup, b: Subgroup, t: Subgroup) -> bool:

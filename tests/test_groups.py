@@ -5,6 +5,7 @@ import random
 import warnings
 from collections import Counter
 from functools import partial
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import complementa as ca
 import complementa.constructions as constructions_module
 import complementa.groups as groups_module
 from complementa.groups import ActionError, CapExceededError, GroupError
-from references import trivial_action
+from references import reference_action, trivial_action
 
 
 def brute_force_perm_closure(perms):
@@ -110,8 +111,7 @@ def test_semidirect_trivial_action_equals_direct():
 def test_semidirect_dihedral16_fingerprint():
     # oracle: permutation representation of the same dihedral group
     c8, c2 = ca.cyclic(8), ca.cyclic(2)
-    action = ca.ActionSpec(c2, c8, {1: tuple((-i) % 8 for i in range(8))})
-    sd = ca.semidirect_product(c8, c2, action)
+    sd = ca.semidirect_product(c8, c2, {1: tuple((-i) % 8 for i in range(8))})
     perm = ca.from_generators([(1, 2, 3, 4, 5, 6, 7, 0), (0, 7, 6, 5, 4, 3, 2, 1)])
     for g in (sd, perm):
         assert g.order == 16 and not ca.is_abelian(g) and ca.exponent(g) == 8
@@ -123,14 +123,14 @@ def test_semidirect_rejects_non_automorphism():
     c4, c2 = ca.cyclic(4), ca.cyclic(2)
     # i -> i+1 is no automorphism (does not fix the identity)
     with pytest.raises(ActionError):
-        ca.semidirect_product(c4, c2, ca.ActionSpec(c2, c4, {1: (1, 2, 3, 0)}))
+        ca.semidirect_product(c4, c2, {1: (1, 2, 3, 0)})
 
 
 def test_semidirect_rejects_identity_fixing_non_automorphism():
     c4, c2 = ca.cyclic(4), ca.cyclic(2)
     # fixes 0 and permutes C4, but sends 1·1 = 2 to 1 and 1·1 to 2·2 = 0
     with pytest.raises(ActionError, match="not an automorphism"):
-        ca.semidirect_product(c4, c2, ca.ActionSpec(c2, c4, {1: (0, 2, 1, 3)}))
+        ca.semidirect_product(c4, c2, {1: (0, 2, 1, 3)})
 
 
 def test_action_images_are_checked_in_order():
@@ -141,7 +141,29 @@ def test_action_images_are_checked_in_order():
                           ({2: no_permutation, 1: no_automorphism},
                            "image of 2 is not an identity-fixing permutation")):
         with pytest.raises(ActionError, match=named):
-            ca.semidirect_product(c4, klein, ca.ActionSpec(klein, c4, images))
+            ca.semidirect_product(c4, klein, images)
+
+
+@pytest.mark.parametrize("n_grp", [
+    ca.cyclic(4), ca.direct_product(ca.cyclic(2), ca.cyclic(2)), ca.cyclic(6),
+    ca.symmetric3().group, ca.elementary_abelian(2, 3).group,
+], ids=["c4", "c2xc2", "c6", "s3", "c2xc2xc2"])
+def test_an_image_is_refused_as_no_automorphism_exactly_when_it_is_none(n_grp):
+    """Every identity-fixing permutation p of N as the image of C2's
+    generator: "not an automorphism" exactly when p(a·b) ≠ p(a)·p(b) for
+    some a and b, decided here cell by cell."""
+    n, mult = n_grp.order, n_grp.mult
+    c2 = ca.cyclic(2)
+    for rest in permutations(range(1, n)):
+        p = (0, *rest)
+        homomorphism = all(p[mult[a][b]] == mult[p[a]][p[b]]
+                           for a in range(n) for b in range(n))
+        try:
+            ca.semidirect_product(n_grp, c2, {1: p})
+            said = False
+        except ActionError as exc:
+            said = "not an automorphism" in str(exc)
+        assert said == (not homomorphism), p
 
 
 def reference_product(n_grp, h_grp, alpha):
@@ -169,9 +191,9 @@ SPLIT_EXTENSIONS = {
 def test_semidirect_products_match_the_per_cell_reference(monkeypatch, name):
     products = []
 
-    def recording(n_grp, h_grp, action, cap=groups_module.CONSTRUCTION_CAP):
-        g = groups_module.semidirect_product(n_grp, h_grp, action, cap=cap)
-        products.append((n_grp, h_grp, action.full_action(), g))
+    def recording(n_grp, h_grp, images, cap=groups_module.CONSTRUCTION_CAP):
+        g = groups_module.semidirect_product(n_grp, h_grp, images, cap=cap)
+        products.append((n_grp, h_grp, reference_action(n_grp, h_grp, images), g))
         return g
 
     monkeypatch.setattr(constructions_module, "semidirect_product", recording)
@@ -195,7 +217,7 @@ def test_semidirect_rejects_inconsistent_extension():
     c5, c2 = ca.cyclic(5), ca.cyclic(2)
     doubling = tuple((2 * i) % 5 for i in range(5))
     with pytest.raises(ActionError):
-        ca.semidirect_product(c5, c2, ca.ActionSpec(c2, c5, {1: doubling}))
+        ca.semidirect_product(c5, c2, {1: doubling})
 
 
 def test_quotient_by_whole_group_and_trivial(s3):

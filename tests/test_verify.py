@@ -511,8 +511,8 @@ def test_dedekind_failure_is_reported_with_the_reference_witnesses(monkeypatch):
     ``dedekind_identity_check``, which the reference calls."""
     real = subgroups_module.product_bits
 
-    def dropping(g, a, b):
-        return real(g, a, b) & ~(1 << g.order - 1)
+    def dropping(g, a, b, cosets=None):
+        return real(g, a, b, cosets) & ~(1 << g.order - 1)
 
     monkeypatch.setattr(verify_module, "product_bits", dropping)
     monkeypatch.setattr(subgroups_module, "product_bits", dropping)
@@ -526,9 +526,9 @@ def test_pairwise_and_dedekind_scans_build_each_product_once(monkeypatch, name):
     calls = []
     real = subgroups_module.product_bits
 
-    def counted(g, a, b):
+    def counted(g, a, b, cosets=None):
         calls.append((a.members, b.members))
-        return real(g, a, b)
+        return real(g, a, b, cosets)
 
     monkeypatch.setattr(verify_module, "product_bits", counted)
     monkeypatch.setattr(subgroups_module, "product_bits", counted)
