@@ -34,7 +34,11 @@ counters installed from outside the library:
   output;
 * the join search: the ``overgroups_by_joins`` calls, the per-subgroup join
   loops run (``count_join_loops`` of ``harness.py``) and the ``_join_bits``
-  calls, from anywhere.
+  calls, from anywhere;
+* the constructions: the memo misses of the cached group constructors in
+  each request, summed (``constructor_misses`` of ``harness.py``), so a
+  construction that one request reaches by two paths and builds twice
+  counts twice.
 
 The oracle section records, for each order-24 group of ``ORACLE_CORPUS``,
 the median seconds of ``subset_closure_subgroups`` over ``REPEATS`` runs on
@@ -61,8 +65,8 @@ import sys
 import time
 
 from harness import (REPEATS, Patches, arguments, clear_constructor_caches,
-                     count_join_loops, counting, interleaved, load_trees,
-                     perfbench_module, write_reports)
+                     constructor_misses, count_join_loops, counting,
+                     interleaved, load_trees, perfbench_module, write_reports)
 
 ORACLE_CORPUS = ("dih24", "c24", "c2xa4")
 
@@ -102,7 +106,7 @@ def count_work(tree, suites) -> dict:
                             "battery_calls", "batteries_evaluated",
                             "product_calls", "partitions_built",
                             "triples_checked", "overgroups_calls", "join_loops",
-                            "join_bits_calls"), 0)
+                            "join_bits_calls", "constructor_misses"), 0)
     inside = set()
     tables = set()  # (rows, generators) validated in the current scan
 
@@ -183,6 +187,7 @@ def count_work(tree, suites) -> dict:
                      subgroups_module)
         for suite, _ in suites:
             _, out = request(tree, suite)
+            counts["constructor_misses"] += constructor_misses(tree.ca)
             counts["triples_checked"] += sum(
                 report["witnesses"][0].get("triples_checked", 0)
                 for report in json.loads(out)

@@ -12,7 +12,8 @@
   ``count_join_loops`` counts the join loops of the subgroup search with
   them.
 * ``clear_constructor_caches`` empties the memo of each group constructor,
-  and ``measure_catalog_suite`` times the catalog suite with empty memos.
+  ``constructor_misses`` counts the memo misses since, and
+  ``measure_catalog_suite`` times the catalog suite with empty memos.
 * ``write_reports`` writes each report to ``BENCH_<label>.json``.
 * ``perfbench_module`` imports a module of ``perfbench/`` (the workloads,
   the recorded answers, the reference process) without writing bytecode
@@ -171,6 +172,14 @@ def clear_constructor_caches(ca) -> None:
     for obj in vars(ca.constructions).values():
         if hasattr(obj, "cache_clear"):
             obj.cache_clear()
+
+
+def constructor_misses(ca) -> int:
+    """The memo misses of every cached group constructor of the package
+    ``ca`` (the ``catalog`` list included) since their memos were emptied:
+    one per construction built."""
+    return sum(obj.cache_info().misses for obj in vars(ca.constructions).values()
+               if hasattr(obj, "cache_info"))
 
 
 def measure_catalog_suite(repeats: int) -> dict:

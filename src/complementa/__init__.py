@@ -22,8 +22,7 @@ from .groups import (ActionError, CapExceededError, FiniteGroup, GroupError,
 from .series import (FactorInfo, SeriesReport, chief_series,
                      commutator_subgroup, derived_length, derived_series,
                      derived_subgroup, frattini, is_nilpotent,
-                     lower_central_series, minimal_normal_subgroups,
-                     sylow_subgroup)
+                     minimal_normal_subgroups, sylow_subgroup)
 from .subgroups import (Subgroup, SubgroupLattice, all_subgroups,
                         conjugates, cyclic_subgroups, generated_subgroup,
                         intersection, is_abelian, is_elementary_abelian,

@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from typing import NamedTuple
 
 from ._primes import is_prime
 from .groups import PreconditionError
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Bounds attached to a supercomplemented cyclic p-subgroup of order m."""
 
     m: int

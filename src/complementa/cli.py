@@ -32,9 +32,9 @@ def _catalog_names() -> frozenset[str]:
     return frozenset(e.name for e in catalog())
 
 
-# The flags each parametrized recipe reads, each with its keyword argument
-_RECIPE_PARAMS = {"cyclic": {"n": "n"}, "dihedral": {"n": "n"}, "holomorph": {"n": "n"},
-                  "elementary": {"p": "p", "n": "rank"}, "split-p5": {"p": "p"}}
+# The flags each parametrized recipe reads, in the order of its arguments
+_RECIPE_PARAMS = {"cyclic": ("n",), "dihedral": ("n",), "holomorph": ("n",),
+                  "elementary": ("p", "n"), "split-p5": ("p",)}
 
 
 def _refuse_unread(args, what: str, reads=()) -> None:
@@ -52,19 +52,19 @@ def _resolve_group(args) -> NamedGroup:
     if os.path.exists(recipe) or recipe.endswith(".json"):
         _refuse_unread(args, f"cayley-v1 file {recipe!r}")
         with open(recipe, "r", encoding="utf-8") as fh:
-            nm = NamedGroup(group_from_json(fh.read()))
+            nm = NamedGroup(group_from_json(fh.read()), {}, {})
         args.loaded = nm.group  # this request's own: ``run`` drops its memo
         return nm
     if recipe in _catalog_names():
         _refuse_unread(args, f"catalog entry {recipe!r}")
         return catalog_entry(recipe).build()
     if recipe in RECIPES:
-        params = _RECIPE_PARAMS.get(recipe, {})
+        params = _RECIPE_PARAMS.get(recipe, ())
         _refuse_unread(args, f"recipe {recipe!r}", params)
         missing = [f"--{flag}" for flag in params if getattr(args, flag) is None]
         if missing:
             raise GroupError(f"recipe {recipe!r} needs {' and '.join(missing)}")
-        return RECIPES[recipe](**{kw: getattr(args, flag) for flag, kw in params.items()})
+        return RECIPES[recipe](*(getattr(args, flag) for flag in params))
     raise GroupError(f"unknown recipe {recipe!r}")
 
 

@@ -10,8 +10,8 @@ compare it with the product set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .groups import FiniteGroup, PreconditionError
 from .subgroups import (LATTICE_CAP, Subgroup, _subgroups_order_dividing,
@@ -19,8 +19,7 @@ from .subgroups import (LATTICE_CAP, Subgroup, _subgroups_order_dividing,
                         overgroups_by_joins)
 
 
-@dataclass(frozen=True)
-class ComplementResult:
+class ComplementResult(NamedTuple):
     """Outcome of a complement scan for one subgroup."""
 
     subject: Subgroup

@@ -10,8 +10,8 @@ elementary abelian and neither factor normal).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 from ._primes import is_prime
 from .groups import (CONSTRUCTION_CAP, CapExceededError, FiniteGroup,
@@ -22,13 +22,12 @@ from .subgroups import generated_subgroup
 SPLIT_P5_CAP = 243
 
 
-@dataclass(frozen=True)
-class NamedGroup:
+class NamedGroup(NamedTuple):
     """A group together with named element and subgroup handles."""
 
     group: FiniteGroup
-    elements: dict = field(default_factory=dict)
-    subgroups: dict = field(default_factory=dict)
+    elements: dict
+    subgroups: dict
 
 
 def _named(group: FiniteGroup, elements=None, subgroup_gens=None) -> NamedGroup:
@@ -197,8 +196,7 @@ def split_p5_group(p: int, cap: int = SPLIT_P5_CAP) -> NamedGroup:
 # -- catalog ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """Recipe plus the expected fingerprint it must rebuild to."""
 
     name: str
@@ -225,16 +223,20 @@ RECIPES = {
 
 
 def build_recipe(recipe: tuple) -> NamedGroup:
-    kind, params = recipe
+    """The group of a recipe ``(kind, args)``: ``RECIPES[kind](*args)``, or
+    for ``"direct"`` the direct product of the groups of the recipes in
+    ``args``.  Positional arguments only, so every call of a cached builder
+    with the same values finds the same group."""
+    kind, args = recipe
     if kind == "direct":
-        parts = [build_recipe(r) for r in params["factors"]]
+        parts = [build_recipe(r) for r in args]
         g = parts[0].group
         for part in parts[1:]:
             g = direct_product(g, part.group)
-        return NamedGroup(g)
+        return _named(g)
     if kind not in RECIPES:
         raise PreconditionError(f"unknown recipe kind {kind!r}")
-    return RECIPES[kind](**params)
+    return RECIPES[kind](*args)
 
 
 @cache
@@ -245,35 +247,27 @@ def catalog() -> tuple[CatalogEntry, ...]:
     lattice cap."""
     entries = []
     for n in range(1, 33):
-        entries.append(CatalogEntry(f"c{n}", ("cyclic", {"n": n}), n, True, n))
+        entries.append(CatalogEntry(f"c{n}", ("cyclic", (n,)), n, True, n))
     for p, ranks in ((2, (2, 3, 4)), (3, (2, 3, 4)), (5, (2, 3))):
         for r in ranks:
-            entries.append(CatalogEntry(f"ea{p}r{r}", ("elementary", {"p": p, "rank": r}),
+            entries.append(CatalogEntry(f"ea{p}r{r}", ("elementary", (p, r)),
                                         p ** r, True, p))
     for n in range(3, 17):
-        entries.append(CatalogEntry(f"dih{2 * n}", ("dihedral", {"n": n}),
+        entries.append(CatalogEntry(f"dih{2 * n}", ("dihedral", (n,)),
                                     2 * n, False, math.lcm(n, 2)))
-    entries.append(CatalogEntry("s3", ("s3", {}), 6, False, 6))
-    entries.append(CatalogEntry("a4", ("a4", {}), 12, False, 6))
-    entries.append(CatalogEntry("dicyclic12", ("dicyclic12", {}), 12, False, 12))
-    entries.append(CatalogEntry("holomorph8", ("holomorph8", {}), 32, False, 8))
-    entries.append(CatalogEntry("split-p5-2", ("split-p5", {"p": 2}), 32, False, 4))
-    entries.append(CatalogEntry("split-p5-3", ("split-p5", {"p": 3}), 243, False, 9))
-    entries.append(CatalogEntry(
-        "c4xc2", ("direct", {"factors": (("cyclic", {"n": 4}), ("cyclic", {"n": 2}))}),
-        8, True, 4))
-    entries.append(CatalogEntry(
-        "dih8xc2", ("direct", {"factors": (("dihedral", {"n": 4}), ("cyclic", {"n": 2}))}),
-        16, False, 4))
-    entries.append(CatalogEntry(
-        "s3xc3", ("direct", {"factors": (("s3", {}), ("cyclic", {"n": 3}))}),
-        18, False, 6))
-    entries.append(CatalogEntry(
-        "s3xs3", ("direct", {"factors": (("s3", {}), ("s3", {}))}),
-        36, False, 6))
-    entries.append(CatalogEntry(
-        "c2xa4", ("direct", {"factors": (("cyclic", {"n": 2}), ("a4", {}))}),
-        24, False, 6))
+    entries.append(CatalogEntry("s3", ("s3", ()), 6, False, 6))
+    entries.append(CatalogEntry("a4", ("a4", ()), 12, False, 6))
+    entries.append(CatalogEntry("dicyclic12", ("dicyclic12", ()), 12, False, 12))
+    entries.append(CatalogEntry("holomorph8", ("holomorph8", ()), 32, False, 8))
+    entries.append(CatalogEntry("split-p5-2", ("split-p5", (2,)), 32, False, 4))
+    entries.append(CatalogEntry("split-p5-3", ("split-p5", (3,)), 243, False, 9))
+    for name, factors, order, abelian, exp in (
+            ("c4xc2", (("cyclic", (4,)), ("cyclic", (2,))), 8, True, 4),
+            ("dih8xc2", (("dihedral", (4,)), ("cyclic", (2,))), 16, False, 4),
+            ("s3xc3", (("s3", ()), ("cyclic", (3,))), 18, False, 6),
+            ("s3xs3", (("s3", ()), ("s3", ())), 36, False, 6),
+            ("c2xa4", (("cyclic", (2,)), ("a4", ())), 24, False, 6)):
+        entries.append(CatalogEntry(name, ("direct", factors), order, abelian, exp))
     return tuple(entries)
 
 

@@ -1,10 +1,10 @@
-"""Structural series and distinguished subgroups: derived/lower-central/chief
-series, Frattini and Sylow subgroups, minimal normal subgroups."""
+"""Structural series and distinguished subgroups: derived and chief series,
+Frattini and Sylow subgroups, minimal normal subgroups."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._primes import is_p_power, is_prime, p_part, prime_factors
 from .groups import (FiniteGroup, PreconditionError, cached_quotient,
@@ -14,16 +14,14 @@ from .subgroups import (Subgroup, all_subgroups, as_subgroup, is_abelian,
                         trivial_subgroup)
 
 
-@dataclass(frozen=True)
-class FactorInfo:
+class FactorInfo(NamedTuple):
     order: int
     abelian: bool
     elementary_abelian: bool
     prime: int | None
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(NamedTuple):
     """A descending subgroup series with per-step factor structure.
 
     ``length`` is the derived length or nilpotency class when the series
@@ -34,9 +32,6 @@ class SeriesReport:
     terms: tuple
     length: int | None
     factors: tuple
-
-    def reached_trivial(self) -> bool:
-        return self.terms[-1].order == 1
 
 
 def commutator_subgroup(g: FiniteGroup, a: Subgroup, b: Subgroup) -> Subgroup:
@@ -114,11 +109,6 @@ def derived_length(x) -> int | None:
     sub = as_subgroup(x)
     return sub.parent.cached(("derived_len", sub.members),
                              lambda: _length(_terms(sub, derived_subgroup)))
-
-
-def lower_central_series(x) -> SeriesReport:
-    sub = as_subgroup(x)
-    return _series("lower-central", sub, _lower_central_step(sub))
 
 
 def is_nilpotent(x) -> bool:

@@ -18,13 +18,6 @@ from .groups import (CapExceededError, FiniteGroup, PreconditionError,
 LATTICE_CAP = 512
 
 
-def bits_of(indices) -> int:
-    out = 0
-    for i in indices:
-        out |= 1 << i
-    return out
-
-
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 

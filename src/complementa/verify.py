@@ -8,8 +8,8 @@ distinguishable in reports.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from ._primes import divisors, is_p_power, p_part, prime_factors
 from .bounds import (derived_length_bound, factorial_index_bound, prop1_bound)
@@ -30,8 +30,7 @@ from .series import (chief_series, derived_length, derived_subgroup,
                      sylow_subgroup)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     claim: str
     status: str  # "pass" | "fail" | "skipped"
     witnesses: tuple

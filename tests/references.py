@@ -1,13 +1,37 @@
 """Per-input reference routines for the tests, kept out of the library,
 which answers the same questions by scans that share work between inputs."""
 
+import complementa.series as series_module
 import complementa.subgroups as subgroups_module
 from complementa import (PreconditionError, Subgroup, all_subgroups,
                          is_supercomplemented, quotient, subgroup_as_group)
 from complementa._primes import is_p_power, is_prime
 from complementa.groups import normalizes
 from complementa.subgroups import (LATTICE_CAP, _conj_bits, _conj_perms,
-                                   _normal_closure, _orbit, bit_indices, bits_of)
+                                   _normal_closure, _orbit, as_subgroup,
+                                   bit_indices)
+
+
+def bits_of(indices) -> int:
+    """The bitset with the bits at ``indices`` set."""
+    out = 0
+    for i in indices:
+        out |= 1 << i
+    return out
+
+
+def lower_central_series(x):
+    """The lower central series of a group or subgroup X, X > [X, X] >
+    [[X, X], X] > ..., as a ``SeriesReport`` of kind "lower-central", built
+    by the library's own series walk and the step ``is_nilpotent`` reads."""
+    sub = as_subgroup(x)
+    return series_module._series("lower-central", sub,
+                                 series_module._lower_central_step(sub))
+
+
+def reached_trivial(report) -> bool:
+    """Whether a series report ends at the trivial subgroup."""
+    return report.terms[-1].order == 1
 
 
 def trivial_action(n_grp, h_grp) -> dict:

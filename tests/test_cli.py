@@ -783,20 +783,21 @@ SRC = Path(ca.__file__).resolve().parent.parent
 
 # Runs ``cli.run`` on its arguments in a fresh interpreter and prints the exit
 # code and whether numpy was imported.
+# which of numpy, dataclasses and inspect a fresh CLI process has imported
 _NUMPY_PROBE = """
 import sys
 from complementa import cli
 rc = cli.run(sys.argv[1:])
-print(rc, "numpy" in sys.modules)
+print(rc, *(name in sys.modules for name in ("numpy", "dataclasses", "inspect")))
 """
 
 
-def _numpy_probe(argv) -> tuple[int, bool]:
+def _numpy_probe(argv) -> tuple[int, bool, bool, bool]:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv], env=env,
                          capture_output=True, text=True, check=True).stdout
-    rc, loaded = out.split()[-2:]
-    return int(rc), loaded == "True"
+    rc, *loaded = out.split()[-4:]
+    return int(rc), *(flag == "True" for flag in loaded)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -806,15 +807,35 @@ def _numpy_probe(argv) -> tuple[int, bool]:
     (["lattice", "--recipe", "{bad}"], 2),
 ], ids=["bounds", "help", "usage-error", "malformed-cayley"])
 def test_requests_that_build_no_group_never_import_numpy(tmp_path, argv, code):
+    """Nor dataclasses and inspect, which the package never imports."""
     bad = tmp_path / "bad.json"
     bad.write_text('{"version": "bad"}', encoding="utf-8")
     argv = [str(bad) if a == "{bad}" else a for a in argv]
-    assert _numpy_probe(argv) == (code, False)
+    assert _numpy_probe(argv) == (code, False, False, False)
 
 
 def test_a_request_that_builds_a_group_imports_numpy():
-    assert _numpy_probe(["check", "complemented", "--recipe", "dihedral",
-                         "--n", "4", "--subgroup", "1"]) == (0, True)
+    rc, numpy_loaded, *_ = _numpy_probe(["check", "complemented", "--recipe", "dihedral",
+                                         "--n", "4", "--subgroup", "1"])
+    assert (rc, numpy_loaded) == (0, True)
+
+
+@pytest.mark.parametrize("entry, builder, args, flags", [
+    ("split-p5-3", ca.split_p5_group, (3,), ["--recipe", "split-p5", "--p", "3"]),
+    ("dih8", ca.dihedral, (4,), ["--recipe", "dihedral", "--n", "4"]),
+    ("ea2r3", ca.elementary_abelian, (2, 3), ["--recipe", "elementary", "--p", "2", "--n", "3"]),
+    ("c6", ca.constructions.cyclic_named, (6,), ["--recipe", "cyclic", "--n", "6"]),
+], ids=["split-p5-3", "dih8", "ea2r3", "c6"])
+def test_every_path_to_a_construction_finds_one_group(entry, builder, args, flags):
+    """The catalog entry, a positional call, and the CLI by recipe and by
+    entry name all reach one cached group, built once."""
+    builder.cache_clear()
+    parse = cli._build_parser().parse_args
+    groups = [ca.catalog_entry(entry).build().group, builder(*args).group,
+              cli._resolve_group(parse(["build", *flags])).group,
+              cli._resolve_group(parse(["build", "--recipe", entry])).group]
+    assert all(g is groups[0] for g in groups)
+    assert builder.cache_info().misses == 1
 
 
 def test_the_package_holds_one_numpy_import():

@@ -12,13 +12,12 @@ from complementa.subgroups import (Subgroup, SubgroupLattice, _all_solvable,
                                    _extend_to_automorphism, _grow_cosets,
                                    _join_bits,
                                    _join_search, _subgroups_order_dividing,
-                                   bit_indices,
-                                   bits_of, closure_bits, cyclic_subgroups,
+                                   bit_indices, closure_bits, cyclic_subgroups,
                                    overgroups_by_joins, product_bits,
                                    right_cosets)
 from complementa.verify import subset_closure_subgroups
-from references import (center, core, dedekind_identity_check, normal_closure,
-                        normalizer, subgroup_from_members)
+from references import (bits_of, center, core, dedekind_identity_check,
+                        normal_closure, normalizer, subgroup_from_members)
 
 
 def test_generated_subgroup_empty_is_trivial(s3):

@@ -10,8 +10,8 @@ import complementa.verify as verify_module
 from complementa._primes import divisors
 from complementa.complementation import subgroup_table
 from complementa.groups import quotient
-from complementa.subgroups import _conj_bits, bit_indices, bits_of
-from references import dedekind_identity_check, quotient_transport_check
+from complementa.subgroups import _conj_bits, bit_indices
+from references import bits_of, dedekind_identity_check, quotient_transport_check
 from complementa.verify import _Suite, _entry_suite
 
 
