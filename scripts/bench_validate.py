@@ -5,10 +5,14 @@ quotient constructor.
 For each group of ``LOAD`` it records the median seconds, over
 ``REPEATS`` runs, of loading its cayley-v1 text with the loader the CLI
 reads files with: ``group_from_json``, or, in a tree without it,
-``json.loads`` plus ``group_from_dict``.  For each group of ``CONSTRUCT`` it builds the group
-``SLOW_REPEATS`` times, each in a fresh interpreter, and records the median
-seconds of the constructor call and the median peak RSS of that process
-(``ru_maxrss``, which includes the interpreter and the imported library).
+``json.loads`` plus ``group_from_dict``.  For each group of ``FRESH_LOAD``
+it writes the document to a temporary file once and loads it
+``SLOW_REPEATS`` times, each in a fresh interpreter, with the same loader.
+For each group of ``CONSTRUCT`` it builds the group ``SLOW_REPEATS`` times,
+each in a fresh interpreter.  For a fresh load or build it records the
+median seconds of the call and the median peak RSS of that process
+(``VmHWM``, which includes the interpreter, numpy, the imported library
+and, for a load, the document's text; Linux only).
 For each group of the corpus it records the median seconds, over
 ``SLOW_REPEATS`` runs, of ``FiniteGroup`` on the rows of the already built
 group (tuple rows, validation and inverses), and the table cells its
@@ -18,7 +22,10 @@ of the ``quotient`` calls made inside it, over ``SLOW_REPEATS`` runs
 (``measure_catalog_suite`` of ``harness.py``).  Writes
 ``BENCH_<label>.json`` to ``--out-dir``.
 
-The corpus includes C64×C64 (order 4096); building it holds about 1 GB.
+The corpus includes C64×C64 (order 4096); building it from its rows holds
+about 1 GB, and writing its document a few hundred MB, in a child process.
+To measure another tree, put its ``src`` first on ``PYTHONPATH``; the
+fresh interpreters inherit it.
 
 Usage: PYTHONPATH=src python scripts/bench_validate.py --label NAME
        [--out-dir .]
@@ -26,11 +33,12 @@ Usage: PYTHONPATH=src python scripts/bench_validate.py --label NAME
 
 import argparse
 import json
-import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+from itertools import islice
 
 import complementa as ca
 import complementa.groups as groups_module
@@ -52,6 +60,10 @@ CORPUS = [
 
 # split-p5-3 and C2^6 (orders 243 and 64) show what a small document pays.
 LOAD = ("hol27", "hol32", "split-p5-3", "C2^6")
+
+
+# Orders 486, 512, 3125 and 4096; each document is written by a child.
+FRESH_LOAD = ("hol27", "hol32", "split-p5-5", "C64xC64")
 
 
 CONSTRUCT = {
@@ -80,31 +92,71 @@ def measure_load(build) -> dict:
     return {"order": g.order, "load_s": statistics.median(runs), "load_runs_s": runs}
 
 
+def peak_rss_mb() -> float:
+    """This process's peak RSS, ``VmHWM`` of ``/proc/self/status``.
+
+    Not ``ru_maxrss``: on Linux a spawned process's ``ru_maxrss`` starts at
+    the peak its parent had reached when it spawned it."""
+    with open("/proc/self/status", encoding="ascii") as fh:
+        kib = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+    return int(kib) / 1024.0
+
+
 def construct_once(name: str) -> dict:
     """Build one ``CONSTRUCT`` group in this process; seconds and peak RSS."""
     t0 = time.perf_counter()
     built = CONSTRUCT[name]()
     seconds = time.perf_counter() - t0
     group = getattr(built, "group", built)
-    return {"order": group.order, "build_s": seconds,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+    return {"order": group.order, "seconds": seconds, "peak_rss_mb": peak_rss_mb()}
 
 
-def measure_construction(name: str) -> dict:
-    runs = []
-    for _ in range(SLOW_REPEATS):
-        out = subprocess.run([sys.executable, __file__, "--construct", name],
-                             check=True, capture_output=True, text=True).stdout
-        runs.append(json.loads(out))
+def write_document(name: str, path: str) -> None:
+    """Write the cayley-v1 document of one ``CONSTRUCT`` group to ``path``."""
+    built = CONSTRUCT[name]()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(ca.group_to_dict(getattr(built, "group", built))))
+
+
+def load_once(path: str) -> dict:
+    """Load the document at ``path`` in this process; seconds and peak RSS."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    load = text_loader()
+    t0 = time.perf_counter()
+    group = load(text)
+    seconds = time.perf_counter() - t0
+    return {"order": group.order, "seconds": seconds, "peak_rss_mb": peak_rss_mb()}
+
+
+def in_child(*args) -> str:
+    """What this script prints when run with ``args`` in a fresh interpreter."""
+    return subprocess.run([sys.executable, __file__, *args],
+                          check=True, capture_output=True, text=True).stdout
+
+
+def fresh_runs(key: str, *args) -> dict:
+    """Medians of ``SLOW_REPEATS`` fresh-interpreter runs with ``args``;
+    their seconds are reported as ``<key>_s``."""
+    runs = [json.loads(in_child(*args)) for _ in range(SLOW_REPEATS)]
     return {"order": runs[0]["order"],
-            "build_s": statistics.median(r["build_s"] for r in runs),
+            f"{key}_s": statistics.median(r["seconds"] for r in runs),
             "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
-            "build_runs_s": [r["build_s"] for r in runs]}
+            f"{key}_runs_s": [r["seconds"] for r in runs],
+            "peak_rss_runs_mb": [r["peak_rss_mb"] for r in runs]}
+
+
+def measure_fresh_load(name: str) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/{name}.json"
+        in_child("--document", name, path)
+        return fresh_runs("load", "--load", path)
 
 
 def cells_compared(g) -> int:
     """The table cells Light's associativity test compares."""
-    return len(groups_module._light_generators(g.mult, g.generators)) * g.order ** 2
+    kept = islice(groups_module.greedy_generators(g.mult, g.generators), g.order.bit_length())
+    return len(list(kept)) * g.order ** 2
 
 
 def measure_validation(build) -> dict:
@@ -140,9 +192,16 @@ def main() -> int:
     parser.add_argument("--out-dir", default=".")
     parser.add_argument("--construct", choices=sorted(CONSTRUCT),
                         help=argparse.SUPPRESS)
+    parser.add_argument("--document", nargs=2, metavar=("NAME", "PATH"),
+                        help=argparse.SUPPRESS)
+    parser.add_argument("--load", metavar="PATH", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.construct:
-        print(json.dumps(construct_once(args.construct)))
+    if args.document:
+        write_document(*args.document)
+        return 0
+    if args.construct or args.load:
+        run = construct_once(args.construct) if args.construct else load_once(args.load)
+        print(json.dumps(run))
         return 0
     if args.label is None:
         parser.error("--label is required")
@@ -151,13 +210,19 @@ def main() -> int:
     for name in LOAD:
         load[name] = row = measure_load(dict(CORPUS)[name])
         print(f"{name:>10} |G|={row['order']:>4} load={row['load_s']:8.4f}s", flush=True)
+    fresh_load = {}
+    for name in FRESH_LOAD:
+        fresh_load[name] = row = measure_fresh_load(name)
+        print(f"{name:>10} |G|={row['order']:>4} fresh load={row['load_s']:8.4f}s "
+              f"peak_rss={row['peak_rss_mb']:7.1f}MB", flush=True)
     construction = {}
     for name in CONSTRUCT:
-        construction[name] = row = measure_construction(name)
+        construction[name] = row = fresh_runs("build", "--construct", name)
         print(f"{name:>10} |G|={row['order']:>4} build={row['build_s']:8.4f}s "
               f"peak_rss={row['peak_rss_mb']:7.1f}MB", flush=True)
     write_reports(args.out_dir, [args.label],
-                  [{"load_repeats": REPEATS, "load": load, "construction": construction,
+                  [{"load_repeats": REPEATS, "load": load, "fresh_load": fresh_load,
+                    "construction": construction,
                     **measure_validation_and_suite()}],
                   repeats=SLOW_REPEATS)
     return 0

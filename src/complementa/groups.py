@@ -6,7 +6,11 @@ square with identity 0 (so each element's inverse is where 0 sits in its
 row), generation, and associativity by Light's test over the declared generators
 (Clifford and Preston, *The Algebraic Theory of Semigroups* I, 1961, §1.2),
 which is exact once generation is shown and compares k·n² cells for k
-generators instead of n³.
+generators instead of n³.  Every check works on blocks of whole rows or
+columns of at most ``_BLOCK_CELLS`` cells, so no temporary grows with n².
+The validated rows are tuples of ints; past order 257, where values leave
+CPython's cached small ints, rows built from an array share one int object
+per value, so a table of order n holds n int objects, not n².
 
 A cayley-v1 text is read by ``group_from_json``, whose answer, group or
 error, is always that of ``group_from_dict(json.loads(text))``.  Its fast
@@ -25,11 +29,15 @@ import math
 import re
 import warnings
 from array import array
-from itertools import islice
+from itertools import compress, islice
 
 from ._primes import prime_factors
 
 CONSTRUCTION_CAP = 4096
+
+# Validation works on blocks of whole rows or columns of at most this many
+# cells, so its temporaries stay bounded (one block up to order 1,024).
+_BLOCK_CELLS = 1 << 20
 
 
 class _DeferredNumpy:
@@ -123,29 +131,38 @@ class FiniteGroup:
         if bad:
             raise GroupError(f"generator indices out of range 0..{n - 1}: {bad}")
         table = _int32_table(mult, n)
-        self.mult = tuple(map(tuple, table.tolist() if isinstance(mult, np.ndarray) else mult))
+        blocks = _blocks(n)
+        self.mult = (_table_rows(table, blocks) if isinstance(mult, np.ndarray)
+                     else tuple(map(tuple, mult)))
         ident = np.arange(n, dtype=np.int32)
         if not (np.array_equal(table[0], ident) and np.array_equal(table[:, 0], ident)):
             raise GroupError("index 0 is not a two-sided identity")
-        if not ((np.sort(table, axis=1) == ident).all()
-                and (np.sort(table, axis=0) == ident[:, None]).all()):
+        if not (all((np.sort(table[r], axis=1) == ident).all() for r in blocks)
+                and all((np.sort(table[:, c], axis=0) == ident[:, None]).all()
+                        for c in blocks)):
             raise GroupError("table is not a Latin square")
         # in a Latin square with identity 0, each row holds 0 once, as its least entry
         inv = table.argmin(axis=1).tolist()
         # _int32_table read a bool as 0 or 1, and each row holds 0 and 1 once
-        if not isinstance(mult, np.ndarray) and any(
-                type(row[a]) is bool or type(row[b]) is bool
-                for row, a, b in zip(self.mult, inv, (table == 1).argmax(axis=1).tolist())):
-            raise GroupError(f"mult entries must be integers in 0..{n - 1}")
-        # every element must be a left-normed product of generators
-        if closure_bits(self.mult, self.generators) != (1 << n) - 1:
+        if not isinstance(mult, np.ndarray):
+            ones = np.concatenate([(table[r] == 1).argmax(axis=1) for r in blocks]).tolist()
+            if any(type(row[a]) is bool or type(row[b]) is bool
+                   for row, a, b in zip(self.mult, inv, ones)):
+                raise GroupError(f"mult entries must be integers in 0..{n - 1}")
+        # every element must be a left-normed product of generators: the
+        # greedy pass that reaches G shows it; only where it does not (a
+        # non-associative table, or generators that fall short) does the
+        # closure of all of them decide
+        light, reached = _light_generators(self.mult, self.generators)
+        everything = (1 << n) - 1
+        if reached != everything and closure_bits(self.mult, self.generators) != everything:
             raise GroupError("declared generators do not generate the group")
         # Light's test: the s with (x·s)·y = x·(s·y) for all x, y include 0
-        # and are closed under products, so checking the generators suffices.
-        light = _light_generators(self.mult, self.generators)
-        if len(light) >= n.bit_length() or not all(
-                np.array_equal(table[table[:, s]], table.take(table[s], axis=1))
-                for s in light):
+        # and are closed under products, so checking kept generators that
+        # reach G suffices; in a group they always reach it.
+        if reached != everything or not all(
+                np.array_equal(table[table[r, s]], table[r].take(table[s], axis=1))
+                for s in light for r in blocks):
             raise GroupError("multiplication table is not associative")
         return tuple(inv)
 
@@ -222,6 +239,16 @@ def _int32_table(mult, n: int) -> np.ndarray:
     return table
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_indices(bits: int) -> tuple[int, ...]:
+    """The set bit positions of a non-negative int, ascending: the binary
+    digits, least significant first, as 0/1 bytes select from a range."""
+    flags = bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
+    return tuple(compress(range(len(flags)), flags))
+
+
 def closure_bits(mult, seed) -> int:
     """Bitset of the subgroup generated by the ``seed`` element indices,
     closed breadth-first under the table rows ``mult``."""
@@ -265,17 +292,41 @@ def greedy_generators(mult, candidates):
             yield s, reached
 
 
-def _light_generators(mult, generators) -> list[int]:
+def _light_generators(mult, generators) -> tuple[list[int], int]:
     """The generators that ``greedy_generators`` keeps, cut at
-    floor(log2 n) + 1.
+    floor(log2 n) + 1, and the bitset of the subgroup they reach.
 
     Light's test needs only these: a skipped generator is a product of kept
     ones, so it passes whenever they do.  In a group each kept generator at
-    least doubles the subgroup reached, so at most floor(log2 n) are kept;
-    only a non-associative table can reach the cut.
+    least doubles the subgroup reached, so at most floor(log2 n) are kept
+    and they reach what all the generators do; only a non-associative table
+    can reach the cut.
     """
-    kept = islice(greedy_generators(mult, generators), len(mult).bit_length())
-    return [s for s, _ in kept]
+    kept, reached = [], 1
+    for s, reached in islice(greedy_generators(mult, generators), len(mult).bit_length()):
+        kept.append(s)
+    return kept, reached
+
+
+def _blocks(n: int) -> list[slice]:
+    """Consecutive slices of 0..n-1, each of at most ``_BLOCK_CELLS`` // n
+    indices (at least one), so that a block of rows or of columns of an
+    n×n table holds at most ``_BLOCK_CELLS`` cells."""
+    step = max(1, _BLOCK_CELLS // n)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def _table_rows(table, blocks) -> tuple[tuple[int, ...], ...]:
+    """The rows of an n×n int32 table as tuples of ints, one block of rows
+    at a time.  CPython keeps one int object for each value up to 256; past
+    that, each row gathers its ints from one pool of n, so every cell of
+    value v holds the same object."""
+    n = len(table)
+    pool = np.array(range(n), dtype=object) if n > 257 else None
+    rows = []
+    for b in blocks:
+        rows.extend(map(tuple, (table[b] if pool is None else pool[table[b]]).tolist()))
+    return tuple(rows)
 
 
 # -- constructors ---------------------------------------------------------
@@ -450,7 +501,7 @@ def quotient(g: FiniteGroup, normal_members: int, pool: dict | None = None):
     n = g.order
     coset_of = [-1] * n
     reps = []
-    nm_elems = [e for e in range(n) if normal_members >> e & 1]
+    nm_elems = bit_indices(normal_members)
     for e in range(n):
         if coset_of[e] >= 0:
             continue

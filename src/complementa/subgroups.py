@@ -8,24 +8,13 @@ everything here is deterministic and heavily memoized on the parent group.
 from __future__ import annotations
 
 import math
-from itertools import compress
 
 from ._primes import is_prime, prime_factors, primitive_root
 from .groups import (CapExceededError, FiniteGroup, PreconditionError,
-                     closure_bits, element_order, extend_on_generators,
+                     bit_indices, closure_bits, element_order, extend_on_generators,
                      greedy_generators, normalizes)
 
 LATTICE_CAP = 512
-
-
-_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def bit_indices(bits: int) -> tuple[int, ...]:
-    """The set bit positions of a non-negative int, ascending: the binary
-    digits, least significant first, as 0/1 bytes select from a range."""
-    flags = bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
-    return tuple(compress(range(len(flags)), flags))
 
 
 class Subgroup:

@@ -1,7 +1,11 @@
 """Distinguished constructions: relation audits, handles, catalog fingerprints."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +171,16 @@ def test_small_constructions():
     assert not ca.is_abelian(ca.dicyclic12().group)
     assert ca.dihedral(8).group.order == 16
     assert ca.elementary_abelian(3, 2).group.order == 9
+
+
+def test_split_p5_at_p5_builds_in_bounded_memory():
+    """The order-3125 group in a fresh interpreter peaks below 200 MB: its
+    rows share one int object per value, and validation works in blocks."""
+    # VmHWM, not ru_maxrss, which starts at the peak of the spawning process
+    probe = ("import complementa as ca\n"
+             "assert ca.split_p5_group(5, cap=3125).group.order == 3125\n"
+             "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])")
+    env = dict(os.environ, PYTHONPATH=str(Path(ca.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out.split()[-1]) / 1024 < 200

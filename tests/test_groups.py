@@ -566,6 +566,60 @@ def test_array_and_rows_give_the_same_group():
             assert all(type(v) is int for v in h.mult[-1]), entry.name
 
 
+def test_rows_past_order_257_hold_one_int_object_per_value():
+    hol32 = ca.holomorph_cyclic(32).group
+    loaded = ca.group_from_json(json.dumps(ca.group_to_dict(hol32)))
+    built = ca.direct_product(ca.cyclic(2), ca.cyclic(150))
+    for g, order in ((loaded, 512), (built, 300)):
+        assert g.order == order
+        assert len({id(v) for row in g.mult for v in row}) == order
+    assert loaded.mult == hol32.mult
+    assert built.mult == tuple(tuple((a // 150 ^ b // 150) * 150 + (a + b) % 150
+                                     for b in range(300)) for a in range(300))
+
+
+def _last_block_defect(defect):
+    """The table, generators and labels of C515 × C2 (order 1030, more than
+    one block), with one ``defect`` that only the last block of rows, of
+    columns or of Light's test can see."""
+    g = ca.direct_product(ca.cyclic(515), ca.cyclic(2))
+    n = g.order
+    t = np.array(g.mult, dtype=np.int32)
+    blocks = groups_module._blocks(n)
+    last = blocks[-1].start
+    assert len(blocks) > 1 and last <= n - 4
+    ident = np.arange(n)
+    if defect == "row":  # rows n-2 and n-1 trade one cell: each repeats a value
+        t[[n - 2, n - 1], 5] = t[[n - 1, n - 2], 5]
+    elif defect == "column":  # columns n-2 and n-1 trade one cell
+        t[5, [n - 2, n - 1]] = t[5, [n - 1, n - 2]]
+    else:  # flip the intercalate of rows n-2, n-1 and columns 514, 515
+        t[n - 2:, 514:516] = t[n - 2:, 514:516][:, ::-1]
+        assert (np.sort(t, axis=1) == ident).all()
+        assert (np.sort(t, axis=0) == ident[:, None]).all()
+        # (x·s)·y differs from x·(s·y) only for x in the last block
+        wrong = {x for s in g.generators for x in np.flatnonzero(
+            (t[t[:, s]] != t.take(t[s], axis=1)).any(axis=1)).tolist()}
+        assert wrong and min(wrong) >= last
+    # every block but the last passes both sorts
+    assert (np.sort(t[:last], axis=1) == ident).all()
+    assert (np.sort(t[:, :last], axis=0) == ident[:, None]).all()
+    return t, g.generators, g.labels
+
+
+@pytest.mark.parametrize("form", ["array", "rows"])
+@pytest.mark.parametrize("defect, message", [
+    ("row", "table is not a Latin square"),
+    ("column", "table is not a Latin square"),
+    ("light", "multiplication table is not associative"),
+])
+def test_a_defect_in_the_last_block_alone_is_refused(defect, message, form):
+    t, gens, labels = _last_block_defect(defect)
+    mult = t if form == "array" else t.tolist()
+    with pytest.raises(GroupError, match=message):
+        ca.FiniteGroup(mult, gens, labels)
+
+
 def exhaustive_associative(mult) -> bool:
     """Reference verdict: (a·b)·c == a·(b·c) over all n³ triples."""
     table = np.array(mult, dtype=np.int32)
@@ -655,9 +709,9 @@ def test_light_runs_over_at_most_log2_n_generators(monkeypatch):
     runs = []
 
     def counted(mult, generators):
-        kept = original(mult, generators)
+        kept, reached = original(mult, generators)
         runs.append(len(kept))
-        return kept
+        return kept, reached
 
     original = groups_module._light_generators
     monkeypatch.setattr(groups_module, "_light_generators", counted)
