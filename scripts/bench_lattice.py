@@ -47,6 +47,19 @@ uncomplemented subgroups off the lattice's order blocks, each C2^7
 predicate takes about 0.4 s, but a tree that runs one complement scan
 per subgroup takes 6 to 8 s per run (2 cores, CPython 3.11).
 
+The subject section asks the two questions about one subgroup H,
+``complements(g, H, "all")`` and ``is_supercomplemented(g, H)``, of one
+cyclic subgroup per conjugacy class of each group of ``SUBJECT_CORPUS``.
+Each question runs on its own fresh copy of the group, made before the
+timing starts, so no lattice is built and nothing is shared between
+subjects.  It records the median seconds over ``REPEATS`` runs of all the
+subjects of a group, a summary of the answers (per subject: its order,
+the number of complements, the supercomplemented verdict and the order of
+its witness), which must agree, as member bitsets, between the two sides
+of a comparison, and the work of one more run: the subgroups the lists of
+``_subgroups_order_dividing`` keep, and the orbits its searches expand
+(``_kept_joins`` calls inside it).
+
 Calls are counted by a wrapper installed from outside the library, never
 during a timed run.  Writes ``BENCH_<label>.json`` to ``--out-dir``.
 
@@ -106,6 +119,14 @@ JOIN_CORPUS = [
     ("A5", a5, "lattice"),
     ("elementary_abelian(3, 4)", lambda ca: ca.elementary_abelian(3, 4).group, "overgroups"),
     ("elementary_abelian(5, 3)", lambda ca: ca.elementary_abelian(5, 3).group, "overgroups"),
+]
+
+
+SUBJECT_CORPUS = [
+    ("holomorph_cyclic(16)", lambda ca: ca.holomorph_cyclic(16).group),
+    ("split_p5_group(3)", lambda ca: ca.split_p5_group(3).group),
+    ("holomorph_cyclic(27)", lambda ca: ca.holomorph_cyclic(27).group),
+    ("S5", s5),
 ]
 
 
@@ -248,10 +269,88 @@ def measure_complements(trees, build) -> list[dict]:
     return rows
 
 
+def _supercomplemented(ca, g, h):
+    ok, witness = ca.is_supercomplemented(g, h, g.order)
+    return ok, witness and witness.members
+
+
+SUBJECT_QUESTIONS = {
+    "complements": lambda ca, g, h: [t.members for t in
+                                     ca.complements(g, h, "all", g.order).complements],
+    "supercomplemented": _supercomplemented,
+}
+
+
+def cyclic_class_reps(ca, base) -> list[int]:
+    """The members of the first subgroup of each conjugacy class of base
+    whose subgroups are cyclic and nontrivial."""
+    lat = ca.all_subgroups(fresh(ca, base), cap=base.order)
+    cyclic = {c.members for c in ca.cyclic_subgroups(base)}
+    firsts = (lat.subgroups[cls[0]].members for cls in lat.conjugacy_classes)
+    return [m for m in firsts if m in cyclic]
+
+
+def count_subject_work(tree, base, members, question) -> tuple[int, int]:
+    """The subgroups the ``_subgroups_order_dividing`` lists keep, and the
+    ``_kept_joins`` calls made inside it, while ``question`` is asked of
+    each subject on a fresh copy of base."""
+    counts = Counter()
+
+    def make(original):
+        def listed(*args):
+            loops = counts["loops"]
+            lat = original(*args)
+            counts["kept"] += len(lat)
+            counts["expanded"] += counts["loops"] - loops
+            return lat
+        return listed
+
+    with Patches() as patches:
+        count_join_loops(patches, tree.subgroups_module, counts, "loops")
+        patches.wrap(tree.subgroups_module._subgroups_order_dividing, make)
+        for m in members:
+            g = fresh(tree.ca, base)
+            question(tree.ca, g, tree.ca.Subgroup(g, m))
+    return counts["kept"], counts["expanded"]
+
+
+def measure_subjects(trees, build) -> list[dict]:
+    bases = [build(tree.ca) for tree in trees]
+    members = cyclic_class_reps(trees[0].ca, bases[0])
+    rows = [{"order": base.order, "subjects": len(members)} for base in bases]
+    answered = {}
+    for key, question in SUBJECT_QUESTIONS.items():
+
+        def run(tree, i):
+            ca, base = tree.ca, bases[trees.index(tree)]
+            copies = [fresh(ca, base) for _ in members]
+            subjects = [ca.Subgroup(g, m) for g, m in zip(copies, members)]
+            t0 = time.perf_counter()
+            answers = [question(ca, g, h) for g, h in zip(copies, subjects)]
+            return time.perf_counter() - t0, answers
+
+        results = interleaved(trees, run)
+        answered[key] = results[0][-1][1]
+        if any(runs[-1][1] != answered[key] for runs in results):
+            raise AssertionError(f"the trees answer {key} differently")
+        for row, tree, base, runs in zip(rows, trees, bases, results):
+            kept, expanded = count_subject_work(tree, base, members, question)
+            runs_s = [r[0] for r in runs]
+            row[key] = {"seconds": statistics.median(runs_s),
+                        "subgroups_kept": kept, "orbits_expanded": expanded,
+                        "runs_s": runs_s}
+    answers = [[m.bit_count(), len(found), ok, witness and witness.bit_count()]
+               for m, found, (ok, witness) in zip(members, answered["complements"],
+                                                  answered["supercomplemented"])]
+    for row in rows:
+        row["answers"] = answers
+    return rows
+
+
 def main() -> int:
     args = arguments(__doc__)
     labels, trees = load_trees(args.label, args.baseline)
-    reports = [{"groups": {}, "joins": {}, "complement": {}} for _ in trees]
+    reports = [{"groups": {}, "joins": {}, "complement": {}, "subject": {}} for _ in trees]
 
     def show(label, name, text):
         prefix = f"[{label}] " if len(trees) > 1 else ""
@@ -280,6 +379,12 @@ def main() -> int:
             show(label, name, f"|G|={row['order']:>3} " + " ".join(
                 f"{key}={row[key]['seconds']:7.3f}s ({row[key]['answer']})"
                 for key in COMPLEMENT_PREDICATES))
+    for name, build in SUBJECT_CORPUS:
+        for label, report, row in zip(labels, reports, measure_subjects(trees, build)):
+            report["subject"][name] = row
+            show(label, name, f"|G|={row['order']:>3} subjects={row['subjects']} " + " ".join(
+                f"{key}={row[key]['seconds']:7.3f}s kept={row[key]['subgroups_kept']} "
+                f"expanded={row[key]['orbits_expanded']}" for key in SUBJECT_QUESTIONS))
     write_reports(args.out_dir, labels, reports)
     return 0
 

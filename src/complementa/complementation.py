@@ -6,6 +6,13 @@ T complements H when G = HT and H∩T = 1.  For finite groups
 H∩T = 1; the scans decide by that order criterion alone.  The
 ``complement-criterion-equivalence`` verification claim and the tests
 compare it with the product set.
+
+Without the full lattice, a question about one subgroup H searches only
+the subgroups of order dividing |G:H| that meet H in 1.  Every complement
+T of H, or of an overgroup K ≥ H, is among them: |T| = |G:K| divides
+|G:H|, and T ∩ H ≤ T ∩ K = 1.  The search finds them all, since each
+subgroup of T avoids H too: T ≠ 1 has a maximal subgroup M that avoids H,
+found first, and T is a join of M (``subgroups._join_search``).
 """
 
 from __future__ import annotations
@@ -38,12 +45,19 @@ def complements(g: FiniteGroup, h: Subgroup, mode: str = "all",
                 cap: int = LATTICE_CAP) -> ComplementResult:
     """Scan subgroups of order |G|/|H| for complements of h, in canonical order.
 
-    A subgroup T of that order is a complement exactly when H∩T = 1.
+    A subgroup T of that order is a complement exactly when H∩T = 1.  The
+    scan reads the full lattice when it is cached.  Otherwise it searches
+    only the subgroups of order dividing |G:H| that meet h in 1
+    (``_subgroups_order_dividing`` avoiding h's elements but the identity):
+    every complement avoids h, and so does each of its subgroups.
     """
     if mode not in ("first", "all"):
         raise PreconditionError(f"unknown mode {mode!r}")
     check_lattice_cap(g, cap)
-    found = _complements_in(_subgroups_order_dividing(g, g.order // h.order), h)
+    lat = g.cached_value(("sub_div", g.order))
+    if lat is None:
+        lat = _subgroups_order_dividing(g, g.order // h.order, h.members ^ 1)
+    found = _complements_in(lat, h)
     hits = tuple(islice(found, 1) if mode == "first" else found)
     return ComplementResult(h, hits, mode == "all" or not hits)
 
@@ -73,12 +87,13 @@ def is_supercomplemented(g: FiniteGroup, h: Subgroup, cap: int = LATTICE_CAP):
     in canonical order when the answer is False.  With the full subgroup
     list cached, or built for h = 1, this is one AND of ``above(h)`` with the
     uncomplemented bitset.  Otherwise the overgroups come from joins, and
-    their complements from the subgroups of order dividing |G:H|, since
-    |G:K| divides |G:H|.
+    their complements from the subgroups of order dividing |G:H| that meet
+    h in 1: a complement T of an overgroup K has |T| = |G:K|, which divides
+    |G:H|, and T ∩ H ≤ T ∩ K = 1.
     """
     check_lattice_cap(g, cap)
     if h.order > 1 and g.cached_value(("sub_div", g.order)) is None:
-        below = _subgroups_order_dividing(g, g.order // h.order)
+        below = _subgroups_order_dividing(g, g.order // h.order, h.members ^ 1)
         witness = next((k for k in overgroups_by_joins(g, h)
                         if next(_complements_in(below, k), None) is None), None)
     else:

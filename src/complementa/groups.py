@@ -606,7 +606,8 @@ def group_from_dict(data: dict) -> FiniteGroup:
 def _document_fields(data, cells) -> tuple[int, list, list]:
     """The order, generators and labels of a cayley-v1 document, checked
     after its version in this order; ``cells(mult)`` is the number of
-    entries of a mult that is a list, and None for any other mult."""
+    entries of a mult that is a list, and None for any other mult.  With
+    ``cells`` None the mult is not checked."""
     if not isinstance(data, dict):
         raise GroupError(f"cayley-v1 document must be a JSON object, not {type(data).__name__}")
     if data.get("version") != CAYLEY_FORMAT:
@@ -614,7 +615,7 @@ def _document_fields(data, cells) -> tuple[int, list, list]:
     n = data.get("order")
     if type(n) is not int or n < 1:
         raise GroupError(f"order must be a positive integer, got {n!r}")
-    if cells(data.get("mult")) != n * n:
+    if cells is not None and cells(data.get("mult")) != n * n:
         raise GroupError("mult must be a list of order^2 entries")
     gens = data.get("generators", [])
     if not isinstance(gens, list):
@@ -647,6 +648,7 @@ def group_from_json(text: str) -> FiniteGroup:
 # compiled by ``re`` on first use, so an import compiles nothing
 _TABLE_OPEN = r'"mult"[ \t\n\r]*:[ \t\n\r]*\['
 _TABLE_BYTES = b"0123456789, \t\n\r"
+_COMMA, _ZERO = ord(","), ord("0")
 
 
 def _read_table_text(text: str):
@@ -659,15 +661,20 @@ def _read_table_text(text: str):
       one ``"mult"`` key, in the whole document, holds that ``NaN``, the
       rest's only constant;
     - the fields besides mult pass ``group_from_dict``'s checks;
-    - numpy reads the span, with no error or warning, as order² values
-      below the order, with order² − 1 commas, printed with exactly the
-      span's digits (so none has a leading zero).
+    - the span holds order² − 1 commas, and numpy reads it, with no error
+      or warning, as order² int32 values below the order, printed with
+      exactly the span's digits (so none has a leading zero).  An int32
+      read wraps a token of 2³¹ or more, or clamps it to −1 past int64, so
+      it fails one of these: its value is negative, at least the order, or
+      printed with fewer digits than the token holds.
     The span is then the JSON array of those values, and the rest of the
     document is what ``json`` decodes.  Any other text, such as ``-0``,
     ``1.0``, ``true``, a duplicate or nested mult key, or a malformed or
     too deeply nested document, is left to ``json``.  The fields are checked
     before numpy is touched, so a document refused before its table is read
-    loads no numpy.
+    loads no numpy.  The commas, digits and printed digits are counted over
+    blocks of at most ``_BLOCK_CELLS`` bytes or cells, so the read holds no
+    temporary of the span's length but its bytes and the table.
     """
     opened = re.search(_TABLE_OPEN, text)
     if opened is None:
@@ -699,24 +706,31 @@ def _read_table_text(text: str):
     if not (isinstance(doc, dict) and doc.get("mult") is constants
             and len(constants) == len(mult_keys) == 1):
         return None
-    commas = body.count(b",")
-    try:
-        n, gens, labels = _document_fields(doc, lambda mult: commas + 1)
+    try:  # the span's cells are counted below
+        n, gens, labels = _document_fields(doc, None)
     except GroupError:
+        return None
+    # the span's commas, and its digits, the only bytes in it from "0" up
+    view = np.frombuffer(body, dtype=np.uint8)
+    commas = digits = 0
+    for lo in range(0, len(view), _BLOCK_CELLS):
+        block = view[lo:lo + _BLOCK_CELLS]
+        commas += np.count_nonzero(block == _COMMA)
+        digits += np.count_nonzero(block >= _ZERO)
+    if commas != n * n - 1:
         return None
     with warnings.catch_warnings(record=True) as warned:
         warnings.simplefilter("always")
         try:
-            flat = np.fromstring(body, dtype=np.int64, sep=",")
+            flat = np.fromstring(body, dtype=np.int32, sep=",")
         except ValueError:
             return None
     # read as unsigned, a negative value is above n too
-    if warned or flat.size != n * n or flat.view(np.uint64).max() >= n:
+    if warned or flat.size != n * n or flat.view(np.uint32).max() >= n:
         return None
-    # the span's digits, the only bytes in it from "0" up, against those
-    # of the values printed
-    digits = np.count_nonzero(np.frombuffer(body, dtype=np.uint8) >= ord("0"))
-    if digits != flat.size + sum(np.count_nonzero(flat >= 10 ** k)
-                                 for k in range(1, len(str(n - 1)))):
+    table = flat.reshape(n, n)
+    printed = n * n + sum(np.count_nonzero(table[b] >= 10 ** k)
+                          for b in _blocks(n) for k in range(1, len(str(n - 1))))
+    if digits != printed:
         return None
-    return flat.astype(np.int32).reshape(n, n), gens, labels
+    return table, gens, labels

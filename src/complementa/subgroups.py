@@ -96,41 +96,63 @@ def generated_subgroup(g: FiniteGroup, elems) -> Subgroup:
 
 
 def cyclic_subgroups(g: FiniteGroup) -> tuple[Subgroup, ...]:
-    """All cyclic subgroups, deduplicated and canonically sorted.  Not
-    memoized: its one library reader, ``_prime_power_cyclics``, is."""
-    seen: dict[int, int] = {}
+    """All cyclic subgroups, canonically sorted, each with its least
+    generator as ``gens``.  Not memoized: its one library reader,
+    ``_prime_power_cyclics``, is.
+
+    One walk of powers per subgroup: the walk of e, of order k, marks every
+    eʲ with gcd(j, k) = 1, the generators of ⟨e⟩, and a marked element is
+    not walked again.  The elements are taken in ascending order, so the
+    first walk of each subgroup is that of its least generator."""
+    mult = g.mult
+    marked = bytearray(g.order)
+    subs = []
     for e in range(1, g.order):
-        bits = 1
-        cur = e
+        if marked[e]:
+            continue
+        powers = [0, e]  # powers[j] = eʲ
+        bits = 1 << e | 1
+        cur = mult[e][e]
         while cur:
+            powers.append(cur)
             bits |= 1 << cur
-            cur = g.mult[cur][e]
-        if bits not in seen:
-            seen[bits] = e
-    subs = [Subgroup(g, bits, (e,)) for bits, e in seen.items()]
+            cur = mult[cur][e]
+        k = len(powers)
+        for j in range(2, k):
+            if math.gcd(j, k) == 1:
+                marked[powers[j]] = 1
+        subs.append(Subgroup(g, bits, (e,)))
     subs.sort(key=Subgroup.sort_key)
     return tuple(subs)
 
 
-def _subgroups_order_dividing(g: FiniteGroup, c: int) -> SubgroupLattice:
-    """The subgroups whose order divides c, as the ``SubgroupLattice``
-    memoized under ``("sub_div", c)``.
+def _subgroups_order_dividing(g: FiniteGroup, c: int,
+                              avoid: int = 0) -> SubgroupLattice:
+    """The subgroups whose order divides c and that hold no element of the
+    bitset ``avoid``, as a ``SubgroupLattice``.
 
     Found by ``_join_search`` from the trivial subgroup, with join steps only
     when ``_all_solvable`` cannot show that every such subgroup is solvable;
-    otherwise extension steps alone find them all.
+    otherwise extension steps alone find them all.  The list that avoids
+    nothing is memoized under ``("sub_div", c)`` with its classes and
+    orbits.  A list that avoids the elements but the identity of a subgroup
+    H, which the questions about one H (``complements``,
+    ``is_supercomplemented``) search, is built on each call and records
+    neither.
     """
     c = math.gcd(g.order, c)
 
     def build():
         orbits = []
         subs = _join_search(g, trivial_subgroup(g), c, not _all_solvable(g, c),
-                            orbits)
+                            orbits, avoid)
+        if avoid:
+            return SubgroupLattice(g, subs)
         orbits = tuple(orbits)
         classes = tuple((s.members,) for s in subs) if is_abelian(g) else orbits
         return SubgroupLattice(g, subs, classes, orbits)
 
-    return g.cached(("sub_div", c), build)
+    return build() if avoid else g.cached(("sub_div", c), build)
 
 
 def _all_solvable(g: FiniteGroup, c: int) -> bool:
@@ -202,9 +224,9 @@ def _join_bits(g: FiniteGroup, h: Subgroup, x: int, cap: int) -> int | None:
 
 
 def _join_search(g: FiniteGroup, seed: Subgroup, cap: int, joins: bool,
-                 orbits: list | None = None) -> tuple[Subgroup, ...]:
-    """The subgroups that contain ``seed`` and have order dividing ``cap``,
-    canonically sorted.
+                 orbits: list | None = None, avoid: int = 0) -> tuple[Subgroup, ...]:
+    """The subgroups that contain ``seed``, have order dividing ``cap`` and
+    hold no element of the bitset ``avoid``, canonically sorted.
 
     Each found K is joined with the generator x of each cyclic subgroup of
     prime-power order dividing cap (``_prime_power_cyclics``), which finds
@@ -234,6 +256,16 @@ def _join_search(g: FiniteGroup, seed: Subgroup, cap: int, joins: bool,
     joins of the images of K are the images of joins of K, and
     automorphisms keep orders, so the cap too.  Only the subgroups joined
     record the gens the search without orbits would.
+
+    With ``avoid``, the elements but the identity of a subgroup H, and the
+    trivial seed, the search takes in the orbit of a new subgroup, and
+    joins it, only when some member of that orbit avoids H (meets it in 1),
+    and keeps only the members that avoid H.  It still finds every L ≠ 1
+    that avoids H: the maximal subgroup M of L above, a normal one of prime
+    index when the search runs without joins, avoids H too, so by induction
+    M is found, and M's orbit qualifies.  Its joined subgroup R is a(M) for
+    some a of the orbit's group, so a(L) is a join of R, ⟨R, a(x)⟩, and its
+    orbit brings in L.
     """
     cands = [t for t in _prime_power_cyclics(g) if cap % t[0] == 0]
     perms = () if orbits is None else _automorphisms(g)
@@ -251,18 +283,27 @@ def _join_search(g: FiniteGroup, seed: Subgroup, cap: int, joins: bool,
         orbits.append(tuple(orb))
         return orb
 
+    # a(K) ∩ H = a(K ∩ a⁻¹(H)), so K's orbit holds a subgroup that avoids H
+    # exactly when K avoids a member of H's orbit
+    shadows = [m ^ 1 for m in _orbit(g, Subgroup(g, avoid | 1), perms)] if avoid else ()
+    passed = set()  # joins whose orbit holds no subgroup that avoids H
     found = orbit(seed)
     frontier = [seed]
     while frontier:
         nxt = []
         for k in frontier:
             for x, bits in joined(k):
-                if bits not in found:
-                    new = Subgroup(g, bits, k.gens + (x,))
-                    found.update(orbit(new))
-                    nxt.append(new)
+                if bits in found or bits in passed:
+                    continue
+                if avoid and all(bits & s for s in shadows):
+                    passed.add(bits)
+                    continue
+                new = Subgroup(g, bits, k.gens + (x,))
+                found.update(orbit(new))
+                nxt.append(new)
         frontier = nxt
-    return tuple(sorted(found.values(), key=Subgroup.sort_key))
+    return tuple(sorted((s for s in found.values() if not s.members & avoid),
+                        key=Subgroup.sort_key))
 
 
 def _kept_joins(g: FiniteGroup, k: Subgroup, cap: int, joins: bool,

@@ -102,6 +102,24 @@ def quotient_transport_check(g, h: Subgroup, k: Subgroup, n: Subgroup,
     return ok_q
 
 
+def cyclic_subgroups_by_element(g) -> tuple[Subgroup, ...]:
+    """The cyclic subgroups, canonically sorted: one walk of the powers of
+    every element, each subgroup kept with the first element, the least,
+    whose walk reaches it."""
+    seen: dict[int, int] = {}
+    for e in range(1, g.order):
+        bits = 1
+        cur = e
+        while cur:
+            bits |= 1 << cur
+            cur = g.mult[cur][e]
+        if bits not in seen:
+            seen[bits] = e
+    subs = [Subgroup(g, bits, (e,)) for bits, e in seen.items()]
+    subs.sort(key=Subgroup.sort_key)
+    return tuple(subs)
+
+
 def subgroup_from_members(g, members) -> Subgroup:
     """Build a subgroup from an explicit member set, verifying closure."""
     bits = members if isinstance(members, int) else bits_of(members)

@@ -5,8 +5,10 @@ import pytest
 
 import complementa as ca
 from complementa._primes import divisors
+from complementa.complementation import _complements_in
 from complementa.groups import CapExceededError, PreconditionError
-from complementa.subgroups import Subgroup, full_subgroup, product_bits
+from complementa.subgroups import (Subgroup, _subgroups_order_dividing, full_subgroup,
+                                   product_bits)
 from references import quotient_transport_check
 
 
@@ -189,9 +191,12 @@ def _fresh(name):
 
 
 def test_uncomplemented_sets():
-    """The lattice-wide bitset reads the lattice's order blocks; each
-    is_complemented runs its own partial search, so the two sides are
-    computed independently."""
+    """The lattice-wide bitset reads the lattice's order blocks, and so does
+    is_complemented once the lattice is built.  The other side is computed
+    on a copy without the lattice: each is_complemented on a nontrivial
+    subgroup runs its own search of the subgroups that avoid it.  On the
+    three largest lattices that takes 3 to 80 s per group, so there the
+    copy scans one list per index, the subgroups of order dividing it."""
     c4 = ca.cyclic(4)
     bad = ca.uncomplemented_subgroups(c4)
     assert [set(s.elements()) for s in bad] == [{0, 2}]
@@ -200,8 +205,20 @@ def test_uncomplemented_sets():
     groups += [(name, _fresh(name)) for name in ("ea2r6", "ea3r5", "hol32", "s5", "a5")]
     for name, g in groups:
         lat = ca.all_subgroups(g)
-        assert ca.uncomplemented_subgroups(g) == tuple(
-            k for k in lat.subgroups if not ca.is_complemented(g, k)), name
+        bad = ca.uncomplemented_subgroups(g)
+        assert bad == tuple(k for k in lat.subgroups if not ca.is_complemented(g, k)), name
+        bare = ca.FiniteGroup(g.mult, g.generators, g.labels, name=g.name)
+        if name in ("ea2r6", "ea3r5", "hol32"):
+            def complemented(k):
+                below = _subgroups_order_dividing(bare, bare.order // k.order)
+                return next(_complements_in(below, k), None) is not None
+        else:
+            def complemented(k):
+                return ca.is_complemented(bare, k)
+        assert [k.members for k in bad] == [
+            k.members for k in lat.subgroups[1:]
+            if not complemented(Subgroup(bare, k.members))], name
+        assert bare.cached_value(("sub_div", g.order)) is None, name
 
 
 @pytest.mark.parametrize("name", ["hol32", "ea3r5", "s5", "dih64"])
@@ -224,12 +241,24 @@ def test_whole_lattice_questions_build_no_partial_lattice(name):
     lambda: ca.split_p5_group(3).group,
     LARGE["s5"],
 ], ids=["holomorph8", "hol16", "split-p5-3", "s5"])
-def test_subject_questions_build_only_the_list_of_order_dividing_the_index(build):
+def test_subject_questions_search_only_the_subgroups_avoiding_h(build, monkeypatch):
     """Without the full lattice, ``complements`` and ``is_supercomplemented``
-    on H each memoize one subgroup list, ("sub_div", |G:H|): |G:K| divides
-    |G:H| for every overgroup K of H, so that list holds the complements
-    of them all.  The answers, as member bitsets, are those read off the
-    full lattice of a copy that has it built."""
+    on H ≠ 1 memoize no subgroup list: each searches one list, the
+    subgroups of order dividing |G:H| that meet H in 1, which hold the
+    complements of H and of every overgroup K of H (|G:K| divides |G:H|),
+    and keeps it as a local.  That list is the full lattice's subgroups of
+    order dividing |G:H| that meet H in 1, and the answers, as member
+    bitsets, are those read off the full lattice of a copy that has it
+    built."""
+    searched = []
+    search = ca.complementation._subgroups_order_dividing
+
+    def recorded(grp, c, avoid=0):
+        found = search(grp, c, avoid)
+        searched.append([t.members for t in found.subgroups])
+        return found
+
+    monkeypatch.setattr(ca.complementation, "_subgroups_order_dividing", recorded)
 
     def complement_bits(grp, sub):
         return [t.members for t in ca.complements(grp, sub).complements]
@@ -240,14 +269,21 @@ def test_subject_questions_build_only_the_list_of_order_dividing_the_index(build
 
     base = build()
     g = ca.FiniteGroup(base.mult, base.generators, base.labels, name=base.name)
-    for s in ca.all_subgroups(base).subgroups:
+    lat = ca.all_subgroups(base)
+    for s in lat.subgroups:
         h = Subgroup(g, s.members)
+        index = g.order // h.order
+        avoiding = [t.members for t in lat.subgroups
+                    if not index % t.order and t.members & h.members == 1]
         for question in (complement_bits, supercomplemented_bits):
             g.clear_cache()
+            searched.clear()
             assert question(g, h) == question(base, s), (question.__name__, s)
-            assert [c for c in divisors(g.order)
-                    if g.cached_value(("sub_div", c)) is not None] == \
-                [g.order // h.order], (question.__name__, s)
+            assert [c for c in divisors(g.order)[:-1]
+                    if g.cached_value(("sub_div", c)) is not None] == [], \
+                (question.__name__, s)
+            if h.order > 1:
+                assert searched == [avoiding], (question.__name__, s)
 
 
 @pytest.mark.parametrize("build", [
@@ -305,9 +341,9 @@ def test_subject_predicates_do_not_build_the_full_lattice(monkeypatch, p, rank):
     assert h.order == g.order // p
     full = ca.subgroups._subgroups_order_dividing
 
-    def partial_only(grp, c):
+    def partial_only(grp, c, avoid=0):
         assert c < grp.order, "full lattice built for a subject-level predicate"
-        return full(grp, c)
+        return full(grp, c, avoid)
 
     for module in (ca.subgroups, ca.complementation):
         monkeypatch.setattr(module, "_subgroups_order_dividing", partial_only)

@@ -447,6 +447,8 @@ LOADER_CASES = {
     "int64-max": (cayley_text(S3_DOC, s3_cells_with(7, str(2**63 - 1))), False),
     "huge": (cayley_text(S3_DOC, s3_cells_with(7, str(2**70))), False),
     "huge-wrapping": (cayley_text(S3_DOC, s3_cells_with(7, str(2**64 + 2))), False),
+    "int32-wrapping": (cayley_text(S3_DOC, s3_cells_with(7, str(2**32 + 2))), False),
+    "int32-sign": (cayley_text(S3_DOC, s3_cells_with(7, str(2**31))), False),
     "non-ascii-digit": (cayley_text(S3_DOC, s3_cells_with(7, "\u0662")), False),
     "wrong-order": (json.dumps({**S3_DOC, "order": 5}), False),
     "bad-version": (json.dumps({**S3_DOC, "version": "cayley-v2"}), False),
@@ -480,7 +482,8 @@ LOADER_BASES = [ca.group_to_dict(ca.catalog_entry(name).build().group)
 # Spellings of one cell: the value itself, JSON spellings of other numbers,
 # and text that is not a JSON number.
 CELL_TOKENS = ["-0", "0.0", "1e0", "01", "00", "true", "null", '"1"', "", " ", "1 1",
-               "-1", "12", str(2**63), str(2**70), "\u0661", "[0]", "NaN"]
+               "-1", "12", str(2**31), str(2**32 + 2), str(2**63), str(2**70), "\u0661",
+               "[0]", "NaN"]
 
 
 @st.composite

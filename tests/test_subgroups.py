@@ -16,8 +16,9 @@ from complementa.subgroups import (Subgroup, SubgroupLattice, _all_solvable,
                                    overgroups_by_joins, product_bits,
                                    right_cosets)
 from complementa.verify import subset_closure_subgroups
-from references import (bits_of, center, core, dedekind_identity_check,
-                        normal_closure, normalizer, subgroup_from_members)
+from references import (bits_of, center, core, cyclic_subgroups_by_element,
+                        dedekind_identity_check, normal_closure, normalizer,
+                        subgroup_from_members)
 
 
 def test_generated_subgroup_empty_is_trivial(s3):
@@ -835,6 +836,27 @@ LARGE_LATTICES = {
     "S5": lambda: ca.from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], name="S5"),
     "A5": lambda: ca.from_generators([(1, 2, 3, 4, 0), (0, 2, 3, 1, 4)], name="A5"),
 }
+
+
+# split-p5-3 is a catalog entry
+CYCLIC_GROUPS = {
+    "hol27": lambda: ca.holomorph_cyclic(27).group,
+    "hol32": lambda: ca.holomorph_cyclic(32).group,
+    "S5": _s5,
+}
+
+
+@pytest.mark.parametrize("name", [e.name for e in ca.catalog()] + list(CYCLIC_GROUPS))
+def test_cyclic_subgroups_match_one_walk_per_element(name):
+    """One power walk per cyclic subgroup finds the subgroups, and the least
+    generator of each, that a walk from every element does, in the same
+    order."""
+    if name in CYCLIC_GROUPS:
+        g = CYCLIC_GROUPS[name]()
+    else:
+        g = ca.catalog_entry(name).build().group
+    assert [(s.members, s.gens, s.order) for s in cyclic_subgroups(g)] == \
+        [(s.members, s.gens, s.order) for s in cyclic_subgroups_by_element(g)]
 
 
 @pytest.mark.parametrize("name", [e.name for e in ca.catalog()] + list(LARGE_LATTICES))
