@@ -3,7 +3,7 @@
 the join search on a fixed corpus.
 
 For each group of the lattice corpus it records the median seconds of
-``all_subgroups``, of ``SubgroupLattice.inclusion`` and of the export over
+``all_subgroups``, of the covering relation and of the export over
 ``REPEATS`` runs, each on a fresh copy of the group (empty cache), the
 subgroup count, the number of cover pairs, and the work counts of one more
 run, made outside the timing: the ``closure_bits`` calls made during
@@ -19,10 +19,14 @@ its ``orbits`` in a tree where that entry is a ``SubgroupLattice``, and in
 an older ``--baseline`` tree, where it is a tuple, its last item, which is
 the orbits in (subgroups, classes, orbits) and, in trees that kept only
 (subgroups, classes), the classes those searched by.
-The export is ``lattice_to_dict`` plus the JSON encoding that ``complementa
-lattice`` writes (``cli._emit_json``, into a string buffer); it runs after
-``inclusion``, so it includes the conjugacy classes but not the covering
-relation.
+The covering relation and the export are timed as ``complementa lattice``
+runs them in each tree: ``SubgroupLattice.covers`` and the JSON that
+``cli._lattice_json`` writes from the lattice, or, in an older tree without
+``covers``, ``SubgroupLattice.inclusion`` and ``lattice_to_dict`` encoded
+by ``cli._emit_json``; either way the text goes to a string buffer.  The
+export runs after the covering relation, so it includes the conjugacy
+classes but not the covers.  The cover pairs are counted in both kinds of
+tree.
 
 The join section times the two uses of the join search: ``all_subgroups``
 on S5 and A5, where it builds the whole lattice, and
@@ -79,6 +83,7 @@ import statistics
 import sys
 import time
 from collections import Counter
+from itertools import chain
 
 from harness import (Patches, arguments, count_join_loops, counting, interleaved,
                      load_trees, write_reports)
@@ -130,10 +135,28 @@ SUBJECT_CORPUS = [
 ]
 
 
+def has_covers(lat) -> bool:
+    """Whether lat's tree keeps the covering relation as ``covers``."""
+    return hasattr(type(lat), "covers")
+
+
+def covering(lat):
+    """The covering relation, as ``complementa lattice`` reads it in lat's tree."""
+    return lat.covers if has_covers(lat) else lat.inclusion
+
+
+def cover_pairs(lat) -> int:
+    return sum(map(len, lat.covers)) if has_covers(lat) else len(lat.inclusion)
+
+
 def export(tree, lat):
-    """``lattice_to_dict`` and the JSON text ``complementa lattice`` prints."""
+    """The JSON text ``complementa lattice`` prints, as that tree writes it."""
+    cli, args = tree.cli_module, argparse.Namespace(out=None)
     with contextlib.redirect_stdout(io.StringIO()):
-        tree.cli_module._emit_json(argparse.Namespace(out=None), tree.ca.lattice_to_dict(lat))
+        if has_covers(lat):
+            cli._emit(args, chain(cli._lattice_json(lat), ("\n",)))
+        else:
+            cli._emit_json(args, tree.ca.lattice_to_dict(lat))
 
 
 def count_work(tree, base) -> dict:
@@ -147,7 +170,7 @@ def count_work(tree, base) -> dict:
             patches.wrap(getattr(tree.subgroups_module, name), counting(counts, name))
         lat = tree.ca.all_subgroups(g, cap=g.order)
         closure_calls, orbit_images = counts["closure_bits"], counts["_conj_bits"]
-        pairs = len(lat.inclusion)
+        pairs = cover_pairs(lat)
         export(tree, lat)
     return {"closure_calls": closure_calls, "orbit_images": orbit_images,
             "bit_indices_calls": counts["bit_indices"], "cover_pairs": pairs,
@@ -167,7 +190,7 @@ def measure(trees, build) -> list[dict]:
         t0 = time.perf_counter()
         lat = tree.ca.all_subgroups(g, cap=g.order)
         t1 = time.perf_counter()
-        lat.inclusion
+        covering(lat)
         t2 = time.perf_counter()
         export(tree, lat)
         t3 = time.perf_counter()

@@ -22,7 +22,7 @@ from .groups import GroupError, group_from_json, group_to_dict
 from .series import is_nilpotent
 from .subgroups import (LATTICE_CAP, all_subgroups, generated_subgroup,
                         is_abelian, is_elementary_abelian, is_normal,
-                        lattice_to_dict, lattice_to_dot)
+                        lattice_to_dot)
 from .verify import (reports_to_dicts, run_catalog_suite, summarize,
                      verify_holomorph8, verify_split_p5)
 
@@ -87,12 +87,13 @@ def _resolve_subgroup(nm: NamedGroup, spec: str):
     return generated_subgroup(nm.group, elems)
 
 
-def _emit(args, payload: str):
+def _emit(args, chunks):
+    """Write the strings of ``chunks``, one after another, to --out or stdout."""
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
 
 
 _encode_scalar = json.JSONEncoder().encode
@@ -155,7 +156,47 @@ def _json_text(obj, newline: str) -> str:
 
 
 def _emit_json(args, obj):
-    _emit(args, _indented_json(obj) + "\n")
+    _emit(args, (_indented_json(obj), "\n"))
+
+
+def _lattice_json(lat):
+    """The text of ``json.dumps(lattice_to_dict(lat), indent=2)``, written
+    straight from the lattice, one section at a time.
+
+    Each number is read from a table of decimal strings made for the call,
+    and each subgroup's elements, its cover pairs (from ``covers``) and each
+    conjugacy class take one ``str.join``, so no dict, no pair and no int is
+    built per item.
+    """
+    subs, covers, classes = lat.subgroups, lat.covers, lat.conjugacy_classes
+    order = lat.group.order
+    dec = list(map(str, range(max(order, len(subs)) + 1)))
+    num = dec.__getitem__
+    row, item = "\n    ", "\n      "
+    after = "," + item
+
+    def rows(lists):
+        return ",".join(row + "[" + item + after.join(map(num, x)) + row + "]"
+                        for x in lists)
+
+    def pairs(i, ks):
+        head = row + "[" + item + dec[i] + after
+        return head + (row + "]," + head).join(map(num, ks)) + row + "]"
+
+    yield '{\n  "group_order": ' + dec[order] + ',\n  "subgroups": ['
+    yield rows(s.elements() for s in subs)
+    yield '\n  ],\n  "orders": [' + row + ("," + row).join(
+        num(s.order) for s in subs) + '\n  ],\n  "inclusion": ['
+    yield ",".join(pairs(i, ks) for i, ks in enumerate(covers) if ks)
+    # A subgroup is normal exactly when its conjugacy class is itself alone.
+    normal = ["false"] * len(subs)
+    for c in classes:
+        if len(c) == 1:
+            normal[c[0]] = "true"
+    yield ("\n  ]" if any(covers) else "]") + ',\n  "normal": [' + row + \
+        ("," + row).join(normal) + '\n  ],\n  "conjugacy_classes": ['
+    yield rows(classes)
+    yield "\n  ]\n}"
 
 
 def cmd_build(args) -> int:
@@ -168,9 +209,9 @@ def cmd_lattice(args) -> int:
     nm = _resolve_group(args)
     lat = all_subgroups(nm.group, cap=args.cap)
     if args.format == "dot":
-        _emit(args, lattice_to_dot(lat))
+        _emit(args, (lattice_to_dot(lat),))
     else:
-        _emit_json(args, lattice_to_dict(lat))
+        _emit(args, chain(_lattice_json(lat), ("\n",)))
     return 0
 
 
@@ -249,7 +290,7 @@ def cmd_verify(args) -> int:
         _emit_json(args, reports_to_dicts(reports, timing=False))
     else:
         lines = [f"{r.claim}: {r.status}" for r in reports]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, ("\n".join(lines) + "\n",))
     print(f"pass={counts['pass']} fail={counts['fail']} skipped={counts['skipped']}",
           file=sys.stderr)
     return 1 if counts["fail"] else 0

@@ -363,7 +363,8 @@ class SubgroupLattice:
     """The subgroups of G of order dividing some c, canonically ordered: the
     complete lattice when c = |G|.
 
-    ``inclusion`` is the covering relation of the Hasse diagram;
+    ``covers`` is the covering relation of the Hasse diagram, per subgroup,
+    and ``inclusion`` the same as index pairs;
     ``conjugacy_classes`` partitions subgroup indices, read off
     ``class_bits``, the classes as tuples of member bitsets.  ``orbits``
     are the orbits the search ran on, each led by the subgroup it extended
@@ -379,7 +380,7 @@ class SubgroupLattice:
         self.orbits = orbits
         self._by_order = None
         self._holders = None
-        self._inclusion = None
+        self._covers = None
         self._classes = None
 
     def __len__(self):
@@ -415,28 +416,47 @@ class SubgroupLattice:
         return bits
 
     @property
-    def inclusion(self) -> tuple[tuple[int, int], ...]:
-        """The covering relation, as sorted (i, k) index pairs: subgroup k
-        covers subgroup i.
+    def covers(self) -> tuple[tuple[int, ...], ...]:
+        """The covering relation: ``covers[i]`` holds, ascending, the indices
+        of the subgroups that cover subgroup i.
 
         Canonical order puts the overgroups of H at H's own index and above,
-        so ``above(H)`` less H's own bit holds its strict overgroups.  The
-        covers of H are the minimal ones: the lowest index left is minimal,
-        and accepting it clears it and everything above it, which is one AND
-        with the complement of its ``above``.  Only the complements are
-        kept, one per subgroup.  So the pairs come out sorted.
+        so the subgroups containing H, less H's own bit, are its strict
+        overgroups.  Those are ``above(H)``, the AND of ``holders`` over H's
+        gens, run inline once per subgroup from the first generator's
+        holder.  The covers of H are the
+        minimal ones: the lowest index left is minimal, and accepting it
+        clears it and everything above it, which is one AND with the
+        clearing mask of that cover, the subgroups not containing it.  Only
+        the clearing masks are kept, one per subgroup.
         """
-        if self._inclusion is None:
-            outside = [~self.above(s) for s in self.subgroups]
-            pairs = []
-            for i, out in enumerate(outside):
-                bits = ~out ^ 1 << i
+        if self._covers is None:
+            holders = self.holders
+            full = (1 << len(self.subgroups)) - 1
+            clear = []
+            for s in self.subgroups:
+                gens = s.gens
+                bits = holders[gens[0]] if gens else full
+                for x in gens[1:]:
+                    bits &= holders[x]
+                clear.append(full ^ bits)
+            covers = []
+            for i, out in enumerate(clear):
+                bits = full ^ out ^ 1 << i
+                row = []
                 while bits:
                     k = (bits & -bits).bit_length() - 1
-                    pairs.append((i, k))
-                    bits &= outside[k]
-            self._inclusion = tuple(pairs)
-        return self._inclusion
+                    row.append(k)
+                    bits &= clear[k]
+                covers.append(tuple(row))
+            self._covers = tuple(covers)
+        return self._covers
+
+    @property
+    def inclusion(self) -> tuple[tuple[int, int], ...]:
+        """The covering relation as sorted (i, k) index pairs, subgroup k
+        covering subgroup i: ``covers`` read as pairs, built on each read."""
+        return tuple((i, k) for i, row in enumerate(self.covers) for k in row)
 
     @property
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -458,7 +478,8 @@ class SubgroupLattice:
         """The subgroups covered by the last one: the maximal subgroups of G
         only for the complete lattice (c = |G|), whose last subgroup is G."""
         top = len(self.subgroups) - 1
-        return tuple(self.subgroups[i] for i, j in self.inclusion if j == top)
+        return tuple(self.subgroups[i] for i, row in enumerate(self.covers)
+                     if row and row[-1] == top)
 
 
 def all_subgroups(g: FiniteGroup, cap: int = LATTICE_CAP) -> SubgroupLattice:
@@ -498,11 +519,18 @@ def overgroups_by_joins(g: FiniteGroup, h: Subgroup) -> tuple[Subgroup, ...]:
 
 
 def _conj_perms(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Per generator gen, the permutation e -> e^gen, cached."""
-    return g.cached(
-        "conj_perms",
-        lambda: tuple(tuple(g.conj(e, gen) for e in g.elements())
-                      for gen in g.generators))
+    """The permutations e -> e^gen, one per generator gen in order, cached.
+    A central generator's identity and a repeat of an earlier permutation
+    are left out: neither moves an orbit further."""
+
+    def build():
+        identity = tuple(g.elements())
+        perms = dict.fromkeys(tuple(g.conj(e, gen) for e in identity)
+                              for gen in g.generators)
+        perms.pop(identity, None)
+        return tuple(perms)
+
+    return g.cached("conj_perms", build)
 
 
 def _conj_bits(perm, elems) -> int:
@@ -729,12 +757,17 @@ def lattice_to_dict(lat: SubgroupLattice) -> dict:
 
 
 def lattice_to_dot(lat: SubgroupLattice) -> str:
-    """Hasse diagram of the covering relation in DOT format."""
-    lines = ["digraph lattice {", "  rankdir=BT;"]
+    """Hasse diagram of the covering relation in DOT format: a node per
+    subgroup, then the edges from each subgroup to its covers, in
+    ``inclusion`` order."""
+    top = lat.group.order
+    lines = ["digraph lattice {\n  rankdir=BT;\n"]
     for i, s in enumerate(lat.subgroups):
-        shape = "doubleoctagon" if s.order == lat.group.order else "ellipse"
-        lines.append(f'  H{i} [label="H{i}\\n|H|={s.order}" shape={shape}];')
-    for i, j in lat.inclusion:
-        lines.append(f"  H{i} -> H{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        shape = "doubleoctagon" if s.order == top else "ellipse"
+        lines.append(f'  H{i} [label="H{i}\\n|H|={s.order}" shape={shape}];\n')
+    for i, row in enumerate(lat.covers):
+        if row:
+            edge = f"  H{i} -> H"
+            lines.append(edge + f";\n{edge}".join(map(str, row)) + ";\n")
+    lines.append("}\n")
+    return "".join(lines)

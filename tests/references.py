@@ -1,6 +1,8 @@
 """Per-input reference routines for the tests, kept out of the library,
-which answers the same questions by scans that share work between inputs."""
+which answers the same questions by scans that share work between inputs,
+and the large groups whose lattices some tests check."""
 
+import complementa as ca
 import complementa.series as series_module
 import complementa.subgroups as subgroups_module
 from complementa import (PreconditionError, Subgroup, all_subgroups,
@@ -168,3 +170,39 @@ def p_subgroups(g, p: int) -> tuple[Subgroup, ...]:
         raise PreconditionError(f"{p} is not prime")
     lat = all_subgroups(g)
     return tuple(s for s in lat.subgroups if is_p_power(s.order, p))
+
+
+def conj_perms_by_generator(g) -> tuple[tuple[int, ...], ...]:
+    """The permutation e -> e^gen for every generator gen, in order, the
+    identity and repeats included."""
+    return tuple(tuple(g.conj(e, gen) for e in g.elements()) for gen in g.generators)
+
+
+def lattice_to_dot_by_pairs(lat) -> str:
+    """The DOT Hasse diagram of ``lattice_to_dot``, one line joined per node
+    and one per ``inclusion`` pair."""
+    lines = ["digraph lattice {", "  rankdir=BT;"]
+    for i, s in enumerate(lat.subgroups):
+        shape = "doubleoctagon" if s.order == lat.group.order else "ellipse"
+        lines.append(f'  H{i} [label="H{i}\\n|H|={s.order}" shape={shape}];')
+    for i, j in lat.inclusion:
+        lines.append(f"  H{i} -> H{j};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+LARGE_LATTICES = {
+    "C2^6": lambda: ca.elementary_abelian(2, 6).group,
+    "C3^5": lambda: ca.elementary_abelian(3, 5).group,
+    "hol32": lambda: ca.holomorph_cyclic(32).group,
+    "dih128": lambda: ca.dihedral(128).group,
+    "S5": lambda: ca.from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], name="S5"),
+    "A5": lambda: ca.from_generators([(1, 2, 3, 4, 0), (0, 2, 3, 1, 4)], name="A5"),
+}
+
+
+def lattice_group(name: str):
+    """The group of a ``LARGE_LATTICES`` key or of a catalog entry name."""
+    if name in LARGE_LATTICES:
+        return LARGE_LATTICES[name]()
+    return ca.catalog_entry(name).build().group

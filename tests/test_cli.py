@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 import complementa as ca
 import complementa.cli as cli
-from complementa.cli import _PREDICATES, _indented_json, run
+from complementa.cli import _PREDICATES, _indented_json, _lattice_json, run
+from references import LARGE_LATTICES, lattice_group
 
 
 def run_cli(capsys, *argv):
@@ -173,6 +174,31 @@ def test_lattice_json_and_dot(capsys):
     assert data["orders"] == [1, 2, 4]
     code, out, _ = run_cli(capsys, "lattice", "--recipe", "c4", "--format", "dot")
     assert out.startswith("digraph")
+
+
+@pytest.mark.parametrize("name", [e.name for e in ca.catalog()]
+                         + list(LARGE_LATTICES) + ["trivial"])
+def test_lattice_writer_is_json_dumps_of_the_lattice_dict(name):
+    g = ca.cyclic(1) if name == "trivial" else lattice_group(name)
+    lat = ca.all_subgroups(g, cap=g.order)
+    assert "".join(_lattice_json(lat)) == json.dumps(ca.lattice_to_dict(lat), indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--recipe", "cyclic", "--n", "1"),
+    ("--recipe", "elementary", "--p", "2", "--n", "4"),
+    *(("--recipe", e.name) for e in ca.catalog()),
+], ids=lambda argv: "-".join(argv[1:]))
+def test_lattice_and_export_print_json_dumps_of_the_lattice_dict(tmp_path, capsys, argv):
+    code, out, _ = run_cli(capsys, "lattice", *argv)
+    assert code == 0
+    g = ca.group_from_json(run_cli(capsys, "build", *argv)[1])
+    expected = json.dumps(ca.lattice_to_dict(ca.all_subgroups(g)), indent=2) + "\n"
+    assert out == expected
+    path = tmp_path / "lattice.json"
+    code, out, _ = run_cli(capsys, "export", *argv, "--format", "lattice", "--out", str(path))
+    assert (code, out) == (0, "")
+    assert path.read_text(encoding="utf-8") == expected
 
 
 def test_export_and_reload(tmp_path, capsys):

@@ -7,8 +7,9 @@ from hypothesis import example, given, strategies as st
 import complementa as ca
 from complementa._primes import divisors, prime_factors
 from complementa.groups import CapExceededError, PreconditionError
+import complementa.subgroups as subgroups_module
 from complementa.subgroups import (Subgroup, SubgroupLattice, _all_solvable,
-                                   _automorphisms, _coset_bits,
+                                   _automorphisms, _conj_perms, _coset_bits,
                                    _extend_to_automorphism, _grow_cosets,
                                    _join_bits,
                                    _join_search, _subgroups_order_dividing,
@@ -16,9 +17,11 @@ from complementa.subgroups import (Subgroup, SubgroupLattice, _all_solvable,
                                    overgroups_by_joins, product_bits,
                                    right_cosets)
 from complementa.verify import subset_closure_subgroups
-from references import (bits_of, center, core, cyclic_subgroups_by_element,
-                        dedekind_identity_check, normal_closure, normalizer,
-                        subgroup_from_members)
+from references import (LARGE_LATTICES, bits_of, center, conj_perms_by_generator,
+                        core, cyclic_subgroups_by_element,
+                        dedekind_identity_check, lattice_group,
+                        lattice_to_dot_by_pairs,
+                        normal_closure, normalizer, subgroup_from_members)
 
 
 def test_generated_subgroup_empty_is_trivial(s3):
@@ -828,16 +831,6 @@ def reference_inclusion(subs):
     return tuple(sorted(pairs))
 
 
-LARGE_LATTICES = {
-    "C2^6": lambda: ca.elementary_abelian(2, 6).group,
-    "C3^5": lambda: ca.elementary_abelian(3, 5).group,
-    "hol32": lambda: ca.holomorph_cyclic(32).group,
-    "dih128": lambda: ca.dihedral(128).group,
-    "S5": lambda: ca.from_generators([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)], name="S5"),
-    "A5": lambda: ca.from_generators([(1, 2, 3, 4, 0), (0, 2, 3, 1, 4)], name="A5"),
-}
-
-
 # split-p5-3 is a catalog entry
 CYCLIC_GROUPS = {
     "hol27": lambda: ca.holomorph_cyclic(27).group,
@@ -859,14 +852,19 @@ def test_cyclic_subgroups_match_one_walk_per_element(name):
         [(s.members, s.gens, s.order) for s in cyclic_subgroups_by_element(g)]
 
 
+def cover_pairs(lat):
+    """``covers`` flattened to (i, k) pairs, each row checked ascending."""
+    assert all(list(row) == sorted(set(row)) for row in lat.covers)
+    return tuple((i, k) for i, row in enumerate(lat.covers) for k in row)
+
+
 @pytest.mark.parametrize("name", [e.name for e in ca.catalog()] + list(LARGE_LATTICES))
 def test_inclusion_matches_the_reference_walk(name):
-    if name in LARGE_LATTICES:
-        g = LARGE_LATTICES[name]()
-    else:
-        g = ca.catalog_entry(name).build().group
+    g = lattice_group(name)
     lat = ca.all_subgroups(g, cap=g.order)
-    assert lat.inclusion == reference_inclusion(lat.subgroups)
+    reference = reference_inclusion(lat.subgroups)
+    assert cover_pairs(lat) == reference
+    assert lat.inclusion == reference
 
 
 @pytest.mark.parametrize("name", ["holomorph8", "s3xs3", "c2xa4", "split-p5-3"])
@@ -875,7 +873,48 @@ def test_inclusion_of_subgroups_given_without_generators(name):
     subs = [Subgroup(g, s.members) for s in ca.all_subgroups(g).subgroups]
     assert all(s._gens is None for s in subs)
     lat = SubgroupLattice(g, subs)
+    assert cover_pairs(lat) == reference_inclusion(subs)
     assert lat.inclusion == reference_inclusion(subs)
+
+
+@pytest.mark.parametrize("name", [e.name for e in ca.catalog()] + list(LARGE_LATTICES))
+def test_dot_written_per_subgroup_matches_the_per_pair_text(name):
+    g = lattice_group(name)
+    lat = ca.all_subgroups(g, cap=g.order)
+    assert ca.lattice_to_dot(lat) == lattice_to_dot_by_pairs(lat)
+
+
+def test_dot_of_the_trivial_group_has_no_edge():
+    lat = ca.all_subgroups(ca.cyclic(1))
+    assert ca.lattice_to_dot(lat) == lattice_to_dot_by_pairs(lat)
+    assert "->" not in ca.lattice_to_dot(lat)
+
+
+@pytest.mark.parametrize("name", [e.name for e in ca.catalog()])
+def test_conjugation_without_identity_or_repeats_finds_the_same_lattice(name, monkeypatch):
+    """``_conj_perms`` leaves out identity permutations and repeats; the
+    lattice search by orbits finds the same subgroups, with the same gens,
+    in the same orbits, as with one permutation per generator."""
+    base = ca.catalog_entry(name).build().group
+    by_generator = conj_perms_by_generator(base)
+    identity = tuple(base.elements())
+    kept = _conj_perms(_fresh(base))
+    assert kept == tuple(dict.fromkeys(p for p in by_generator if p != identity))
+
+    def searched(g):
+        lat = ca.all_subgroups(g)
+        return ([(s.members, s.gens) for s in lat.subgroups], lat.orbits,
+                lat.conjugacy_classes if not ca.is_abelian(g) else None)
+
+    dropped = searched(_fresh(base))
+    monkeypatch.setattr(subgroups_module, "_conj_perms", conj_perms_by_generator)
+    assert searched(_fresh(base)) == dropped
+
+
+@pytest.mark.parametrize("name", ["split-p5-3", "c2xa4"])
+def test_a_central_generator_gives_no_conjugation_permutation(name):
+    g = _fresh(ca.catalog_entry(name).build().group)
+    assert len(_conj_perms(g)) == len(conj_perms_by_generator(g)) - 1
 
 
 def loop_bit_indices(bits):
