@@ -14,19 +14,14 @@ enumeration through export, and the number of subgroups the enumeration
 extended or joined,
 which is the number of orbits it records (one representative per orbit is
 extended or joined): automorphism orbits in an abelian group, conjugacy
-classes otherwise.  It is read off the memo entry ``("sub_div", |G|)``:
-its ``orbits`` in a tree where that entry is a ``SubgroupLattice``, and in
-an older ``--baseline`` tree, where it is a tuple, its last item, which is
-the orbits in (subgroups, classes, orbits) and, in trees that kept only
-(subgroups, classes), the classes those searched by.
+classes otherwise.  It is read off the ``orbits`` of the memo entry
+``("sub_div", |G|)``.
 The covering relation and the export are timed as ``complementa lattice``
-runs them in each tree: ``SubgroupLattice.covers`` and the JSON that
-``cli._lattice_json`` writes from the lattice, or, in an older tree without
-``covers``, ``SubgroupLattice.inclusion`` and ``lattice_to_dict`` encoded
-by ``cli._emit_json``; either way the text goes to a string buffer.  The
-export runs after the covering relation, so it includes the conjugacy
-classes but not the covers.  The cover pairs are counted in both kinds of
-tree.
+runs them: ``SubgroupLattice.covers`` and the JSON that
+``subgroups.lattice_to_json`` writes from the lattice (``cli._lattice_json``
+in a ``--baseline`` tree that keeps the writer in ``cli``), the text going
+to a string buffer.  The export runs after the covering relation, so it
+includes the conjugacy classes but not the covers.
 
 The join section times the two uses of the join search: ``all_subgroups``
 on S5 and A5, where it builds the whole lattice, and
@@ -135,28 +130,12 @@ SUBJECT_CORPUS = [
 ]
 
 
-def has_covers(lat) -> bool:
-    """Whether lat's tree keeps the covering relation as ``covers``."""
-    return hasattr(type(lat), "covers")
-
-
-def covering(lat):
-    """The covering relation, as ``complementa lattice`` reads it in lat's tree."""
-    return lat.covers if has_covers(lat) else lat.inclusion
-
-
-def cover_pairs(lat) -> int:
-    return sum(map(len, lat.covers)) if has_covers(lat) else len(lat.inclusion)
-
-
 def export(tree, lat):
     """The JSON text ``complementa lattice`` prints, as that tree writes it."""
     cli, args = tree.cli_module, argparse.Namespace(out=None)
+    write = getattr(tree.subgroups_module, "lattice_to_json", None) or cli._lattice_json
     with contextlib.redirect_stdout(io.StringIO()):
-        if has_covers(lat):
-            cli._emit(args, chain(cli._lattice_json(lat), ("\n",)))
-        else:
-            cli._emit_json(args, tree.ca.lattice_to_dict(lat))
+        cli._emit(args, chain(write(lat), ("\n",)))
 
 
 def count_work(tree, base) -> dict:
@@ -170,16 +149,11 @@ def count_work(tree, base) -> dict:
             patches.wrap(getattr(tree.subgroups_module, name), counting(counts, name))
         lat = tree.ca.all_subgroups(g, cap=g.order)
         closure_calls, orbit_images = counts["closure_bits"], counts["_conj_bits"]
-        pairs = cover_pairs(lat)
+        pairs = sum(map(len, lat.covers))
         export(tree, lat)
     return {"closure_calls": closure_calls, "orbit_images": orbit_images,
             "bit_indices_calls": counts["bit_indices"], "cover_pairs": pairs,
-            "orbits": len(orbits_of(g.cached_value(("sub_div", g.order))))}
-
-
-def orbits_of(entry):
-    """The orbits of a full-lattice memo entry, in this tree or an older one."""
-    return entry[-1] if isinstance(entry, tuple) else entry.orbits
+            "orbits": len(g.cached_value(("sub_div", g.order)).orbits)}
 
 
 def measure(trees, build) -> list[dict]:
@@ -190,7 +164,7 @@ def measure(trees, build) -> list[dict]:
         t0 = time.perf_counter()
         lat = tree.ca.all_subgroups(g, cap=g.order)
         t1 = time.perf_counter()
-        covering(lat)
+        lat.covers
         t2 = time.perf_counter()
         export(tree, lat)
         t3 = time.perf_counter()

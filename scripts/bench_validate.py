@@ -4,15 +4,18 @@ quotient constructor.
 
 For each group of ``LOAD`` it records the median seconds, over
 ``REPEATS`` runs, of loading its cayley-v1 text with the loader the CLI
-reads files with: ``group_from_json``, or, in a tree without it,
-``json.loads`` plus ``group_from_dict``.  For each group of ``FRESH_LOAD``
+reads files with, ``group_from_json``.  For each group of ``FRESH_LOAD``
 it writes the document to a temporary file once and loads it
-``SLOW_REPEATS`` times, each in a fresh interpreter, with the same loader.
+``SLOW_REPEATS`` times, each in a fresh interpreter, with the same loader;
+then it exports it ``SLOW_REPEATS`` times, each in a fresh interpreter, by
+``cli.run(["build", "--recipe", PATH, "--out", os.devnull])``, which loads
+the document and writes it again with the cayley-v1 writer, so the export's
+peak RSS above the load's is what the writer holds.
 For each group of ``CONSTRUCT`` it builds the group ``SLOW_REPEATS`` times,
 each in a fresh interpreter.  For a fresh load or build it records the
 median seconds of the call and the median peak RSS of that process
 (``VmHWM``, which includes the interpreter, numpy, the imported library
-and, for a load, the document's text; Linux only).
+and, for a load or an export, the document's text; Linux only).
 For each group of the corpus it records the median seconds, over
 ``SLOW_REPEATS`` runs, of ``FiniteGroup`` on the rows of the already built
 group (tuple rows, validation and inverses), and the table cells its
@@ -33,6 +36,7 @@ Usage: PYTHONPATH=src python scripts/bench_validate.py --label NAME
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -62,8 +66,8 @@ CORPUS = [
 LOAD = ("hol27", "hol32", "split-p5-3", "C2^6")
 
 
-# Orders 486, 512, 3125 and 4096; each document is written by a child.
-FRESH_LOAD = ("hol27", "hol32", "split-p5-5", "C64xC64")
+# Orders 486, 512, 1806, 3125 and 4096; each document is written by a child.
+FRESH_LOAD = ("hol27", "hol32", "hol43", "split-p5-5", "C64xC64")
 
 
 CONSTRUCT = {
@@ -75,19 +79,12 @@ CONSTRUCT = {
 }
 
 
-def text_loader():
-    """The function ``cli`` reads a cayley-v1 file's text with."""
-    return getattr(ca, "group_from_json", None) or (
-        lambda text: ca.group_from_dict(json.loads(text)))
-
-
 def measure_load(build) -> dict:
     text = json.dumps(ca.group_to_dict(build()))
-    load = text_loader()
     runs = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
-        g = load(text)
+        g = ca.group_from_json(text)
         runs.append(time.perf_counter() - t0)
     return {"order": g.order, "load_s": statistics.median(runs), "load_runs_s": runs}
 
@@ -122,11 +119,21 @@ def load_once(path: str) -> dict:
     """Load the document at ``path`` in this process; seconds and peak RSS."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    load = text_loader()
     t0 = time.perf_counter()
-    group = load(text)
+    group = ca.group_from_json(text)
     seconds = time.perf_counter() - t0
     return {"order": group.order, "seconds": seconds, "peak_rss_mb": peak_rss_mb()}
+
+
+def export_once(path: str) -> dict:
+    """Run ``complementa build`` on the document at ``path`` in this
+    process, writing to ``os.devnull``; exit code, seconds and peak RSS."""
+    import complementa.cli as cli  # here, so the other children's peaks stay as they were
+
+    t0 = time.perf_counter()
+    code = cli.run(["build", "--recipe", path, "--out", os.devnull])
+    seconds = time.perf_counter() - t0
+    return {"exit_code": code, "seconds": seconds, "peak_rss_mb": peak_rss_mb()}
 
 
 def in_child(*args) -> str:
@@ -137,20 +144,23 @@ def in_child(*args) -> str:
 
 def fresh_runs(key: str, *args) -> dict:
     """Medians of ``SLOW_REPEATS`` fresh-interpreter runs with ``args``;
-    their seconds are reported as ``<key>_s``."""
+    their seconds are reported as ``<key>_s``, beside the other fields of
+    the first run."""
     runs = [json.loads(in_child(*args)) for _ in range(SLOW_REPEATS)]
-    return {"order": runs[0]["order"],
+    return {**{k: v for k, v in runs[0].items() if k not in ("seconds", "peak_rss_mb")},
             f"{key}_s": statistics.median(r["seconds"] for r in runs),
             "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
             f"{key}_runs_s": [r["seconds"] for r in runs],
             "peak_rss_runs_mb": [r["peak_rss_mb"] for r in runs]}
 
 
-def measure_fresh_load(name: str) -> dict:
+def measure_document(name: str) -> tuple[dict, dict]:
+    """The fresh loads and the fresh exports of the document of ``name``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/{name}.json"
         in_child("--document", name, path)
-        return fresh_runs("load", "--load", path)
+        load = fresh_runs("load", "--load", path)
+        return load, {"order": load["order"], **fresh_runs("export", "--export", path)}
 
 
 def cells_compared(g) -> int:
@@ -195,13 +205,16 @@ def main() -> int:
     parser.add_argument("--document", nargs=2, metavar=("NAME", "PATH"),
                         help=argparse.SUPPRESS)
     parser.add_argument("--load", metavar="PATH", help=argparse.SUPPRESS)
+    parser.add_argument("--export", metavar="PATH", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.document:
         write_document(*args.document)
         return 0
-    if args.construct or args.load:
-        run = construct_once(args.construct) if args.construct else load_once(args.load)
-        print(json.dumps(run))
+    if args.construct:
+        print(json.dumps(construct_once(args.construct)))
+        return 0
+    if args.load or args.export:
+        print(json.dumps(load_once(args.load) if args.load else export_once(args.export)))
         return 0
     if args.label is None:
         parser.error("--label is required")
@@ -210,11 +223,12 @@ def main() -> int:
     for name in LOAD:
         load[name] = row = measure_load(dict(CORPUS)[name])
         print(f"{name:>10} |G|={row['order']:>4} load={row['load_s']:8.4f}s", flush=True)
-    fresh_load = {}
+    fresh_load, export = {}, {}
     for name in FRESH_LOAD:
-        fresh_load[name] = row = measure_fresh_load(name)
+        fresh_load[name], export[name] = row, out = measure_document(name)
         print(f"{name:>10} |G|={row['order']:>4} fresh load={row['load_s']:8.4f}s "
-              f"peak_rss={row['peak_rss_mb']:7.1f}MB", flush=True)
+              f"peak_rss={row['peak_rss_mb']:7.1f}MB export={out['export_s']:8.4f}s "
+              f"peak_rss={out['peak_rss_mb']:7.1f}MB exit={out['exit_code']}", flush=True)
     construction = {}
     for name in CONSTRUCT:
         construction[name] = row = fresh_runs("build", "--construct", name)
@@ -222,7 +236,7 @@ def main() -> int:
               f"peak_rss={row['peak_rss_mb']:7.1f}MB", flush=True)
     write_reports(args.out_dir, [args.label],
                   [{"load_repeats": REPEATS, "load": load, "fresh_load": fresh_load,
-                    "construction": construction,
+                    "export": export, "construction": construction,
                     **measure_validation_and_suite()}],
                   repeats=SLOW_REPEATS)
     return 0

@@ -21,14 +21,9 @@ counters installed from outside the library:
   the lattices it builds (its ``all_subgroups`` calls on a group with no
   full lattice memoized yet);
 * the p-subgroup battery: the ``_p_subgroup_failures`` calls, and the
-  batteries evaluated.  A tree that memoizes the battery evaluates one per
-  ``_p_subgroup_battery`` call; a tree without that function evaluates one
-  per ``_p_subgroup_failures`` call;
+  batteries evaluated (``_p_subgroup_battery`` calls);
 * the product sets: ``product_bits`` calls from anywhere, and the right-coset
-  partitions built.  A tree that memoizes the partitions on the group
-  builds one per memo miss of ``g.cached(("right_cosets", members))``; a
-  tree that reads no such memo entry builds one per ``right_cosets`` call
-  (0 on a tree without ``right_cosets``);
+  partitions built (``right_cosets`` calls);
 * the Dedekind scan: the (A, B, T) triples it checks, read from the
   ``triples_checked`` witness of each ``modular-identity`` claim in the
   output;
@@ -153,18 +148,6 @@ def count_work(tree, suites) -> dict:
             return original(grp, *args, **kwargs)
         return built
 
-    partitions = dict.fromkeys(("memo_reads", "memo_misses", "builder_calls"), 0)
-
-    def memoizing(original):
-        def cached(grp, key, builder):
-            if isinstance(key, tuple) and key[0] == "right_cosets":
-                partitions["memo_reads"] += 1
-                partitions["memo_misses"] += grp.cached_value(key) is None
-            return original(grp, key, builder)
-        return cached
-
-    battery = getattr(verify_module, "_p_subgroup_battery", None)
-    cosets = getattr(subgroups_module, "right_cosets", None)
     with Patches() as patches:
         patches.wrap(verify_module._transport_scan, scope("transport"), verify_module)
         # verify and cached_quotient both reach the one groups.quotient
@@ -176,11 +159,9 @@ def count_work(tree, suites) -> dict:
         # verify imports product_bits by name; subgroups calls its own
         patches.wrap(verify_module.product_bits, counting(counts, "product_calls"),
                      verify_module, subgroups_module)
-        patches.wrap(group_class.cached, memoizing, group_class)
-        if cosets is not None:
-            patches.wrap(cosets, counting(partitions, "builder_calls"))
-        if battery is not None:
-            patches.wrap(battery, counting(counts, "batteries_evaluated"), verify_module)
+        patches.wrap(subgroups_module.right_cosets, counting(counts, "partitions_built"))
+        patches.wrap(verify_module._p_subgroup_battery,
+                     counting(counts, "batteries_evaluated"), verify_module)
         patches.wrap(subgroups_module.overgroups_by_joins, counting(counts, "overgroups_calls"))
         count_join_loops(patches, subgroups_module, counts, "join_loops")
         patches.wrap(subgroups_module._join_bits, counting(counts, "join_bits_calls"),
@@ -192,10 +173,6 @@ def count_work(tree, suites) -> dict:
                 report["witnesses"][0].get("triples_checked", 0)
                 for report in json.loads(out)
                 if report["claim"].endswith(".modular-identity"))
-    if battery is None:
-        counts["batteries_evaluated"] = counts["battery_calls"]
-    counts["partitions_built"] = partitions[
-        "memo_misses" if partitions["memo_reads"] else "builder_calls"]
     return counts
 
 

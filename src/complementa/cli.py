@@ -18,11 +18,11 @@ from .bounds import bound_report
 from .complementation import (complements, is_completely_factorizable,
                               is_c_separating, is_supercomplemented)
 from .constructions import RECIPES, NamedGroup, catalog, catalog_entry
-from .groups import GroupError, group_from_json, group_to_dict
+from .groups import GroupError, group_from_json, group_to_json
 from .series import is_nilpotent
 from .subgroups import (LATTICE_CAP, all_subgroups, generated_subgroup,
                         is_abelian, is_elementary_abelian, is_normal,
-                        lattice_to_dot)
+                        lattice_to_dot, lattice_to_json)
 from .verify import (reports_to_dicts, run_catalog_suite, summarize,
                      verify_holomorph8, verify_split_p5)
 
@@ -96,112 +96,13 @@ def _emit(args, chunks):
         sys.stdout.writelines(chunks)
 
 
-_encode_scalar = json.JSONEncoder().encode
-# used only on lists that hold no container below their rows, which cannot
-# refer to themselves
-_encode_compact = json.JSONEncoder(separators=(",", ":"),
-                                   check_circular=False).encode
-_PLAIN_SCALARS = {int, bool, type(None)}
-
-
-def _indented_json(obj) -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, raising where it raises.
-
-    With ``indent`` set, ``json`` falls back to its pure-Python encoder.
-    Here lists and str-keyed dicts are walked in Python, but scalars and
-    keys go through the C encoder, and so do two kinds of list whole: a
-    list of plain ints, bools and None, and a list of non-empty rows of
-    plain ints.  Their compact text has only digits, signs, commas, brackets
-    and literals, so ``str.replace`` re-spaces it to the indented text, and
-    no Python code runs per item.  ``json`` itself writes a dict with a
-    non-str key, and the whole of an object too deep for the walk, which
-    includes a circular one: there ``json`` raises its own error.
-    """
-    try:
-        return _json_text(obj, "\n")
-    except RecursionError:
-        return json.dumps(obj, indent=2)
-
-
-def _json_text(obj, newline: str) -> str:
-    """The indented JSON of obj at the level whose line break and indent is
-    ``newline``."""
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = newline + "  "
-        types = set(map(type, obj))
-        if types <= _PLAIN_SCALARS:
-            items = _encode_compact(obj)[1:-1].replace(",", "," + inner)
-            return f"[{inner}{items}{newline}]"
-        if (types <= {list, tuple} and all(obj)
-                and set(map(type, chain.from_iterable(obj))) == {int}):
-            deeper = inner + "  "
-            rows = _encode_compact(obj)[2:-2].replace(",", "," + deeper).replace(
-                "]," + deeper + "[", f"{inner}],{inner}[{deeper}")
-            return f"[{inner}[{deeper}{rows}{inner}]{newline}]"
-        items = [_json_text(item, inner) for item in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if set(map(type, obj)) != {str}:
-            # json's text holds no raw line break but its own
-            return json.dumps(obj, indent=2).replace("\n", newline)
-        inner = newline + "  "
-        items = [_encode_scalar(key) + ": " + _json_text(value, inner)
-                 for key, value in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    return _encode_scalar(obj)
-
-
 def _emit_json(args, obj):
-    _emit(args, (_indented_json(obj), "\n"))
-
-
-def _lattice_json(lat):
-    """The text of ``json.dumps(lattice_to_dict(lat), indent=2)``, written
-    straight from the lattice, one section at a time.
-
-    Each number is read from a table of decimal strings made for the call,
-    and each subgroup's elements, its cover pairs (from ``covers``) and each
-    conjugacy class take one ``str.join``, so no dict, no pair and no int is
-    built per item.
-    """
-    subs, covers, classes = lat.subgroups, lat.covers, lat.conjugacy_classes
-    order = lat.group.order
-    dec = list(map(str, range(max(order, len(subs)) + 1)))
-    num = dec.__getitem__
-    row, item = "\n    ", "\n      "
-    after = "," + item
-
-    def rows(lists):
-        return ",".join(row + "[" + item + after.join(map(num, x)) + row + "]"
-                        for x in lists)
-
-    def pairs(i, ks):
-        head = row + "[" + item + dec[i] + after
-        return head + (row + "]," + head).join(map(num, ks)) + row + "]"
-
-    yield '{\n  "group_order": ' + dec[order] + ',\n  "subgroups": ['
-    yield rows(s.elements() for s in subs)
-    yield '\n  ],\n  "orders": [' + row + ("," + row).join(
-        num(s.order) for s in subs) + '\n  ],\n  "inclusion": ['
-    yield ",".join(pairs(i, ks) for i, ks in enumerate(covers) if ks)
-    # A subgroup is normal exactly when its conjugacy class is itself alone.
-    normal = ["false"] * len(subs)
-    for c in classes:
-        if len(c) == 1:
-            normal[c[0]] = "true"
-    yield ("\n  ]" if any(covers) else "]") + ',\n  "normal": [' + row + \
-        ("," + row).join(normal) + '\n  ],\n  "conjugacy_classes": ['
-    yield rows(classes)
-    yield "\n  ]\n}"
+    _emit(args, (json.dumps(obj, indent=2), "\n"))
 
 
 def cmd_build(args) -> int:
     nm = _resolve_group(args)
-    _emit_json(args, group_to_dict(nm.group))
+    _emit(args, chain(group_to_json(nm.group), ("\n",)))
     return 0
 
 
@@ -211,7 +112,7 @@ def cmd_lattice(args) -> int:
     if args.format == "dot":
         _emit(args, (lattice_to_dot(lat),))
     else:
-        _emit(args, chain(_lattice_json(lat), ("\n",)))
+        _emit(args, chain(lattice_to_json(lat), ("\n",)))
     return 0
 
 

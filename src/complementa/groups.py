@@ -594,6 +594,24 @@ def group_to_dict(g: FiniteGroup) -> dict:
     }
 
 
+def group_to_json(g: FiniteGroup):
+    """The text of ``json.dumps(group_to_dict(g), indent=2)``, in pieces.
+
+    Each table row is one piece, one ``str.join`` over a table of decimal
+    strings made for the call, so no flat list and no int is built per
+    cell.  ``json`` writes the generators and labels, so labels keep its
+    escaping.
+    """
+    dec = list(map(str, range(g.order)))
+    item = "\n    "
+    after = "," + item
+    yield f'{{\n  "version": "{CAYLEY_FORMAT}",\n  "order": {g.order},\n  "mult": ['
+    for i, row in enumerate(g.mult):
+        yield (after if i else item) + after.join(map(dec.__getitem__, row))
+    yield "\n  ],\n" + json.dumps({"generators": list(g.generators),
+                                   "labels": list(g.labels)}, indent=2)[2:]
+
+
 def group_from_dict(data: dict) -> FiniteGroup:
     """Parse a cayley-v1 document; any malformed field raises GroupError."""
     n, gens, labels = _document_fields(

@@ -739,21 +739,61 @@ def is_elementary_abelian(x) -> bool:
 # -- lattice export -----------------------------------------------------------
 
 
-def lattice_to_dict(lat: SubgroupLattice) -> dict:
-    # A subgroup is normal exactly when its conjugacy class is itself alone.
-    classes = lat.conjugacy_classes
+def _normal_flags(lat: SubgroupLattice) -> list[bool]:
+    """Whether each subgroup of lat is normal, read off its conjugacy
+    classes: a subgroup is normal exactly when its class is itself alone."""
     normal = [False] * len(lat)
-    for c in classes:
+    for c in lat.conjugacy_classes:
         if len(c) == 1:
             normal[c[0]] = True
+    return normal
+
+
+def lattice_to_dict(lat: SubgroupLattice) -> dict:
     return {
         "group_order": lat.group.order,
         "subgroups": [s.elements() for s in lat.subgroups],
         "orders": [s.order for s in lat.subgroups],
         "inclusion": lat.inclusion,
-        "normal": normal,
-        "conjugacy_classes": classes,
+        "normal": _normal_flags(lat),
+        "conjugacy_classes": lat.conjugacy_classes,
     }
+
+
+def lattice_to_json(lat: SubgroupLattice):
+    """The text of ``json.dumps(lattice_to_dict(lat), indent=2)``, written
+    straight from the lattice, one section at a time.
+
+    Each number is read from a table of decimal strings made for the call,
+    and each subgroup's elements, its cover pairs (from ``covers``) and each
+    conjugacy class take one ``str.join``, so no dict, no pair and no int is
+    built per item.
+    """
+    subs, covers, classes = lat.subgroups, lat.covers, lat.conjugacy_classes
+    order = lat.group.order
+    dec = list(map(str, range(max(order, len(subs)) + 1)))
+    num = dec.__getitem__
+    row, item = "\n    ", "\n      "
+    after = "," + item
+
+    def rows(lists):
+        return ",".join(row + "[" + item + after.join(map(num, x)) + row + "]"
+                        for x in lists)
+
+    def pairs(i, ks):
+        head = row + "[" + item + dec[i] + after
+        return head + (row + "]," + head).join(map(num, ks)) + row + "]"
+
+    yield '{\n  "group_order": ' + dec[order] + ',\n  "subgroups": ['
+    yield rows(s.elements() for s in subs)
+    yield '\n  ],\n  "orders": [' + row + ("," + row).join(
+        num(s.order) for s in subs) + '\n  ],\n  "inclusion": ['
+    yield ",".join(pairs(i, ks) for i, ks in enumerate(covers) if ks)
+    normal = map(("false", "true").__getitem__, _normal_flags(lat))
+    yield ("\n  ]" if any(covers) else "]") + ',\n  "normal": [' + row + \
+        ("," + row).join(normal) + '\n  ],\n  "conjugacy_classes": ['
+    yield rows(classes)
+    yield "\n  ]\n}"
 
 
 def lattice_to_dot(lat: SubgroupLattice) -> str:

@@ -7,7 +7,6 @@ import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -20,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 import complementa as ca
 import complementa.cli as cli
-from complementa.cli import _PREDICATES, _indented_json, _lattice_json, run
+from complementa.cli import _PREDICATES, run
+from complementa.subgroups import lattice_to_json
 from references import LARGE_LATTICES, lattice_group
 
 
@@ -181,14 +181,17 @@ def test_lattice_json_and_dot(capsys):
 def test_lattice_writer_is_json_dumps_of_the_lattice_dict(name):
     g = ca.cyclic(1) if name == "trivial" else lattice_group(name)
     lat = ca.all_subgroups(g, cap=g.order)
-    assert "".join(_lattice_json(lat)) == json.dumps(ca.lattice_to_dict(lat), indent=2)
+    assert "".join(lattice_to_json(lat)) == json.dumps(ca.lattice_to_dict(lat), indent=2)
 
 
-@pytest.mark.parametrize("argv", [
+RECIPE_ARGVS = [
     ("--recipe", "cyclic", "--n", "1"),
     ("--recipe", "elementary", "--p", "2", "--n", "4"),
     *(("--recipe", e.name) for e in ca.catalog()),
-], ids=lambda argv: "-".join(argv[1:]))
+]
+
+
+@pytest.mark.parametrize("argv", RECIPE_ARGVS, ids=lambda argv: "-".join(argv[1:]))
 def test_lattice_and_export_print_json_dumps_of_the_lattice_dict(tmp_path, capsys, argv):
     code, out, _ = run_cli(capsys, "lattice", *argv)
     assert code == 0
@@ -197,6 +200,19 @@ def test_lattice_and_export_print_json_dumps_of_the_lattice_dict(tmp_path, capsy
     assert out == expected
     path = tmp_path / "lattice.json"
     code, out, _ = run_cli(capsys, "export", *argv, "--format", "lattice", "--out", str(path))
+    assert (code, out) == (0, "")
+    assert path.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("argv", RECIPE_ARGVS, ids=lambda argv: "-".join(argv[1:]))
+def test_build_and_export_print_json_dumps_of_the_group_dict(tmp_path, capsys, argv):
+    code, out, _ = run_cli(capsys, "build", *argv)
+    assert code == 0
+    g = cli._resolve_group(cli._build_parser().parse_args(["build", *argv])).group
+    expected = json.dumps(ca.group_to_dict(g), indent=2) + "\n"
+    assert out == expected
+    path = tmp_path / "group.json"
+    code, out, _ = run_cli(capsys, "export", *argv, "--format", "cayley", "--out", str(path))
     assert (code, out) == (0, "")
     assert path.read_text(encoding="utf-8") == expected
 
@@ -665,142 +681,6 @@ def test_fuzzed_arguments_give_json_or_a_usage_error(argv):
         assert code == 2, (argv, err.getvalue())
         assert out.getvalue() == ""
         assert "error:" in err.getvalue(), err.getvalue()
-
-
-# -- the indented JSON writer ------------------------------------------------
-
-
-def assert_written_as_json_does(obj):
-    """The writer's text equals json.dumps(obj, indent=2) on the object
-    itself: reloading JSON would hide non-str keys and tuples."""
-    assert _indented_json(obj) == json.dumps(obj, indent=2)
-
-
-def test_writer_matches_json_on_lattices_and_groups():
-    for entry in ca.catalog():
-        g = entry.build().group
-        assert_written_as_json_does(ca.lattice_to_dict(ca.all_subgroups(g)))
-        assert_written_as_json_does(ca.group_to_dict(g))
-
-
-def test_writer_matches_json_on_bound_reports():
-    for m in range(1, 41):
-        for q in (None, 2, 7):
-            assert_written_as_json_does(ca.bound_report(m, q=q).to_dict())
-
-
-def test_writer_matches_json_on_verify_reports():
-    for reports in (ca.verify_holomorph8(), ca.verify_split_p5(2), ca.verify_split_p5(3)):
-        assert_written_as_json_does(ca.reports_to_dicts(reports, timing=False))
-
-
-def test_writer_matches_json_on_every_check_result(monkeypatch):
-    written = []
-    monkeypatch.setattr(cli, "_emit_json", lambda args, obj: written.append(obj))
-    for name in ("holomorph8", "split-p5-2", "s3xs3"):
-        handles = sorted(ca.catalog_entry(name).build().subgroups) + ["0", "1,2"]
-        for predicate in _PREDICATES:
-            # these two read no subgroup, and refuse one
-            subjects = ([[]] if predicate in ("completely-factorizable", "nilpotent")
-                        else [["--subgroup", handle] for handle in handles])
-            for subject in subjects:
-                for mode in ("first", "all"):
-                    assert run(["check", predicate, "--recipe", name,
-                                *subject, "--mode", mode]) == 0
-    for obj in written:
-        assert_written_as_json_does(obj)
-
-
-JSON_SCALARS = (st.none() | st.booleans() | st.integers()
-                | st.floats() | st.sampled_from([-0.0, 1e300, -1e300])
-                | st.text() | st.sampled_from(['", "', "\\\"\n\t\x00", "é ☃ \U0001f600"]))
-JSON_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
-                   | st.dictionaries(JSON_KEYS, inner, max_size=5)),
-    max_leaves=40)
-
-
-@given(JSON_VALUES)
-@settings(derandomize=True, max_examples=200, deadline=None)
-def test_writer_matches_json_on_nested_values(obj):
-    assert_written_as_json_does(obj)
-
-
-_ROW = [4, 5]
-
-
-@pytest.mark.parametrize("obj", [
-    [[1, 2], [3]],
-    [(1,), [2, 3], (-4, 0)],
-    {"a": [[1, 2], [3, 4]], "b": [[[5]], [[6, 7]]]},
-    [_ROW, _ROW, [_ROW]],
-    [[1], []],
-    [[True, 1], [2]],
-    [[1], [2.0]],
-    [[1], 2],
-    [True, False, True],
-    [True, 1, -2, False, 0],
-    [None, 3, None],
-    (7, -8, 9),
-    [1, 2.5, True],
-    [1, "2", None],
-    [[-1, 2], [-3, -40]],
-    [[1], [2], [3]],
-    {"a": {"b": [[1, 2], [3]]}, "c": [[[4], [5, 6]]]},
-    ((1, 2), (3,)),
-], ids=["rows", "tuple-rows", "nested-rows", "shared-row", "empty-row",
-        "bool-in-row", "float-in-row", "int-beside-rows", "bools", "bools-and-ints",
-        "none-and-ints", "int-tuple", "float-among-ints", "str-among-ints",
-        "negative-rows", "one-element-rows", "rows-at-depth-3", "tuple-of-tuple-rows"])
-def test_writer_matches_json_on_lists_of_int_lists(obj):
-    """Lists of plain scalars and lists of int rows, which go through the C
-    encoder whole, and lists just outside those kinds, which are walked."""
-    assert_written_as_json_does(obj)
-
-
-def test_writer_raises_where_json_raises_in_a_list_of_int_lists():
-    obj = [[1], [2, 10 ** 5000]]
-    with pytest.raises(ValueError) as want:
-        json.dumps(obj, indent=2)
-    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-        _indented_json(obj)
-
-
-def _circular_list():
-    out = [1]
-    out.append([out])
-    return out
-
-
-def _circular_dict():
-    out = {"a": 1}
-    out["b"] = [{"c": out}]
-    return out
-
-
-@pytest.mark.parametrize("obj", [
-    {(1, 2): 3},
-    {"a": [1, {frozenset(): 0}]},
-    [1, 2, {3}],
-    {"a": object()},
-    [1, 10 ** 5000],
-    [True, None, 10 ** 5000],
-    {"a": [[1, 2], [10 ** 5000]]},
-    {"a": 10 ** 5000},
-    {10 ** 5000: 1},
-    _circular_list(),
-    _circular_dict(),
-], ids=["tuple-key", "nested-frozenset-key", "set-value", "object-value",
-        "long-int-in-int-list", "long-int-among-literals", "long-int-in-a-row",
-        "long-int-value", "long-int-key",
-        "circular-list", "circular-dict"])
-def test_writer_raises_where_json_raises(obj):
-    with pytest.raises(Exception) as want:
-        json.dumps(obj, indent=2)
-    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-        _indented_json(obj)
 
 
 # -- the numpy import boundary ---------------------------------------------------

@@ -270,6 +270,28 @@ def test_serialization_roundtrip(hol8):
     assert g2.labels == hol8.group.labels
 
 
+# labels that json escapes: a quote, a backslash, a line break, a non-ASCII
+# and a non-BMP character
+ODD_LABELS = ['"', "\\", "\n", "·", "\U0001f600"]
+
+JSON_WRITER_GROUPS = {
+    **{e.name: lambda name=e.name: ca.catalog_entry(name).build().group
+       for e in ca.catalog()},
+    "trivial": ca.trivial_group,
+    "hol32": lambda: ca.holomorph_cyclic(32).group,
+    "odd-labels": lambda: ca.FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]], [1],
+                                         ["e", "a" + "".join(ODD_LABELS), 'b\\"\n']),
+    "odd-labels-no-generators": lambda: ca.FiniteGroup([[0]], [], ["".join(ODD_LABELS)]),
+}
+
+
+@pytest.mark.parametrize("name", JSON_WRITER_GROUPS)
+def test_group_writer_is_json_dumps_of_the_group_dict(name):
+    g = JSON_WRITER_GROUPS[name]()
+    text = "".join(groups_module.group_to_json(g))
+    assert text == json.dumps(ca.group_to_dict(g), indent=2)
+
+
 def test_serialization_rejects_bad_version():
     with pytest.raises(GroupError):
         ca.group_from_dict({"version": "cayley-v2", "order": 1, "mult": [0]})
